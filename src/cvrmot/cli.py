@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,6 +49,7 @@ from .ingest import (
     parse_scene,
     parse_scores,
     render_description,
+    view_count,
     write_descriptions,
     write_predictions,
     write_report,
@@ -139,7 +140,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     scene = parse_scene(args.manifest, args.gt_dir)
     descriptions = parse_descriptions(args.descriptions, scene)
-    eval_config = EvalConfig(iou_threshold=float(config["iou_threshold"]))
+    eval_config = EvalConfig(iou_threshold=config["iou_threshold"])
     root = Path(args.predictions_root)
     payloads = []
     for desc in descriptions:
@@ -153,9 +154,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             predictions = parse_predictions(pred_dir, desc.id, scene.num_views)
         payloads.append((scene, desc, predictions.tracks, eval_config))
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_eval_one, payloads))
     else:
         results = [_eval_one(p) for p in payloads]
@@ -186,10 +186,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_filter(args: argparse.Namespace) -> int:
     config = _effective_config(args)
     tracks_dir = Path(args.tracks)
-    view_files = sorted(tracks_dir.glob("view_*.csv"))
-    if not view_files:
-        raise ParseError(tracks_dir, "no view_*.csv files found")
-    num_views = len(view_files)
+    num_views = view_count(tracks_dir)
     predictions = parse_predictions(tracks_dir, "input", num_views)
     scores = dict(predictions.scores)
     if args.scores:
@@ -264,6 +261,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.errors:
         with open(args.errors, encoding="utf-8") as handle:
             raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.errors}: error spec must be a JSON object")
+        unknown = set(raw) - {f.name for f in fields(ErrorSpec)}
+        if unknown:
+            raise ValueError(f"{args.errors}: unknown error spec keys: {sorted(unknown)}")
         spec = ErrorSpec(**raw)
         perturbed, ledger = perturb(scene, spec, seed=seed + 3, description_id=descriptions[0].id)
         write_predictions(perturbed, out / "predictions" / descriptions[0].id, scene.num_views)
@@ -376,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--descriptions", required=True)
     p_eval.add_argument("--predictions-root", dest="predictions_root", required=True)
     p_eval.add_argument("--out", help="report JSON path")
-    p_eval.add_argument("--jobs", type=int, help="parallel workers (default: CPU count)")
+    p_eval.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (default: 1, in this process)"
+    )
     _add_config_flags(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 

@@ -103,6 +103,25 @@ def _view_file(directory: Path, view: int) -> Path:
     return Path(directory) / f"view_{view:02d}.csv"
 
 
+def view_count(directory: Path | str) -> int:
+    """Number of views a directory of per-view CSVs covers: highest index + 1.
+
+    Views between the files present are treated as empty, as
+    :func:`parse_predictions` does.
+    """
+    directory = Path(directory)
+    indices = []
+    for path in directory.glob("view_*.csv"):
+        digits = path.stem[len("view_"):]
+        valid = digits.isascii() and digits.isdigit()
+        if not valid or _view_file(directory, int(digits)).name != path.name:
+            raise ParseError(path, "expected a name of the form view_NN.csv")
+        indices.append(int(digits))
+    if not indices:
+        raise ParseError(directory, "no view_*.csv files found")
+    return max(indices) + 1
+
+
 def _parse_float(raw: str, path: Path, line_no: int, what: str) -> float:
     try:
         value = float(raw)
@@ -125,6 +144,7 @@ def _read_box_rows(
 ) -> tuple[list[Detection], dict[tuple[int, int, int], ScoreRecord]]:
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
+    first_line: dict[tuple[int, int], int] = {}  # (frame, id) -> line of its row
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             text = line.strip()
@@ -138,6 +158,14 @@ def _read_box_rows(
             identity = _parse_int(parts[1], path, line_no, "id")
             if frame < 1:
                 raise ParseError(path, f"frame must be >= 1, got {frame}", line_no)
+            if allow_scores:  # ground-truth duplicates are reported by validate_scene
+                earlier = first_line.setdefault((frame, identity), line_no)
+                if earlier != line_no:
+                    raise ParseError(
+                        path,
+                        f"duplicate row for frame {frame}, id {identity} (first at line {earlier})",
+                        line_no,
+                    )
             x = _parse_float(parts[2], path, line_no, "x")
             y = _parse_float(parts[3], path, line_no, "y")
             w = _parse_float(parts[4], path, line_no, "w")

@@ -12,13 +12,14 @@ Ratios are computed with exact rational arithmetic and exported as floats.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .assignment import FORBIDDEN, CostMatrix, solve_lap
-from .datamodel import BBox, Detection, LanguageDescription, Scene, Track, iou
+from .datamodel import Detection, LanguageDescription, Scene, Track, iou
 
 
 class UndefinedMetricError(ValueError):
@@ -29,11 +30,26 @@ class UndefinedAggregateError(ValueError):
     """Aggregation over zero descriptions is undefined."""
 
 
+def check_iou_threshold(value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number in (0, 1].
+
+    At 0 disjoint boxes would be feasible matches, and the gated sweep skips
+    pairs whose IoU is 0, which is exact only for a positive gate.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"iou_threshold must be a number, got {value!r}")
+    if not (math.isfinite(value) and 0 < value <= 1):
+        raise ValueError(f"iou_threshold must be finite and in (0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     """Evaluation parameters; the 0.5 IoU gate is standard practice."""
 
     iou_threshold: float = 0.5
+
+    def __post_init__(self) -> None:
+        check_iou_threshold(self.iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -140,6 +156,87 @@ def restrict_gt(scene: Scene, desc: LanguageDescription) -> tuple[Track, ...]:
     return tuple(t for t in scene.gt_tracks if t.identity in desc.referred_identities)
 
 
+def _gated_edges(
+    gt_dets: Sequence[Detection],
+    pred_dets: Sequence[Detection],
+    iou_threshold: float,
+) -> list[tuple[int, int, float]]:
+    """(gt index, pred index, IoU) for every pair at or above the IoU gate.
+
+    Boxes are swept in order of their left edge, and a pair is scored only
+    when its x extents overlap: ``iou`` is 0 for every other pair, and the
+    gate is positive, so no gated pair is skipped.
+    """
+    starts = sorted(
+        [(d.bbox.x, 0, i, d.bbox.x2) for i, d in enumerate(gt_dets)]
+        + [(d.bbox.x, 1, j, d.bbox.x2) for j, d in enumerate(pred_dets)]
+    )
+    open_boxes: list[list[tuple[float, int]]] = [[], []]  # per side: (right edge, index)
+    edges = []
+    for x, side, k, x2 in starts:
+        # A box whose right edge is at or left of x overlaps nothing from here on.
+        others = [o for o in open_boxes[1 - side] if o[0] > x]
+        open_boxes[1 - side] = others
+        for _, o in others:
+            gi, pj = (k, o) if side == 0 else (o, k)
+            overlap = iou(gt_dets[gi].bbox, pred_dets[pj].bbox)
+            if overlap >= iou_threshold:
+                edges.append((gi, pj, overlap))
+        open_boxes[side].append((x2, k))
+    return edges
+
+
+def _match_components(
+    n_gt: int, n_pred: int, edges: Sequence[tuple[int, int, float]]
+) -> FrameMatch:
+    """Minimum-cost matching on cost 1 - IoU over the gated pairs only.
+
+    The gated graph is split into connected components. A component with one
+    GT box and one prediction is matched directly; any larger one is solved
+    by ``solve_lap`` with its rows and columns in their original relative
+    order. Cardinality and cost add up over components and the lexicographic
+    tie-break decides each component independently, so the union is the
+    optimum ``solve_lap`` returns for the whole dense matrix (ties closer
+    than the solver's tolerance are decided within their component).
+    """
+    costs: dict[int, dict[int, float]] = defaultdict(dict)  # gt -> pred -> cost
+    rows_of: dict[int, list[int]] = defaultdict(list)  # pred -> gts
+    for gi, pj, overlap in edges:
+        costs[gi][pj] = 1.0 - overlap
+        rows_of[pj].append(gi)
+    pairs: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for root in sorted(costs):
+        if root in seen:
+            continue
+        seen.add(root)
+        rows, cols = [root], set()
+        for r in rows:  # breadth-first: rows grows while it is walked
+            for c in costs[r]:
+                if c not in cols:
+                    cols.add(c)
+                    for r2 in rows_of[c]:
+                        if r2 not in seen:
+                            seen.add(r2)
+                            rows.append(r2)
+        if len(rows) == 1 and len(cols) == 1:
+            pairs.append((root, cols.pop()))
+            continue
+        rows.sort()
+        col_order = sorted(cols)
+        matrix = [[costs[r].get(c, FORBIDDEN) for c in col_order] for r in rows]
+        solved = solve_lap(CostMatrix.from_rows(matrix))
+        pairs.extend((rows[a], col_order[b]) for a, b in solved.pairs)
+    pairs.sort()
+    matched_gt = {g for g, _ in pairs}
+    matched_pred = {p for _, p in pairs}
+    return FrameMatch(
+        tuple(pairs),
+        tuple(i for i in range(n_gt) if i not in matched_gt),
+        tuple(j for j in range(n_pred) if j not in matched_pred),
+    )
+
+
 def match_frame(
     gt_dets: Sequence[Detection],
     pred_dets: Sequence[Detection],
@@ -148,68 +245,71 @@ def match_frame(
     """Minimum-cost matching of one (view, frame) on cost 1 - IoU.
 
     Pairs below the IoU threshold are forbidden; the matching maximizes the
-    number of matches first, then total IoU. Indices refer to the input
-    sequences as given.
+    number of matches first, then total IoU, with the lexicographic tie-break
+    of ``solve_lap``. Indices refer to the input sequences as given.
     """
-    if not gt_dets or not pred_dets:
-        return FrameMatch(
-            (), tuple(range(len(gt_dets))), tuple(range(len(pred_dets)))
-        )
-    rows = []
-    any_feasible = False
-    for g in gt_dets:
-        row = []
-        for p in pred_dets:
-            overlap = iou(g.bbox, p.bbox)
-            if overlap >= iou_threshold:
-                row.append(1.0 - overlap)
-                any_feasible = True
-            else:
-                row.append(FORBIDDEN)
-        rows.append(row)
-    if not any_feasible:
-        return FrameMatch(
-            (), tuple(range(len(gt_dets))), tuple(range(len(pred_dets)))
-        )
-    assignment = solve_lap(CostMatrix.from_rows(rows))
-    matched_gt = {r for r, _ in assignment.pairs}
-    matched_pred = {c for _, c in assignment.pairs}
-    return FrameMatch(
-        assignment.pairs,
-        tuple(i for i in range(len(gt_dets)) if i not in matched_gt),
-        tuple(j for j in range(len(pred_dets)) if j not in matched_pred),
+    check_iou_threshold(iou_threshold)
+    return _match_components(
+        len(gt_dets), len(pred_dets), _gated_edges(gt_dets, pred_dets, iou_threshold)
     )
 
 
-def _index_by_slot(tracks: Sequence[Track]) -> dict[tuple[int, int], list[Detection]]:
-    slots: dict[tuple[int, int], list[Detection]] = defaultdict(list)
+def _index_by_slot(
+    tracks: Sequence[Track], side: str
+) -> dict[tuple[int, int], list[Detection]]:
+    """Detections per (view, frame), sorted by identity; one per identity."""
+    slots: dict[tuple[int, int], dict[int, Detection]] = defaultdict(dict)
     for track in tracks:
         for det in track.detections:
-            slots[(det.view_id, det.frame)].append(det)
-    return slots
+            slot = slots[(det.view_id, det.frame)]
+            if det.identity in slot:
+                raise ValueError(
+                    f"{side} identity {det.identity} appears twice "
+                    f"at view {det.view_id}, frame {det.frame}"
+                )
+            slot[det.identity] = det
+    return {key: [by_id[i] for i in sorted(by_id)] for key, by_id in slots.items()}
 
 
-def count_events(
+@dataclass(frozen=True)
+class GatedPass:
+    """One gated pass over a description: CVMA tallies and CVIDF1 overlaps.
+
+    ``overlap`` maps (gt identity, predicted identity) to the number of
+    (view, frame) slots where their boxes overlap at or above the IoU gate;
+    pairs that never do are absent.
+    """
+
+    counts: MetricCounts
+    overlap: Mapping[tuple[int, int], int]
+
+
+def gated_pass(
     referred_gt: Sequence[Track],
     predictions: Sequence[Track],
     iou_threshold: float = 0.5,
-) -> MetricCounts:
-    """Per-frame misses, false positives, mismatched pairs, and GT totals.
+) -> GatedPass:
+    """Score every (view, frame) once for both CVMA and CVIDF1.
 
-    A mismatched pair is either temporal (a ground-truth identity matched in
-    some view to a different predicted identity than at its previous matched
-    frame in that view) or cross-view (an unordered pair of views where the
-    same ground-truth identity is matched to two different predicted
-    identities at the same frame). Frames where the referred objects are
-    absent still contribute their false positives.
+    Each slot lists its gated (gt, pred) pairs with one sweep, matches them
+    per connected component, and adds one to the overlap count of every
+    gated pair. A mismatched pair is either temporal (a ground-truth identity
+    matched in some view to a different predicted identity than at its
+    previous matched frame in that view) or cross-view (an unordered pair of
+    views where the same ground-truth identity is matched to two different
+    predicted identities at the same frame). Frames where the referred
+    objects are absent still contribute their false positives.
+
+    Raises ``ValueError`` when one identity has two boxes in one slot.
     """
-    gt_slots = _index_by_slot(referred_gt)
-    pred_slots = _index_by_slot(predictions)
+    check_iou_threshold(iou_threshold)
+    gt_slots = _index_by_slot(referred_gt, "ground-truth")
+    pred_slots = _index_by_slot(predictions, "predicted")
     frames = sorted({f for _, f in gt_slots} | {f for _, f in pred_slots})
     views = sorted({v for v, _ in gt_slots} | {v for v, _ in pred_slots})
 
+    overlap: Counter[tuple[int, int]] = Counter()
     last_matched: dict[tuple[int, int], int] = {}  # (gt identity, view) -> pred identity
-    out_frames: list[int] = []
     out_m: list[int] = []
     out_fp: list[int] = []
     out_mme: list[int] = []
@@ -218,10 +318,13 @@ def count_events(
         m_t = fp_t = gt_t = 0
         matched_here: dict[int, dict[int, int]] = defaultdict(dict)  # gt id -> view -> pred id
         for view in views:
-            gts = sorted(gt_slots.get((view, frame), []), key=lambda d: d.identity)
-            preds = sorted(pred_slots.get((view, frame), []), key=lambda d: d.identity)
+            gts = gt_slots.get((view, frame), [])
+            preds = pred_slots.get((view, frame), [])
             gt_t += len(gts)
-            match = match_frame(gts, preds, iou_threshold)
+            edges = _gated_edges(gts, preds, iou_threshold)
+            for gi, pj, _ in edges:
+                overlap[(gts[gi].identity, preds[pj].identity)] += 1
+            match = _match_components(len(gts), len(preds), edges)
             m_t += len(match.unmatched_gt)
             fp_t += len(match.unmatched_pred)
             for gi, pj in match.pairs:
@@ -241,14 +344,26 @@ def count_events(
                 for j in range(i + 1, len(pred_ids)):
                     if pred_ids[i] != pred_ids[j]:
                         crossview += 1
-        out_frames.append(frame)
         out_m.append(m_t)
         out_fp.append(fp_t)
         out_mme.append(temporal + crossview)
         out_gt.append(gt_t)
-    return MetricCounts(
-        tuple(out_frames), tuple(out_m), tuple(out_fp), tuple(out_mme), tuple(out_gt)
+    counts = MetricCounts(
+        tuple(frames), tuple(out_m), tuple(out_fp), tuple(out_mme), tuple(out_gt)
     )
+    return GatedPass(counts, overlap)
+
+
+def count_events(
+    referred_gt: Sequence[Track],
+    predictions: Sequence[Track],
+    iou_threshold: float = 0.5,
+) -> MetricCounts:
+    """Per-frame misses, false positives, mismatched pairs, and GT totals.
+
+    See :func:`gated_pass` for the event definitions.
+    """
+    return gated_pass(referred_gt, predictions, iou_threshold).counts
 
 
 def cvma_exact(counts: MetricCounts) -> Fraction:
@@ -278,34 +393,28 @@ def id_measures(
     (view, frame) slots where the two boxes overlap at or above the IoU
     threshold, and a bijection maximizing the total overlap is solved exactly.
     """
+    overlap = gated_pass(referred_gt, predictions, iou_threshold).overlap
+    return _identity_bijection(referred_gt, predictions, overlap)
+
+
+def _identity_bijection(
+    referred_gt: Sequence[Track],
+    predictions: Sequence[Track],
+    overlap: Mapping[tuple[int, int], int],
+) -> IdMeasures:
+    """Solve the identity bijection from a gated pass's overlap counts."""
     total_gt = sum(len(t.detections) for t in referred_gt)
     total_pred = sum(len(t.detections) for t in predictions)
     gt_ids = sorted(t.identity for t in referred_gt)
     pred_ids = sorted(t.identity for t in predictions)
     if not gt_ids or not pred_ids:
         return IdMeasures(0, total_pred, total_gt)
-    gt_boxes: dict[int, dict[tuple[int, int], BBox]] = {
-        t.identity: {(d.view_id, d.frame): d.bbox for d in t.detections} for t in referred_gt
-    }
-    pred_boxes: dict[int, dict[tuple[int, int], BBox]] = {
-        t.identity: {(d.view_id, d.frame): d.bbox for d in t.detections} for t in predictions
-    }
-    overlap = [[0] * len(pred_ids) for _ in gt_ids]
-    for i, g in enumerate(gt_ids):
-        g_slots = gt_boxes[g]
-        for j, p in enumerate(pred_ids):
-            p_slots = pred_boxes[p]
-            count = 0
-            for slot, box in g_slots.items():
-                other = p_slots.get(slot)
-                if other is not None and iou(box, other) >= iou_threshold:
-                    count += 1
-            overlap[i][j] = count
+    table = [[overlap.get((g, p), 0) for p in pred_ids] for g in gt_ids]
     # Zero-overlap pairs stay feasible at cost 0, so maximum-cardinality
     # matching coincides with maximum total overlap.
-    costs = [[-float(v) for v in row] for row in overlap]
+    costs = [[-float(v) for v in row] for row in table]
     assignment = solve_lap(CostMatrix.from_rows(costs))
-    idtp = sum(overlap[r][c] for r, c in assignment.pairs)
+    idtp = sum(table[r][c] for r, c in assignment.pairs)
     return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)
 
 
@@ -330,7 +439,8 @@ def evaluate_description(
 ) -> DescriptionResult:
     """Evaluate one description's predictions against the restricted GT."""
     referred = restrict_gt(scene, desc)
-    counts = count_events(referred, predictions, config.iou_threshold)
+    shared = gated_pass(referred, predictions, config.iou_threshold)
+    counts = shared.counts
     total_pred = sum(len(t.detections) for t in predictions)
     if counts.gt_total > 0:
         raw = cvma_exact(counts)
@@ -339,7 +449,7 @@ def evaluate_description(
         raw = Fraction(1)
     else:
         raw = Fraction(1) - Fraction(counts.fp_total, max(counts.gt_total, 1))
-    measures = id_measures(referred, predictions, config.iou_threshold)
+    measures = _identity_bijection(referred, predictions, shared.overlap)
     if counts.gt_total == 0 and total_pred == 0:
         f1 = Fraction(1)
     else:

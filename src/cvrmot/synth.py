@@ -49,7 +49,10 @@ class ErrorSpec:
             "temporal_switch_count",
             "crossview_mismatch_count",
         ):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 

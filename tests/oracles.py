@@ -1,0 +1,147 @@
+"""Dense reference implementations of the per-slot matching and the metrics.
+
+These are the straightforward versions the gated pass in ``cvrmot.metrics``
+replaced: every (gt, pred) pair of a slot gets an IoU and a cell in one dense
+LAP, and the identity overlap table is filled by a G x P x slot loop. Tests
+compare the gated path against them.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from typing import Sequence
+
+from cvrmot import (
+    BBox,
+    CostMatrix,
+    Detection,
+    FORBIDDEN,
+    FrameMatch,
+    IdMeasures,
+    MetricCounts,
+    Track,
+    iou,
+    solve_lap,
+)
+
+
+def dense_match_frame(
+    gt_dets: Sequence[Detection],
+    pred_dets: Sequence[Detection],
+    iou_threshold: float = 0.5,
+) -> FrameMatch:
+    """One dense LAP over the full G x P matrix of 1 - IoU."""
+    if not gt_dets or not pred_dets:
+        return FrameMatch((), tuple(range(len(gt_dets))), tuple(range(len(pred_dets))))
+    rows = []
+    any_feasible = False
+    for g in gt_dets:
+        row = []
+        for p in pred_dets:
+            overlap = iou(g.bbox, p.bbox)
+            if overlap >= iou_threshold:
+                row.append(1.0 - overlap)
+                any_feasible = True
+            else:
+                row.append(FORBIDDEN)
+        rows.append(row)
+    if not any_feasible:
+        return FrameMatch((), tuple(range(len(gt_dets))), tuple(range(len(pred_dets))))
+    assignment = solve_lap(CostMatrix.from_rows(rows))
+    matched_gt = {r for r, _ in assignment.pairs}
+    matched_pred = {c for _, c in assignment.pairs}
+    return FrameMatch(
+        assignment.pairs,
+        tuple(i for i in range(len(gt_dets)) if i not in matched_gt),
+        tuple(j for j in range(len(pred_dets)) if j not in matched_pred),
+    )
+
+
+def _index_by_slot(tracks: Sequence[Track]) -> dict[tuple[int, int], list[Detection]]:
+    slots: dict[tuple[int, int], list[Detection]] = defaultdict(list)
+    for track in tracks:
+        for det in track.detections:
+            slots[(det.view_id, det.frame)].append(det)
+    return slots
+
+
+def dense_count_events(
+    referred_gt: Sequence[Track],
+    predictions: Sequence[Track],
+    iou_threshold: float = 0.5,
+) -> MetricCounts:
+    """Per-frame tallies with one dense LAP per (view, frame)."""
+    gt_slots = _index_by_slot(referred_gt)
+    pred_slots = _index_by_slot(predictions)
+    frames = sorted({f for _, f in gt_slots} | {f for _, f in pred_slots})
+    views = sorted({v for v, _ in gt_slots} | {v for v, _ in pred_slots})
+    last_matched: dict[tuple[int, int], int] = {}
+    out_m, out_fp, out_mme, out_gt = [], [], [], []
+    for frame in frames:
+        m_t = fp_t = gt_t = 0
+        matched_here: dict[int, dict[int, int]] = defaultdict(dict)
+        for view in views:
+            gts = sorted(gt_slots.get((view, frame), []), key=lambda d: d.identity)
+            preds = sorted(pred_slots.get((view, frame), []), key=lambda d: d.identity)
+            gt_t += len(gts)
+            match = dense_match_frame(gts, preds, iou_threshold)
+            m_t += len(match.unmatched_gt)
+            fp_t += len(match.unmatched_pred)
+            for gi, pj in match.pairs:
+                matched_here[gts[gi].identity][view] = preds[pj].identity
+        temporal = 0
+        crossview = 0
+        for gt_id in sorted(matched_here):
+            by_view = matched_here[gt_id]
+            for view in sorted(by_view):
+                pred_id = by_view[view]
+                previous = last_matched.get((gt_id, view))
+                if previous is not None and previous != pred_id:
+                    temporal += 1
+                last_matched[(gt_id, view)] = pred_id
+            pred_ids = [by_view[v] for v in sorted(by_view)]
+            for i in range(len(pred_ids)):
+                for j in range(i + 1, len(pred_ids)):
+                    if pred_ids[i] != pred_ids[j]:
+                        crossview += 1
+        out_m.append(m_t)
+        out_fp.append(fp_t)
+        out_mme.append(temporal + crossview)
+        out_gt.append(gt_t)
+    return MetricCounts(
+        tuple(frames), tuple(out_m), tuple(out_fp), tuple(out_mme), tuple(out_gt)
+    )
+
+
+def dense_id_measures(
+    referred_gt: Sequence[Track],
+    predictions: Sequence[Track],
+    iou_threshold: float = 0.5,
+) -> IdMeasures:
+    """Identity tallies from a G x P x slot IoU loop and one dense ID LAP."""
+    total_gt = sum(len(t.detections) for t in referred_gt)
+    total_pred = sum(len(t.detections) for t in predictions)
+    gt_ids = sorted(t.identity for t in referred_gt)
+    pred_ids = sorted(t.identity for t in predictions)
+    if not gt_ids or not pred_ids:
+        return IdMeasures(0, total_pred, total_gt)
+    gt_boxes: dict[int, dict[tuple[int, int], BBox]] = {
+        t.identity: {(d.view_id, d.frame): d.bbox for d in t.detections} for t in referred_gt
+    }
+    pred_boxes: dict[int, dict[tuple[int, int], BBox]] = {
+        t.identity: {(d.view_id, d.frame): d.bbox for d in t.detections} for t in predictions
+    }
+    overlap = [[0] * len(pred_ids) for _ in gt_ids]
+    for i, g in enumerate(gt_ids):
+        for j, p in enumerate(pred_ids):
+            p_slots = pred_boxes[p]
+            count = 0
+            for slot, box in gt_boxes[g].items():
+                other = p_slots.get(slot)
+                if other is not None and iou(box, other) >= iou_threshold:
+                    count += 1
+            overlap[i][j] = count
+    costs = [[-float(v) for v in row] for row in overlap]
+    assignment = solve_lap(CostMatrix.from_rows(costs))
+    idtp = sum(overlap[r][c] for r, c in assignment.pairs)
+    return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)

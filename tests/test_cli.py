@@ -329,3 +329,107 @@ def test_filter_with_separate_scores_dir(workspace, tmp_path):
     for view in range(3):
         name = f"view_{view:02d}.csv"
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+
+
+def _evaluate_argv(workspace, root, *extra):
+    return [
+        "evaluate",
+        "--manifest", workspace / "manifest.json",
+        "--gt-dir", workspace / "gt",
+        "--descriptions", workspace / "descriptions.json",
+        "--predictions-root", root,
+        *extra,
+    ]
+
+
+def test_evaluate_rejects_duplicate_prediction_row(workspace, capsys):
+    view = workspace / "tracks" / "d00" / "view_00.csv"
+    lines = view.read_text().splitlines()
+    view.write_text("\n".join(lines + lines[:1]) + "\n")
+    assert run(_evaluate_argv(workspace, workspace / "tracks")) == 2
+    err = capsys.readouterr().err
+    assert f"view_00.csv:{len(lines) + 1}: duplicate row" in err
+    assert "first at line 1" in err
+
+
+@pytest.mark.parametrize("value", [0, -0.1, 1.5, "0.5", None])
+def test_evaluate_rejects_iou_threshold_outside_unit_interval(workspace, tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"iou_threshold": value}))
+    argv = _evaluate_argv(workspace, workspace / "tracks", "--config", config)
+    assert run(argv) == 2
+    assert "iou_threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["0", "nan", "inf", "1.01"])
+def test_evaluate_rejects_iou_threshold_flag(workspace, capsys, flag):
+    argv = _evaluate_argv(workspace, workspace / "tracks", "--iou-threshold", flag)
+    assert run(argv) == 2
+    assert "iou_threshold" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    created: list = []
+
+    def __init__(self, max_workers=None):
+        _RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+def test_evaluate_is_serial_unless_jobs_given(workspace, tmp_path, monkeypatch):
+    import cvrmot.cli
+
+    monkeypatch.setattr(cvrmot.cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    root = workspace / "tracks"
+    assert run(_evaluate_argv(workspace, root, "--out", tmp_path / "serial.json")) == 0
+    assert _RecordingPool.created == []
+    assert run(_evaluate_argv(workspace, root, "--jobs", 2, "--out", tmp_path / "pool.json")) == 0
+    assert _RecordingPool.created == [2]
+    assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "pool.json").read_bytes()
+
+
+def test_filter_reads_views_after_a_gap(workspace, tmp_path):
+    tracks = tmp_path / "gap"
+    tracks.mkdir()
+    for view in (0, 2):
+        name = f"view_{view:02d}.csv"
+        (tracks / name).write_bytes((workspace / "tracks" / "d00" / name).read_bytes())
+    assert run(["filter", "--tracks", tracks, "--out", tmp_path / "out"]) == 0
+    assert (tmp_path / "out" / "view_01.csv").read_text() == ""
+    assert (tmp_path / "out" / "view_02.csv").read_text() != ""
+
+
+def test_filter_rejects_misnamed_view_file(workspace, tmp_path, capsys):
+    tracks = tmp_path / "misnamed"
+    tracks.mkdir()
+    (tracks / "view_2.csv").write_bytes((workspace / "tracks" / "d00" / "view_02.csv").read_bytes())
+    assert run(["filter", "--tracks", tracks, "--out", tmp_path / "out"]) == 2
+    assert "view_2.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"miss_count": 1.5}, "miss_count"),
+        ({"fp_count": True}, "fp_count"),
+        ({"temporal_switch_count": "1"}, "temporal_switch_count"),
+        ({"bogus_count": 1}, "bogus_count"),
+        ([1], "JSON object"),
+    ],
+)
+def test_synth_rejects_mistyped_error_spec(tmp_path, capsys, spec, named):
+    errors = tmp_path / "errors.json"
+    errors.write_text(json.dumps(spec))
+    argv = ["synth", "--views", 2, "--ids", 3, "--frames", 2, "--errors", errors,
+            "--out", tmp_path / "work"]
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err

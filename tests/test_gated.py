@@ -1,0 +1,189 @@
+"""The gated per-slot pass against the dense oracles and brute force."""
+
+import math
+from collections import defaultdict
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvrmot import (
+    BBox,
+    CostMatrix,
+    Detection,
+    EvalConfig,
+    FORBIDDEN,
+    Track,
+    brute_force_lap,
+    count_events,
+    evaluate_description,
+    id_measures,
+    match_frame,
+)
+from cvrmot.metrics import _match_components, gated_pass
+
+from helpers import desc_for, lane_scene, tracks_copy
+from oracles import dense_count_events, dense_id_measures, dense_match_frame
+
+# Integer boxes in a 56 x 56 image: crowded, and many IoUs tie exactly.
+COORDS = st.integers(0, 40)
+SIDES = st.integers(4, 16)
+SHIFTS = st.sampled_from([-2, 0, 2])  # 0 repeats a box; +-2 mirrors it
+
+
+@st.composite
+def scenes(draw):
+    views = draw(st.integers(1, 3))
+    frames = draw(st.integers(1, 3))
+    slots = list(product(range(views), range(1, frames + 1)))
+
+    def random_box():
+        return BBox(draw(COORDS), draw(COORDS), draw(SIDES), draw(SIDES))
+
+    gt_boxes = defaultdict(list)
+    gt_tracks = []
+    for identity in range(1, draw(st.integers(0, 4)) + 1):
+        dets = []
+        for view, frame in slots:
+            if draw(st.booleans()):
+                box = random_box()
+                gt_boxes[(view, frame)].append(box)
+                dets.append(Detection(view, frame, identity, box))
+        if dets:
+            gt_tracks.append(Track(identity, tuple(dets)))
+    pred_tracks = []
+    for identity in range(101, 101 + draw(st.integers(0, 5))):
+        dets = []
+        for view, frame in slots:
+            if not draw(st.booleans()):
+                continue
+            near = gt_boxes.get((view, frame))
+            if near and draw(st.booleans()):
+                base = draw(st.sampled_from(near))
+                box = BBox(base.x + draw(SHIFTS), base.y + draw(SHIFTS), base.w, base.h)
+            else:
+                box = random_box()
+            dets.append(Detection(view, frame, identity, box))
+        if dets:
+            pred_tracks.append(Track(identity, tuple(dets)))
+    threshold = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]))
+    return tuple(gt_tracks), tuple(pred_tracks), threshold
+
+
+def _slots(tracks):
+    out = defaultdict(list)
+    for track in tracks:
+        for det in track.detections:
+            out[(det.view_id, det.frame)].append(det)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes(), st.randoms(use_true_random=False))
+def test_gated_path_equals_dense_oracles(scene, rng):
+    gt_tracks, pred_tracks, threshold = scene
+    gt_slots, pred_slots = _slots(gt_tracks), _slots(pred_tracks)
+    for slot in set(gt_slots) | set(pred_slots):
+        gts, preds = list(gt_slots[slot]), list(pred_slots[slot])
+        rng.shuffle(gts)
+        rng.shuffle(preds)
+        assert match_frame(gts, preds, threshold) == dense_match_frame(gts, preds, threshold)
+    counts = count_events(gt_tracks, pred_tracks, threshold)
+    measures = id_measures(gt_tracks, pred_tracks, threshold)
+    assert counts == dense_count_events(gt_tracks, pred_tracks, threshold)
+    assert measures == dense_id_measures(gt_tracks, pred_tracks, threshold)
+    shared = gated_pass(gt_tracks, pred_tracks, threshold)
+    assert shared.counts == counts
+    assert all(v > 0 for v in shared.overlap.values())
+
+
+def test_exact_tie_frames_match_dense_oracle():
+    gt = [Detection(0, 1, 1, BBox(10, 0, 10, 10)), Detection(0, 1, 2, BBox(10, 0, 10, 10))]
+    mirrored = [Detection(0, 1, 7, BBox(8, 0, 10, 10)), Detection(0, 1, 8, BBox(12, 0, 10, 10))]
+    identical = [Detection(0, 1, 7, BBox(10, 0, 10, 10)), Detection(0, 1, 8, BBox(10, 0, 10, 10))]
+    for preds in (mirrored, identical, mirrored[:1], identical[1:]):
+        for gts in (gt, gt[:1]):
+            assert match_frame(gts, preds, 0.5) == dense_match_frame(gts, preds, 0.5)
+    assert match_frame(gt, mirrored, 0.5).pairs == ((0, 0), (1, 1))
+
+
+def _components(rows):
+    """Connected components of the finite cells, as (sorted rows, sorted cols)."""
+    parent = {}
+
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
+
+    for r, row in enumerate(rows):
+        for c, cost in enumerate(row):
+            if math.isfinite(cost):
+                parent[find(("r", r))] = find(("c", c))
+    groups = defaultdict(lambda: ([], []))
+    for node in parent:
+        kind, index = node
+        groups[find(node)][0 if kind == "r" else 1].append(index)
+    return [(sorted(rs), sorted(cs)) for rs, cs in groups.values()]
+
+
+# Dyadic costs, so 1 - (1 - cost) is exact and ties stay exact.
+CELLS = st.sampled_from([FORBIDDEN, FORBIDDEN, FORBIDDEN, 0.0, 0.25, 0.5, 0.75])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda r: st.integers(1, 5).flatmap(
+            lambda c: st.lists(st.lists(CELLS, min_size=c, max_size=c), min_size=r, max_size=r)
+        )
+    )
+)
+def test_component_optima_combine_to_global_lexicographic_optimum(rows):
+    expected = brute_force_lap(CostMatrix.from_rows(rows)).pairs
+    combined = []
+    for rs, cs in _components(rows):
+        sub = brute_force_lap(CostMatrix.from_rows([[rows[r][c] for c in cs] for r in rs]))
+        combined.extend((rs[a], cs[b]) for a, b in sub.pairs)
+    assert tuple(sorted(combined)) == expected
+    edges = [
+        (r, c, 1.0 - cost)
+        for r, row in enumerate(rows)
+        for c, cost in enumerate(row)
+        if math.isfinite(cost)
+    ]
+    assert _match_components(len(rows), len(rows[0]), edges).pairs == expected
+
+
+def test_duplicate_identity_in_a_slot_is_rejected():
+    scene = lane_scene(num_views=2, num_ids=1, num_frames=2)
+    track = scene.gt_tracks[0]
+    doubled = Track(track.identity, track.detections + track.detections[:1])
+    with pytest.raises(ValueError, match="predicted identity 1 appears twice"):
+        count_events(scene.gt_tracks, (doubled,))
+    with pytest.raises(ValueError, match="ground-truth identity 1 appears twice"):
+        id_measures((doubled,), tracks_copy(scene))
+    with pytest.raises(ValueError, match="appears twice"):
+        evaluate_description(scene, desc_for(scene), (doubled,))
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -0.5, 1.5, math.nan, math.inf, True, "0.5", None])
+def test_iou_threshold_outside_unit_interval_is_rejected(value):
+    with pytest.raises(ValueError, match="iou_threshold"):
+        EvalConfig(iou_threshold=value)
+    scene = lane_scene(num_views=2, num_ids=1, num_frames=1)
+    with pytest.raises(ValueError, match="iou_threshold"):
+        count_events(scene.gt_tracks, tracks_copy(scene), value)
+    dets = list(scene.all_detections())
+    with pytest.raises(ValueError, match="iou_threshold"):
+        match_frame(dets, dets, value)
+
+
+def test_iou_threshold_one_matches_identical_boxes_only():
+    assert EvalConfig(iou_threshold=1).iou_threshold == 1
+    gt = [Detection(0, 1, 1, BBox(0, 0, 10, 10))]
+    same = [Detection(0, 1, 9, BBox(0, 0, 10, 10))]
+    shifted = [Detection(0, 1, 9, BBox(1, 0, 10, 10))]
+    assert match_frame(gt, same, 1.0).pairs == ((0, 0),)
+    assert match_frame(gt, shifted, 1.0).pairs == ()

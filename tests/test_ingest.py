@@ -259,3 +259,28 @@ def test_predictions_from_gt_matches_scene():
     scene = lane_scene(num_views=2, num_ids=2, num_frames=2)
     preds = predictions_from_gt(scene, "all")
     assert preds.tracks == scene.gt_tracks
+
+
+def test_parse_predictions_rejects_duplicate_row(tmp_path):
+    scene = lane_scene(num_views=2, num_ids=2, num_frames=2)
+    write_predictions(PredictionSet("d", tracks_copy(scene)), tmp_path, 2)
+    view = tmp_path / "view_01.csv"
+    lines = view.read_text().splitlines()
+    view.write_text("\n".join(lines[:2] + [lines[1]] + lines[2:]) + "\n")
+    with pytest.raises(ParseError, match="duplicate row for frame 1, id 2") as info:
+        parse_predictions(tmp_path, "d", 2)
+    assert info.value.path == str(view)
+    assert info.value.line == 3
+
+
+def test_view_count_is_highest_index_plus_one(tmp_path):
+    from cvrmot.ingest import view_count
+
+    with pytest.raises(ParseError, match="no view_"):
+        view_count(tmp_path)
+    (tmp_path / "view_00.csv").write_text("")
+    (tmp_path / "view_02.csv").write_text("")
+    assert view_count(tmp_path) == 3
+    (tmp_path / "view_002.csv").write_text("")
+    with pytest.raises(ParseError, match="view_NN"):
+        view_count(tmp_path)
