@@ -6,28 +6,32 @@ a synthetic scene, scored tracks, and optionally perturbed predictions with
 their ledger), ``validate`` (check files), and ``fuse-check`` (numeric
 self-tests of the fusion and loss formulas).
 
-Effective configuration is resolved as: built-in defaults, overridden by
-flags, overridden by a ``--config`` JSON file. The effective values are
-echoed into every report.
+The configuration keys are the fields of ``EvalConfig``, ``FusionWeights``,
+``PredictorConfig`` and ``RunConfig``, whose defaults and checks are the only
+ones; each field is also a flag. Effective configuration is resolved as: the
+dataclass defaults, overridden by flags, overridden by a ``--config`` JSON
+file. Every subcommand that takes them builds all four dataclasses, and the
+effective values are echoed into every report.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .datamodel import (
     AttributeSet,
     DEFAULT_VOCABULARY,
     LanguageDescription,
     Scene,
+    check_fields,
+    field_types,
     validate_attributes,
     validate_scene,
 )
@@ -41,16 +45,17 @@ from .fusion_losses import (
     loss_referring,
 )
 from .ingest import (
-    ParseError,
     PredictionSet,
     build_report,
     parse_descriptions,
     parse_predictions,
     parse_scene,
     parse_scores,
+    read_json,
     render_description,
     view_count,
     write_descriptions,
+    write_json,
     write_predictions,
     write_report,
     write_scene,
@@ -72,63 +77,53 @@ from .synth import (
     score_tracks,
 )
 
-_DEFAULTS: dict[str, object] = {
-    "iou_threshold": 0.5,
-    "alpha": 0.01,
-    "beta": 0.1,
-    "t_as": 0.5,
-    "t_ss": 0.75,
-    "t_hs": 30.0,
-    "s1": 3.0,
-    "s2": 3.0,
-    "s3": 1.0,
-    "whole_track": False,
-    "seed": 0,
-}
+
+@dataclass(frozen=True)
+class RunConfig:
+    """CLI-level settings: ``seed`` seeds ``synth``."""
+
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
-def _effective_config(args: argparse.Namespace) -> dict[str, object]:
-    config = dict(_DEFAULTS)
-    for key in config:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        unknown = set(loaded) - set(config)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        config.update(loaded)
-    return config
+_CONFIG_CLASSES = (EvalConfig, FusionWeights, PredictorConfig, RunConfig)
+_CONFIG_KEYS = frozenset(name for cls in _CONFIG_CLASSES for name in field_types(cls))
 
 
-def _predictor_config(config: dict[str, object]) -> PredictorConfig:
-    return PredictorConfig(
-        t_as=float(config["t_as"]),
-        t_ss=float(config["t_ss"]),
-        t_hs=float(config["t_hs"]),
-        s1=float(config["s1"]),
-        s2=float(config["s2"]),
-        s3=float(config["s3"]),
-        whole_track=bool(config["whole_track"]),
+def _read_keys(path: str, names: Collection[str], what: str) -> dict:
+    """The JSON object in ``path``; a key outside ``names`` is a ValueError naming it."""
+    raw = read_json(path)
+    unknown = set(raw) - set(names)
+    if unknown:
+        raise ValueError(f"{path}: unknown {what} keys: {sorted(unknown)}")
+    return raw
+
+
+def _effective_config(
+    args: argparse.Namespace,
+) -> tuple[EvalConfig, FusionWeights, PredictorConfig, RunConfig]:
+    """Defaults, overridden by flags, overridden by ``--config``; each dataclass checks its keys."""
+    values = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    if args.config:
+        values.update(_read_keys(args.config, _CONFIG_KEYS, "config"))
+    return tuple(
+        cls(**{name: values[name] for name in field_types(cls) if name in values})
+        for cls in _CONFIG_CLASSES
     )
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per config field: ``--`` + name with ``_`` as ``-``."""
     parser.add_argument("--config", help="JSON config file; overrides flags")
-    parser.add_argument("--iou-threshold", dest="iou_threshold", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--t-as", dest="t_as", type=float)
-    parser.add_argument("--t-ss", dest="t_ss", type=float)
-    parser.add_argument("--t-hs", dest="t_hs", type=float)
-    parser.add_argument("--s1", type=float)
-    parser.add_argument("--s2", type=float)
-    parser.add_argument("--s3", type=float)
-    parser.add_argument("--whole-track", dest="whole_track", action="store_const", const=True)
-    parser.add_argument("--seed", type=int)
+    for cls in _CONFIG_CLASSES:
+        for name, kind in field_types(cls).items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                parser.add_argument(flag, dest=name, action="store_const", const=True)
+            else:
+                parser.add_argument(flag, dest=name, type=kind)
 
 
 def _eval_one(payload: tuple[Scene, LanguageDescription, tuple, EvalConfig]) -> DescriptionResult:
@@ -137,10 +132,9 @@ def _eval_one(payload: tuple[Scene, LanguageDescription, tuple, EvalConfig]) -> 
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
+    configs = _effective_config(args)
     scene = parse_scene(args.manifest, args.gt_dir)
     descriptions = parse_descriptions(args.descriptions, scene)
-    eval_config = EvalConfig(iou_threshold=config["iou_threshold"])
     root = Path(args.predictions_root)
     payloads = []
     for desc in descriptions:
@@ -153,14 +147,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             predictions = PredictionSet(desc.id, (), {})
         else:
             predictions = parse_predictions(pred_dir, desc.id, scene.num_views)
-        payloads.append((scene, desc, predictions.tracks, eval_config))
+        payloads.append((scene, desc, predictions.tracks, configs[0]))
     if args.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_eval_one, payloads))
     else:
         results = [_eval_one(p) for p in payloads]
     aggregate_result = aggregate(results) if results else None
-    report = build_report(results, aggregate_result, config)
+    echo = {key: value for config in configs for key, value in asdict(config).items()}
+    report = build_report(results, aggregate_result, echo)
     if args.out:
         write_report(report, args.out)
     name_width = max([len(r.description_id) for r in results], default=11)
@@ -184,15 +179,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
+    _, weights, predictor_config, _ = _effective_config(args)
     tracks_dir = Path(args.tracks)
     num_views = view_count(tracks_dir)
     predictions = parse_predictions(tracks_dir, "input", num_views)
     scores = dict(predictions.scores)
     if args.scores:
         scores = parse_scores(args.scores, num_views)
-    weights = FusionWeights(alpha=float(config["alpha"]), beta=float(config["beta"]))
-    kept = filter_tracks(predictions.tracks, scores, _predictor_config(config), weights)
+    kept = filter_tracks(predictions.tracks, scores, predictor_config, weights)
     kept_scores = {
         (d.view_id, d.frame, d.identity): scores[(d.view_id, d.frame, d.identity)]
         for t in kept
@@ -226,8 +220,7 @@ def _sample_description(
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.descriptions < 1:
         raise ValueError("--descriptions must be at least 1")
-    config = _effective_config(args)
-    seed = int(config["seed"])
+    seed = _effective_config(args)[-1].seed
     scene = generate_scene(
         args.views,
         args.ids,
@@ -259,20 +252,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         scored = PredictionSet(desc.id, base.tracks, scores)
         write_predictions(scored, out / "tracks" / desc.id, scene.num_views)
     if args.errors:
-        with open(args.errors, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{args.errors}: error spec must be a JSON object")
-        unknown = set(raw) - {f.name for f in fields(ErrorSpec)}
-        if unknown:
-            raise ValueError(f"{args.errors}: unknown error spec keys: {sorted(unknown)}")
-        spec = ErrorSpec(**raw)
+        spec = ErrorSpec(**_read_keys(args.errors, field_types(ErrorSpec), "error spec"))
         perturbed, ledger = perturb(scene, spec, seed=seed + 3, description_id=descriptions[0].id)
         write_predictions(perturbed, out / "predictions" / descriptions[0].id, scene.num_views)
-        ledger_path = out / "ledger.json"
-        ledger_path.write_text(
-            json.dumps(ledger_to_dict(ledger), indent=2, sort_keys=True) + "\n", "utf-8"
-        )
+        write_json(ledger_to_dict(ledger), out / "ledger.json")
     print(f"wrote synthetic scene {scene.name!r} to {out}")
     return 0
 
@@ -425,9 +408,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InfeasibleSpecError, MissingScoreError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

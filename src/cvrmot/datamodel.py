@@ -8,9 +8,37 @@ every view of a scene.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, fields
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, get_type_hints
+
+_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false",
+             str: "a string", dict: "a JSON object", list: "a JSON list"}
+
+
+def check_type(name: str, value: object, kind: type) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is strictly a ``kind``.
+
+    A bool is never an ``int`` or ``float`` here, an ``int`` is accepted as a
+    ``float``, and a ``float`` must be finite (a huge ``int`` must fit one).
+    """
+    if kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+
+
+field_types = functools.cache(get_type_hints)  # a dataclass's fields -> their types
+
+
+def check_fields(instance: object) -> None:
+    """:func:`check_type` every field of a dataclass against its annotation."""
+    for name, kind in field_types(type(instance)).items():
+        check_type(name, getattr(instance, name), kind)
 
 
 @dataclass(frozen=True)

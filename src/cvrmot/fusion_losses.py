@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
+
+from .datamodel import check_fields
 
 _LOG_FLOOR = 1e-12
 
@@ -21,31 +23,25 @@ class FusionWeights:
     beta: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("fusion weights must be finite")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ScoreRecord:
     """Per-detection text score and attribute score, both in [0, 1].
 
-    ``s_f`` is the derived fused score; it is None until fused, and consumers
-    recompute it from (s_t, s_a) so beta sweeps never require re-export.
+    No fused score is stored: consumers recompute it from (s_t, s_a), so beta
+    sweeps never require re-export.
     """
 
     s_t: float
     s_a: float
-    s_f: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("s_t", "s_a"):
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-    @classmethod
-    def fused(cls, s_t: float, s_a: float, beta: float) -> "ScoreRecord":
-        return cls(s_t, s_a, fuse_scores(s_t, s_a, beta))
 
 
 def fuse_scores(s_t: float, s_a: float, beta: float) -> float:

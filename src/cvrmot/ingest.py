@@ -19,8 +19,12 @@ Formats (all text is UTF-8, all numbers decimal ASCII):
 * Report -- JSON document with the effective config, one block per
   description, and the aggregate; see :func:`build_report`.
 
-Parsers are strict: a malformed row raises :class:`ParseError` naming the
-file and line, so no row is ever silently dropped.
+Parsers are strict: bad input raises :class:`ParseError` (a ``ValueError``)
+naming the file and the line or key, so no row, view or value is dropped or
+coerced. All CSVs share one row reader (integer key, view >= 0, frame >= 1, no
+repeated key outside ground truth) and one row writer (``repr`` floats, so a
+re-parse is exact); one helper decides which ``view_NN.csv`` files a directory
+holds. JSON values must have exactly their type (a count is an ``int``).
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .datamodel import (
     ATTRIBUTE_CATEGORIES,
@@ -41,6 +46,7 @@ from .datamodel import (
     LanguageDescription,
     Scene,
     Track,
+    check_type,
     validate_description,
     validate_scene,
 )
@@ -48,13 +54,12 @@ from .fusion_losses import ScoreRecord
 from .metrics import AggregateResult, DescriptionResult
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """A file could not be parsed; carries the offending path and line."""
 
     def __init__(self, path: object, message: str, line: Optional[int] = None):
         self.path = str(path)
         self.line = line
-        self.message = message
         where = f"{self.path}:{line}" if line is not None else self.path
         super().__init__(f"{where}: {message}")
 
@@ -99,8 +104,57 @@ class EmbeddingRecord:
             raise ValueError("feature entries must be finite")
 
 
-def _view_file(directory: Path, view: int) -> Path:
+def read_json(path: Path | str, kind: type = dict) -> object:
+    """The JSON value in ``path``, which must be a ``kind`` (an object by default).
+
+    Invalid JSON or a value of another type is a ParseError naming the file.
+    """
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ParseError(path, f"invalid JSON: {exc}") from None
+    _check_json(path, "the top-level value", raw, kind)
+    return raw
+
+
+def _check_json(path: Path, name: str, value: object, kind: type) -> None:
+    try:
+        check_type(name, value, kind)
+    except ValueError as exc:
+        raise ParseError(path, str(exc)) from None
+
+
+def _check_json_fields(path: Path, raw: dict, spec: dict[str, type], where: str) -> None:
+    """Require every key of ``spec`` in ``raw``, holding exactly its type."""
+    for key, kind in spec.items():
+        if key not in raw:
+            raise ParseError(path, f"{where} missing field {key!r}")
+        _check_json(path, f"{where} field {key!r}", raw[key], kind)
+
+
+def _view_file(directory: Path | str, view: int) -> Path:
     return Path(directory) / f"view_{view:02d}.csv"
+
+
+def _view_files(directory: Path | str, num_views: Optional[int] = None) -> dict[int, Path]:
+    """The ``view_NN.csv`` files a directory holds, by ascending view index.
+
+    A misnamed ``view_*.csv`` is a ParseError, and so, when ``num_views`` is
+    given, is a file for a view index at or past it.
+    """
+    files: dict[int, Path] = {}
+    for path in Path(directory).glob("view_*.csv"):
+        digits = path.stem[len("view_"):]
+        valid = digits.isascii() and digits.isdigit()
+        if not valid or _view_file(directory, int(digits)).name != path.name:
+            raise ParseError(path, "expected a name of the form view_NN.csv")
+        view = int(digits)
+        if num_views is not None and view >= num_views:
+            raise ParseError(path, f"view {view} is outside the {num_views} views")
+        files[view] = path
+    return dict(sorted(files.items()))
 
 
 def view_count(directory: Path | str) -> int:
@@ -109,34 +163,110 @@ def view_count(directory: Path | str) -> int:
     Views between the files present are treated as empty, as
     :func:`parse_predictions` does.
     """
-    directory = Path(directory)
-    indices = []
-    for path in directory.glob("view_*.csv"):
-        digits = path.stem[len("view_"):]
-        valid = digits.isascii() and digits.isdigit()
-        if not valid or _view_file(directory, int(digits)).name != path.name:
-            raise ParseError(path, "expected a name of the form view_NN.csv")
-        indices.append(int(digits))
-    if not indices:
+    files = _view_files(directory)
+    if not files:
         raise ParseError(directory, "no view_*.csv files found")
-    return max(indices) + 1
+    return max(files) + 1
 
 
-def _parse_float(raw: str, path: Path, line_no: int, what: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(path, f"bad {what}: {raw!r}", line_no) from None
-    if not math.isfinite(value):
-        raise ParseError(path, f"{what} must be finite, got {raw!r}", line_no)
-    return value
+@dataclass(slots=True)
+class _Row:
+    """One non-blank CSV row; :meth:`parse` raises ParseError naming file and line."""
+
+    path: Path
+    line: int
+    fields: list[str]
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(self.path, message, self.line)
+
+    def parse(self, index: int, what: str, kind: type = float) -> Any:
+        """Field ``index`` as a ``kind`` (``int`` or a finite ``float``)."""
+        raw = self.fields[index]
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise self.error(f"bad {what}: {raw!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise self.error(f"{what} must be finite, got {raw!r}")
+        return value
+
+    def make(self, cls: Callable[..., Any], *args: object) -> Any:
+        """``cls(*args)``, with a ValueError of its checks raised as a ParseError."""
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
 
 
-def _parse_int(raw: str, path: Path, line_no: int, what: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(path, f"bad {what}: {raw!r}", line_no) from None
+_KEY_MIN = {"view": 0, "frame": 1}
+
+
+def _read_rows(
+    path: Path, key: Sequence[str], widths: Sequence[int] = (), unique: bool = True
+) -> Iterator[tuple[_Row, tuple[int, ...]]]:
+    """Yield each non-blank row of a headerless CSV with its integer key.
+
+    ``key`` names the leading integer columns; a view must be >= 0 and a frame
+    >= 1. ``widths`` lists the allowed field counts (without it, any count past
+    the key). With ``unique`` a repeated key is an error naming its first line.
+    """
+    first_line: dict[tuple[int, ...], int] = {}
+    bounds = [(i, name, _KEY_MIN[name]) for i, name in enumerate(key) if name in _KEY_MIN]
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                row = _Row(path, line_no, [p.strip() for p in text.split(",")])
+                count = len(row.fields)
+                if (count not in widths) if widths else count <= len(key):
+                    expected = " or ".join(map(str, widths)) if widths else f"more than {len(key)}"
+                    raise row.error(f"expected {expected} fields, got {count}")
+                try:
+                    values = tuple(map(int, row.fields[:len(key)]))
+                except ValueError:  # name the first bad column
+                    values = tuple([row.parse(i, name, int) for i, name in enumerate(key)])
+                for i, name, low in bounds:
+                    if values[i] < low:
+                        raise row.error(f"{name} must be >= {low}, got {values[i]}")
+                if unique:
+                    earlier = first_line.setdefault(values, line_no)
+                    if earlier != line_no:
+                        where = ", ".join(f"{n} {v}" for n, v in zip(key, values))
+                        raise row.error(f"duplicate row for {where} (first at line {earlier})")
+                yield row, values
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, f"not UTF-8 text: {exc}") from None
+
+
+def _write_rows(path: Path, rows: Iterable[Sequence[object]]) -> None:
+    """Write numeric rows as headerless CSV; ``repr`` keeps every float exact."""
+    lines = [",".join(map(repr, row)) for row in rows]
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+
+
+def _write_views(directory: Path | str, num_views: int, rows: Iterable[Sequence]) -> None:
+    """Write one ``view_NN.csv`` per view from ``(view, frame, id, ...)`` rows.
+
+    Each file holds its view's rows without the view column, ordered by
+    (frame, id); a view with no rows gets an empty file.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    by_view: dict[int, list[Sequence[object]]] = {view: [] for view in range(num_views)}
+    for row in rows:
+        if row[0] not in by_view:
+            raise ValueError(f"row for view {row[0]} is outside the {num_views} views")
+        by_view[row[0]].append(row)
+    for view, view_rows in by_view.items():
+        view_rows.sort(key=itemgetter(1, 2))
+        _write_rows(_view_file(directory, view), (row[1:] for row in view_rows))
+
+
+def _box_row(d: Detection) -> tuple:
+    return (d.view_id, d.frame, d.identity, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h)
 
 
 def _read_box_rows(
@@ -144,44 +274,15 @@ def _read_box_rows(
 ) -> tuple[list[Detection], dict[tuple[int, int, int], ScoreRecord]]:
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-    first_line: dict[tuple[int, int], int] = {}  # (frame, id) -> line of its row
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = [p.strip() for p in text.split(",")]
-            if len(parts) not in ((6, 8) if allow_scores else (6,)):
-                expected = "6 or 8" if allow_scores else "6"
-                raise ParseError(path, f"expected {expected} fields, got {len(parts)}", line_no)
-            frame = _parse_int(parts[0], path, line_no, "frame")
-            identity = _parse_int(parts[1], path, line_no, "id")
-            if frame < 1:
-                raise ParseError(path, f"frame must be >= 1, got {frame}", line_no)
-            if allow_scores:  # ground-truth duplicates are reported by validate_scene
-                earlier = first_line.setdefault((frame, identity), line_no)
-                if earlier != line_no:
-                    raise ParseError(
-                        path,
-                        f"duplicate row for frame {frame}, id {identity} (first at line {earlier})",
-                        line_no,
-                    )
-            x = _parse_float(parts[2], path, line_no, "x")
-            y = _parse_float(parts[3], path, line_no, "y")
-            w = _parse_float(parts[4], path, line_no, "w")
-            h = _parse_float(parts[5], path, line_no, "h")
-            try:
-                box = BBox(x, y, w, h)
-            except ValueError as exc:
-                raise ParseError(path, str(exc), line_no) from None
-            detections.append(Detection(view, frame, identity, box))
-            if len(parts) == 8:
-                s_t = _parse_float(parts[6], path, line_no, "s_t")
-                s_a = _parse_float(parts[7], path, line_no, "s_a")
-                try:
-                    scores[(view, frame, identity)] = ScoreRecord(s_t, s_a)
-                except ValueError as exc:
-                    raise ParseError(path, str(exc), line_no) from None
+    # ground-truth duplicates are reported by validate_scene
+    rows = _read_rows(path, ("frame", "id"), (6, 8) if allow_scores else (6,), allow_scores)
+    for row, (frame, identity) in rows:
+        x, y = row.parse(2, "x"), row.parse(3, "y")
+        box = row.make(BBox, x, y, row.parse(4, "w"), row.parse(5, "h"))
+        detections.append(Detection(view, frame, identity, box))
+        if len(row.fields) == 8:
+            record = row.make(ScoreRecord, row.parse(6, "s_t"), row.parse(7, "s_a"))
+            scores[(view, frame, identity)] = record
     return detections, scores
 
 
@@ -192,6 +293,9 @@ def _tracks_from_detections(detections: Sequence[Detection]) -> tuple[Track, ...
     return tuple(Track(identity, tuple(dets)) for identity, dets in sorted(by_id.items()))
 
 
+_MANIFEST_FIELDS = dict(name=str, views=int, frames_per_view=int, image_width=int, image_height=int)
+
+
 def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
     """Parse the manifest plus one ground-truth CSV per view.
 
@@ -199,31 +303,22 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
     (writing and re-parsing reproduces the same scene).
     """
     manifest_path = Path(manifest_path)
-    gt_dir = Path(gt_dir)
-    try:
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except FileNotFoundError:
-        raise ParseError(manifest_path, "manifest not found") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(manifest_path, f"invalid JSON: {exc}") from None
-    required = ("name", "views", "frames_per_view", "image_width", "image_height")
-    for key in required:
-        if key not in manifest:
-            raise ParseError(manifest_path, f"manifest missing field {key!r}")
-    num_views = int(manifest["views"])
+    manifest = read_json(manifest_path)
+    _check_json_fields(manifest_path, manifest, _MANIFEST_FIELDS, "manifest")
+    num_views = manifest["views"]
+    files = _view_files(gt_dir, num_views)
     detections: list[Detection] = []
     for view in range(num_views):
-        path = _view_file(gt_dir, view)
-        if not path.exists():
-            raise ParseError(path, f"missing ground-truth file for view {view}")
-        view_dets, _ = _read_box_rows(path, view, allow_scores=False)
-        detections.extend(view_dets)
+        if view not in files:
+            raise ParseError(
+                _view_file(gt_dir, view), f"missing ground-truth file for view {view}"
+            )
+        detections.extend(_read_box_rows(files[view], view, allow_scores=False)[0])
     scene = Scene(
-        name=str(manifest["name"]),
+        name=manifest["name"],
         num_views=num_views,
-        frames_per_view=int(manifest["frames_per_view"]),
-        image_size=(int(manifest["image_width"]), int(manifest["image_height"])),
+        frames_per_view=manifest["frames_per_view"],
+        image_size=(manifest["image_width"], manifest["image_height"]),
         gt_tracks=_tracks_from_detections(detections),
     )
     report = validate_scene(scene)
@@ -234,28 +329,9 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
 
 
 def write_scene(scene: Scene, manifest_path: Path | str, gt_dir: Path | str) -> None:
-    manifest_path = Path(manifest_path)
-    gt_dir = Path(gt_dir)
-    gt_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "name": scene.name,
-        "views": scene.num_views,
-        "frames_per_view": scene.frames_per_view,
-        "image_width": scene.image_size[0],
-        "image_height": scene.image_size[1],
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
-    by_view: dict[int, list[Detection]] = {v: [] for v in range(scene.num_views)}
-    for det in scene.all_detections():
-        by_view[det.view_id].append(det)
-    for view in range(scene.num_views):
-        rows = sorted(by_view[view], key=lambda d: (d.frame, d.identity))
-        lines = [
-            f"{d.frame},{d.identity},{d.bbox.x!r},{d.bbox.y!r},{d.bbox.w!r},{d.bbox.h!r}"
-            for d in rows
-        ]
-        _view_file(gt_dir, view).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+    values = (scene.name, scene.num_views, scene.frames_per_view, *scene.image_size)
+    write_json(dict(zip(_MANIFEST_FIELDS, values)), manifest_path)
+    _write_views(gt_dir, scene.num_views, map(_box_row, scene.all_detections()))
 
 
 def _attributes_from_json(raw: Mapping[str, object], path: Path) -> AttributeSet:
@@ -263,13 +339,13 @@ def _attributes_from_json(raw: Mapping[str, object], path: Path) -> AttributeSet
     for key, value in raw.items():
         if key not in ATTRIBUTE_CATEGORIES:
             raise ParseError(path, f"unknown attribute category {key!r}")
-        if value is None or value == "null":
-            values[key] = None
-        elif isinstance(value, str):
-            values[key] = value
-        else:
-            raise ParseError(path, f"attribute {key!r} must be a string, got {value!r}")
+        if value is not None:
+            _check_json(path, f"attribute {key!r}", value, str)
+        values[key] = None if value == "null" else value
     return AttributeSet(**values)
+
+
+_DESCRIPTION_FIELDS = {"id": str, "text": str, "attributes": dict, "referred_identities": list}
 
 
 def parse_descriptions(
@@ -283,28 +359,20 @@ def parse_descriptions(
     ground truth.
     """
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except FileNotFoundError:
-        raise ParseError(path, "descriptions file not found") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, f"invalid JSON: {exc}") from None
-    if not isinstance(raw, list):
-        raise ParseError(path, "descriptions file must hold a JSON list")
+    raw = read_json(path, list)
     out: list[LanguageDescription] = []
     for index, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ParseError(path, f"entry {index} is not an object")
-        for key in ("id", "text", "attributes", "referred_identities"):
-            if key not in entry:
-                raise ParseError(path, f"entry {index} missing field {key!r}")
-        attrs = _attributes_from_json(entry["attributes"], path)
+        _check_json(path, f"entry {index}", entry, dict)
+        _check_json_fields(path, entry, _DESCRIPTION_FIELDS, f"entry {index}")
+        referred = entry["referred_identities"]
+        for position, identity in enumerate(referred):
+            name = f"entry {index} referred_identities[{position}]"
+            _check_json(path, name, identity, int)
         desc = LanguageDescription(
-            id=str(entry["id"]),
-            text=str(entry["text"]),
-            attributes=attrs,
-            referred_identities=frozenset(int(i) for i in entry["referred_identities"]),
+            id=entry["id"],
+            text=entry["text"],
+            attributes=_attributes_from_json(entry["attributes"], path),
+            referred_identities=frozenset(referred),
         )
         report = validate_description(desc, scene, vocab)
         if not report.ok:
@@ -315,8 +383,6 @@ def parse_descriptions(
 
 
 def write_descriptions(descriptions: Sequence[LanguageDescription], path: Path | str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = []
     for desc in descriptions:
         attrs = {k: (v if v is not None else "null") for k, v in desc.attributes.items()}
@@ -328,7 +394,7 @@ def write_descriptions(descriptions: Sequence[LanguageDescription], path: Path |
                 "referred_identities": sorted(desc.referred_identities),
             }
         )
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
+    write_json(payload, path)
 
 
 def parse_predictions(
@@ -337,15 +403,12 @@ def parse_predictions(
     """Parse one description's per-view prediction CSVs.
 
     Missing or empty view files are treated as the tracker finding nothing in
-    that view. Score columns, when present, populate the score map.
+    that view; a file for a view past ``num_views`` is an error. Score
+    columns, when present, populate the score map.
     """
-    directory = Path(directory)
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-    for view in range(num_views):
-        path = _view_file(directory, view)
-        if not path.exists():
-            continue
+    for view, path in _view_files(directory, num_views).items():
         view_dets, view_scores = _read_box_rows(path, view, allow_scores=True)
         detections.extend(view_dets)
         scores.update(view_scores)
@@ -353,52 +416,24 @@ def parse_predictions(
 
 
 def write_predictions(pred: PredictionSet, directory: Path | str, num_views: int) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    by_view: dict[int, list[Detection]] = {v: [] for v in range(num_views)}
+    rows = []
     for track in pred.tracks:
-        for det in track.detections:
-            by_view[det.view_id].append(det)
-    for view in range(num_views):
-        rows = sorted(by_view[view], key=lambda d: (d.frame, d.identity))
-        lines = []
-        for d in rows:
-            base = f"{d.frame},{d.identity},{d.bbox.x!r},{d.bbox.y!r},{d.bbox.w!r},{d.bbox.h!r}"
+        for d in track.detections:
             record = pred.scores.get((d.view_id, d.frame, d.identity))
-            if record is not None:
-                base += f",{record.s_t!r},{record.s_a!r}"
-            lines.append(base)
-        _view_file(directory, view).write_text(
-            "\n".join(lines) + ("\n" if lines else ""), "utf-8"
-        )
+            score = () if record is None else (record.s_t, record.s_a)
+            rows.append(_box_row(d) + score)
+    _write_views(directory, num_views, rows)
 
 
 def parse_scores(
     directory: Path | str, num_views: int
 ) -> dict[tuple[int, int, int], ScoreRecord]:
     """Parse standalone per-view score CSVs (``frame,id,s_t,s_a``)."""
-    directory = Path(directory)
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-    for view in range(num_views):
-        path = _view_file(directory, view)
-        if not path.exists():
-            continue
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                parts = [p.strip() for p in text.split(",")]
-                if len(parts) != 4:
-                    raise ParseError(path, f"expected 4 fields, got {len(parts)}", line_no)
-                frame = _parse_int(parts[0], path, line_no, "frame")
-                identity = _parse_int(parts[1], path, line_no, "id")
-                s_t = _parse_float(parts[2], path, line_no, "s_t")
-                s_a = _parse_float(parts[3], path, line_no, "s_a")
-                try:
-                    scores[(view, frame, identity)] = ScoreRecord(s_t, s_a)
-                except ValueError as exc:
-                    raise ParseError(path, str(exc), line_no) from None
+    for view, path in _view_files(directory, num_views).items():
+        for row, (frame, identity) in _read_rows(path, ("frame", "id"), (4,)):
+            record = row.make(ScoreRecord, row.parse(2, "s_t"), row.parse(3, "s_a"))
+            scores[(view, frame, identity)] = record
     return scores
 
 
@@ -407,17 +442,8 @@ def write_scores(
     directory: Path | str,
     num_views: int,
 ) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    by_view: dict[int, list[tuple[int, int, ScoreRecord]]] = {v: [] for v in range(num_views)}
-    for (view, frame, identity), record in scores.items():
-        by_view[view].append((frame, identity, record))
-    for view in range(num_views):
-        rows = sorted(by_view[view])
-        lines = [f"{f},{i},{r.s_t!r},{r.s_a!r}" for f, i, r in rows]
-        _view_file(directory, view).write_text(
-            "\n".join(lines) + ("\n" if lines else ""), "utf-8"
-        )
+    rows = ((*key, record.s_t, record.s_a) for key, record in scores.items())
+    _write_views(directory, num_views, rows)
 
 
 _HEADWEAR_WORDS = {"with cap": "cap", "with helmet": "helmet"}
@@ -474,46 +500,26 @@ def render_description(attrs: AttributeSet, template_id: str = "default") -> str
 
 
 def parse_embeddings(path: Path | str) -> list[EmbeddingRecord]:
-    path = Path(path)
     records: list[EmbeddingRecord] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = [p.strip() for p in text.split(",")]
-            if len(parts) < 4:
-                raise ParseError(path, "row too short", line_no)
-            view = _parse_int(parts[0], path, line_no, "view")
-            frame = _parse_int(parts[1], path, line_no, "frame")
-            identity = _parse_int(parts[2], path, line_no, "id")
-            dim = _parse_int(parts[3], path, line_no, "D")
-            if dim <= 0:
-                raise ParseError(path, f"D must be positive, got {dim}", line_no)
-            if len(parts) != 4 + 2 * dim:
-                raise ParseError(
-                    path, f"expected {4 + 2 * dim} fields for D={dim}, got {len(parts)}", line_no
-                )
-            values = [_parse_float(p, path, line_no, "feature") for p in parts[4:]]
-            records.append(
-                EmbeddingRecord(
-                    key=(view, frame, identity),
-                    f_f=tuple(values[:dim]),
-                    f_ai=tuple(values[dim:]),
-                )
-            )
+    for row, key in _read_rows(Path(path), ("view", "frame", "id")):
+        dim = row.parse(3, "D", int)
+        if dim <= 0:
+            raise row.error(f"D must be positive, got {dim}")
+        if len(row.fields) != 4 + 2 * dim:
+            raise row.error(f"expected {4 + 2 * dim} fields for D={dim}, got {len(row.fields)}")
+        values = [row.parse(i, "feature") for i in range(4, len(row.fields))]
+        records.append(row.make(EmbeddingRecord, key, tuple(values[:dim]), tuple(values[dim:])))
     return records
 
 
 def write_embeddings(records: Sequence[EmbeddingRecord], path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for record in sorted(records, key=lambda r: r.key):
-        view, frame, identity = record.key
-        values = ",".join(repr(v) for v in record.f_f + record.f_ai)
-        lines.append(f"{view},{frame},{identity},{len(record.f_f)},{values}")
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+    rows = (
+        (*record.key, len(record.f_f), *record.f_f, *record.f_ai)
+        for record in sorted(records, key=lambda r: r.key)
+    )
+    _write_rows(path, rows)
 
 
 def build_report(
@@ -575,18 +581,15 @@ def build_report(
     }
 
 
-def write_report(report: Mapping[str, object], path: Path | str) -> None:
+def write_json(value: object, path: Path | str) -> None:
+    """Write ``value`` as indented, key-sorted JSON ending in a newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
+    path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", "utf-8")
+
+
+write_report = write_json
 
 
 def read_report(path: Path | str) -> dict:
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise ParseError(path, "report not found") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, f"invalid JSON: {exc}") from None
+    return read_json(path)

@@ -12,14 +12,13 @@ Ratios are computed with exact rational arithmetic and exported as floats.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .assignment import FORBIDDEN, CostMatrix, solve_lap
-from .datamodel import Detection, LanguageDescription, Scene, Track, iou
+from .datamodel import Detection, LanguageDescription, Scene, Track, check_type, iou
 
 
 class UndefinedMetricError(ValueError):
@@ -36,10 +35,9 @@ def check_iou_threshold(value: object) -> None:
     At 0 disjoint boxes would be feasible matches, and the gated sweep skips
     pairs whose IoU is 0, which is exact only for a positive gate.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"iou_threshold must be a number, got {value!r}")
-    if not (math.isfinite(value) and 0 < value <= 1):
-        raise ValueError(f"iou_threshold must be finite and in (0, 1], got {value!r}")
+    check_type("iou_threshold", value, float)
+    if not 0 < value <= 1:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

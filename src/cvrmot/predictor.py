@@ -10,11 +10,10 @@ frames and never drops below zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .datamodel import Track
+from .datamodel import Track, check_fields
 from .fusion_losses import FusionWeights, ScoreRecord, fuse_scores
 
 
@@ -42,9 +41,7 @@ class PredictorConfig:
     whole_track: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("t_as", "t_ss", "t_hs", "s1", "s2", "s3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_fields(self)
         if self.s1 < 0 or self.s2 < 0 or self.s3 < 0:
             raise ValueError("score increments s1, s2, s3 must be non-negative")
         if self.t_ss <= 0:

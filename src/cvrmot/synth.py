@@ -11,11 +11,11 @@ therefore exact by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .datamodel import BBox, Detection, Scene, Track, iou
+from .datamodel import BBox, Detection, Scene, Track, check_fields, iou
 from .fusion_losses import ScoreRecord
 from .ingest import PredictionSet
 from .metrics import IdMeasures
@@ -43,17 +43,10 @@ class ErrorSpec:
     crossview_mismatch_count: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "miss_count",
-            "fp_count",
-            "temporal_switch_count",
-            "crossview_mismatch_count",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
+        check_fields(self)
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 import json
+import math
 
 import pytest
 
-from cvrmot.cli import main
+from cvrmot.cli import RunConfig, build_parser, main
+from cvrmot.fusion_losses import FusionWeights
 from cvrmot.ingest import read_report, write_scene
+from cvrmot.metrics import EvalConfig
+from cvrmot.predictor import PredictorConfig
 from cvrmot.synth import generate_scene
 
 from helpers import lane_scene
@@ -433,3 +437,105 @@ def test_synth_rejects_mistyped_error_spec(tmp_path, capsys, spec, named):
             "--out", tmp_path / "work"]
     assert run(argv) == 2
     assert named in capsys.readouterr().err
+
+
+def _config_argv(command, workspace, tmp_path, *extra):
+    if command == "filter":
+        return ["filter", "--tracks", workspace / "tracks" / "d00", "--out", tmp_path / "out", *extra]
+    if command == "synth":
+        return ["synth", "--views", 2, "--ids", 2, "--frames", 2, "--out", tmp_path / "work", *extra]
+    return _evaluate_argv(workspace, workspace / "tracks", *extra)
+
+
+@pytest.mark.parametrize("command", ["filter", "evaluate", "synth"])
+@pytest.mark.parametrize(
+    "config, flags, named",
+    [
+        ('{"whole_track": "false"}', None, "whole_track"),
+        ('{"alpha": null}', None, "alpha"),
+        ("5", None, "config.json"),
+        ('"abc"', None, "config.json"),
+        ("not json", None, "config.json"),
+        ('{"alpha": NaN}', ["--alpha", "nan"], "alpha"),
+        ('{"t_hs": Infinity}', ["--t-hs", "inf"], "t_hs"),
+        ('{"s1": -1}', ["--s1", "-1"], "s1"),
+        ('{"t_ss": 0}', ["--t-ss", "0"], "t_ss"),
+        ('{"seed": true}', None, "seed"),
+        ('{"seed": 1.5}', ["--seed", "1.5"], "seed"),
+    ],
+)
+def test_every_subcommand_rejects_bad_config_naming_the_key(
+    workspace, tmp_path, capsys, command, config, flags, named
+):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    capsys.readouterr()
+    for extra in (["--config", path], flags):
+        if extra is None:
+            continue
+        try:
+            code = run(_config_argv(command, workspace, tmp_path, *extra))
+        except SystemExit as exc:  # argparse rejects a flag value it cannot convert
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (PredictorConfig, {"whole_track": "false"}),
+        (PredictorConfig, {"t_hs": math.inf}),
+        (PredictorConfig, {"s1": True}),
+        (FusionWeights, {"alpha": None}),
+        (FusionWeights, {"beta": 10 ** 400}),
+        (EvalConfig, {"iou_threshold": math.nan}),
+        (RunConfig, {"seed": True}),
+        (RunConfig, {"seed": 1.0}),
+    ],
+)
+def test_config_dataclasses_reject_mistyped_fields(cls, kwargs):
+    (key,) = kwargs
+    with pytest.raises(ValueError, match=key):
+        cls(**kwargs)
+
+
+def test_config_flags_and_report_echo_for_defaults(workspace, tmp_path):
+    assert run(_evaluate_argv(workspace, workspace / "tracks", "--out", tmp_path / "r.json")) == 0
+    config = read_report(tmp_path / "r.json")["config"]
+    assert json.dumps(config, sort_keys=True) == (
+        '{"alpha": 0.01, "beta": 0.1, "iou_threshold": 0.5, "s1": 3.0, "s2": 3.0, '
+        '"s3": 1.0, "seed": 0, "t_as": 0.5, "t_hs": 30.0, "t_ss": 0.75, "whole_track": false}'
+    )
+    flags = [a for key in config if key != "whole_track" for a in ("--" + key.replace("_", "-"), 1)]
+    argv = _evaluate_argv(workspace, "root", *flags, "--whole-track")
+    args = build_parser().parse_args([str(a) for a in argv])
+    expected = {**dict.fromkeys(config, 1), "whole_track": True}
+    assert {key: getattr(args, key) for key in config} == expected
+
+
+def test_evaluate_rejects_prediction_view_past_manifest(workspace, capsys):
+    tracks = workspace / "tracks" / "d00"
+    (tracks / "view_03.csv").write_bytes((tracks / "view_00.csv").read_bytes())
+    assert run(_evaluate_argv(workspace, workspace / "tracks")) == 2
+    assert "view_03.csv: view 3 is outside the 3 views" in capsys.readouterr().err
+
+
+def test_validate_rejects_ground_truth_view_past_manifest(workspace, capsys):
+    gt = workspace / "gt"
+    (gt / "view_03.csv").write_bytes((gt / "view_00.csv").read_bytes())
+    assert run(["validate", "--manifest", workspace / "manifest.json", "--gt-dir", gt]) == 2
+    assert "view_03.csv: view 3 is outside the 3 views" in capsys.readouterr().err
+
+
+def test_filter_rejects_score_view_past_tracks(workspace, tmp_path, capsys):
+    scores = tmp_path / "scores"
+    scores.mkdir()
+    for view in range(4):
+        (scores / f"view_{view:02d}.csv").write_text("1,1,0.5,0.5\n")
+    argv = ["filter", "--tracks", workspace / "tracks" / "d00", "--scores", scores,
+            "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert "view_03.csv: view 3 is outside the 3 views" in capsys.readouterr().err

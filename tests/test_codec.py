@@ -1,0 +1,121 @@
+"""Write -> parse round trips and garbage-row fuzzing of the per-view CSV codec."""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from cvrmot import (
+    BBox,
+    Detection,
+    EmbeddingRecord,
+    ParseError,
+    PredictionSet,
+    Scene,
+    ScoreRecord,
+    Track,
+    parse_embeddings,
+    parse_predictions,
+    parse_scene,
+    parse_scores,
+    write_embeddings,
+    write_predictions,
+    write_scene,
+    write_scores,
+)
+
+NUM_VIEWS = 3
+NUM_FRAMES = 4
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+unit = st.floats(min_value=0.0, max_value=1.0)
+boxes = st.builds(BBox, finite, finite, positive, positive)
+keys = st.tuples(
+    st.integers(0, NUM_VIEWS - 1), st.integers(1, NUM_FRAMES), st.integers(-5, 5)
+)
+
+
+def _tracks(by_key):
+    by_id = {}
+    for (view, frame, identity), bbox in by_key.items():
+        by_id.setdefault(identity, []).append(Detection(view, frame, identity, bbox))
+    return tuple(Track(i, tuple(dets)) for i, dets in sorted(by_id.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(keys, boxes, max_size=20), st.text(max_size=8))
+def test_scene_round_trip(by_key, name):
+    scene = Scene(name, NUM_VIEWS, NUM_FRAMES, (640, 480), _tracks(by_key))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scene(scene, Path(tmp) / "manifest.json", Path(tmp) / "gt")
+        assert parse_scene(Path(tmp) / "manifest.json", Path(tmp) / "gt") == scene
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(keys, st.tuples(boxes, st.none() | st.tuples(unit, unit)), max_size=20))
+def test_predictions_round_trip_with_and_without_scores(rows):
+    scores = {key: ScoreRecord(*score) for key, (_, score) in rows.items() if score is not None}
+    pred = PredictionSet("d", _tracks({key: bbox for key, (bbox, _) in rows.items()}), scores)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_predictions(pred, tmp, NUM_VIEWS)
+        assert parse_predictions(tmp, "d", NUM_VIEWS) == pred
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(keys, st.builds(ScoreRecord, unit, unit), max_size=20))
+def test_scores_round_trip(scores):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_scores(scores, tmp, NUM_VIEWS)
+        assert parse_scores(tmp, NUM_VIEWS) == scores
+
+
+@st.composite
+def embedding_records(draw):
+    by_key = draw(st.dictionaries(keys, st.integers(1, 3), max_size=10))
+    return [
+        EmbeddingRecord(
+            key,
+            tuple(draw(st.lists(finite, min_size=dim, max_size=dim))),
+            tuple(draw(st.lists(finite, min_size=dim, max_size=dim))),
+        )
+        for key, dim in by_key.items()
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(embedding_records())
+def test_embeddings_round_trip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_embeddings(records, Path(tmp) / "e.csv")
+        assert parse_embeddings(Path(tmp) / "e.csv") == sorted(records, key=lambda r: r.key)
+
+
+numberish = st.text(alphabet="0123456789-+.,eEinfa _", max_size=40)
+garbage_lines = st.lists(st.one_of(numberish, st.text(max_size=40)), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbage_lines)
+def test_garbage_rows_parse_or_raise_parse_error(lines):
+    text = "\n".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "manifest.json").write_text(
+            '{"name": "s", "views": 2, "frames_per_view": 9, '
+            '"image_width": 9, "image_height": 9}'
+        )
+        for sub in ("gt", "csv"):
+            (root / sub).mkdir()
+            (root / sub / "view_00.csv").write_text(text, "utf-8")
+            (root / sub / "view_01.csv").write_text("")
+        for parse in (
+            lambda: parse_scene(root / "manifest.json", root / "gt"),
+            lambda: parse_predictions(root / "csv", "d", 2),
+            lambda: parse_scores(root / "csv", 2),
+            lambda: parse_embeddings(root / "csv" / "view_00.csv"),
+        ):
+            try:
+                parse()
+            except ParseError:
+                pass

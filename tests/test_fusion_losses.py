@@ -52,8 +52,6 @@ def test_fuse_scores_strictly_increasing():
 
 
 def test_score_record_range_and_fused():
-    record = ScoreRecord.fused(0.3, 0.5, 0.1)
-    assert record.s_f == fuse_scores(0.3, 0.5, 0.1)
     with pytest.raises(ValueError):
         ScoreRecord(1.2, 0.5)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -284,3 +285,110 @@ def test_view_count_is_highest_index_plus_one(tmp_path):
     (tmp_path / "view_002.csv").write_text("")
     with pytest.raises(ParseError, match="view_NN"):
         view_count(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("views", 2.9),
+        ("frames_per_view", 10.5),
+        ("views", None),
+        ("image_width", None),
+        ("image_height", True),
+        ("name", 5),
+    ],
+)
+def test_manifest_values_must_have_exact_types(tmp_path, key, value):
+    write_scene(lane_scene(), tmp_path / "manifest.json", tmp_path / "gt")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match=f"manifest field '{key}' must be") as err:
+        parse_scene(tmp_path / "manifest.json", tmp_path / "gt")
+    assert err.value.path == str(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("referred_identities", "12", "entry 0 field 'referred_identities'"),
+        ("referred_identities", [1.5], "entry 0 referred_identities[0]"),
+        ("referred_identities", [True], "entry 0 referred_identities[0]"),
+        ("id", 5, "entry 0 field 'id'"),
+        ("text", None, "entry 0 field 'text'"),
+        ("attributes", None, "entry 0 field 'attributes'"),
+        ("attributes", {"coat": 1}, "attribute 'coat'"),
+    ],
+)
+def test_description_values_must_have_exact_types(tmp_path, key, value, named):
+    path = tmp_path / "descriptions.json"
+    write_descriptions([desc_for(lane_scene(), {1}, "d")], path)
+    raw = json.loads(path.read_text())
+    raw[0][key] = value
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError, match=re.escape(named)) as err:
+        parse_descriptions(path)
+    assert err.value.path == str(path)
+
+
+@pytest.mark.parametrize("content", ["5", '"abc"', "not json"])
+def test_json_files_must_hold_the_expected_value(tmp_path, content):
+    path = tmp_path / "descriptions.json"
+    path.write_text(content)
+    with pytest.raises(ParseError) as err:
+        parse_descriptions(path)
+    assert err.value.path == str(path)
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        ("1,1,0.5,0.5\n1,1,0.6,0.6\n", 2, "duplicate row for frame 1, id 1 (first at line 1)"),
+        ("0,1,0.5,0.5\n", 1, "frame must be >= 1, got 0"),
+        ("-3,1,0.5,0.5\n", 1, "frame must be >= 1, got -3"),
+    ],
+)
+def test_score_rows_get_the_box_row_key_checks(tmp_path, rows, line, message):
+    (tmp_path / "view_00.csv").write_text(rows)
+    with pytest.raises(ParseError) as err:
+        parse_scores(tmp_path, 1)
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (
+            "0,1,1,1,1.0,2.0\n0,1,1,1,3.0,4.0\n",
+            2,
+            "duplicate row for view 0, frame 1, id 1 (first at line 1)",
+        ),
+        ("-1,1,1,1,1.0,2.0\n", 1, "view must be >= 0, got -1"),
+        ("0,0,1,1,1.0,2.0\n", 1, "frame must be >= 1, got 0"),
+        ("0,1\n", 1, "expected more than 3 fields, got 2"),
+    ],
+)
+def test_embedding_rows_get_the_box_row_key_checks(tmp_path, rows, line, message):
+    path = tmp_path / "embeddings.csv"
+    path.write_text(rows)
+    with pytest.raises(ParseError) as err:
+        parse_embeddings(path)
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
+def test_writers_reject_a_view_past_the_view_count(tmp_path):
+    with pytest.raises(ValueError, match="view 1 is outside the 1 views"):
+        write_scores({(1, 1, 1): ScoreRecord(0.5, 0.5)}, tmp_path, 1)
+
+
+def test_non_utf8_files_are_parse_errors_naming_the_file(tmp_path):
+    (tmp_path / "view_00.csv").write_bytes(b"1,1,0.5,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8") as err:
+        parse_scores(tmp_path, 1)
+    assert err.value.path == str(tmp_path / "view_00.csv")
+    (tmp_path / "descriptions.json").write_bytes(b'["\xff"]')
+    with pytest.raises(ParseError, match="invalid JSON") as err:
+        parse_descriptions(tmp_path / "descriptions.json")
+    assert err.value.path == str(tmp_path / "descriptions.json")
