@@ -20,7 +20,6 @@ import argparse
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Collection, Optional, Sequence
@@ -31,6 +30,7 @@ from .datamodel import (
     LanguageDescription,
     Scene,
     check_fields,
+    check_type,
     field_types,
     validate_attributes,
     validate_scene,
@@ -88,6 +88,15 @@ class RunConfig:
         check_fields(self)
 
 
+def __getattr__(name: str) -> object:
+    """``ProcessPoolExecutor`` is imported on first use, so a serial run never loads the pool."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 _CONFIG_CLASSES = (EvalConfig, FusionWeights, PredictorConfig, RunConfig)
 _CONFIG_KEYS = frozenset(name for cls in _CONFIG_CLASSES for name in field_types(cls))
 
@@ -101,17 +110,27 @@ def _read_keys(path: str, names: Collection[str], what: str) -> dict:
     return raw
 
 
-def _effective_config(
-    args: argparse.Namespace,
-) -> tuple[EvalConfig, FusionWeights, PredictorConfig, RunConfig]:
-    """Defaults, overridden by flags, overridden by ``--config``; each dataclass checks its keys."""
-    values = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
-    if args.config:
-        values.update(_read_keys(args.config, _CONFIG_KEYS, "config"))
+def _configs(values: dict) -> tuple[EvalConfig, FusionWeights, PredictorConfig, RunConfig]:
+    """The four config dataclasses from ``values``; each checks its own keys."""
     return tuple(
         cls(**{name: values[name] for name in field_types(cls) if name in values})
         for cls in _CONFIG_CLASSES
     )
+
+
+def _effective_config(
+    args: argparse.Namespace,
+) -> tuple[EvalConfig, FusionWeights, PredictorConfig, RunConfig]:
+    """Defaults, overridden by flags, overridden by ``--config``, whose own errors name it."""
+    values = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+    if args.config:
+        from_file = _read_keys(args.config, _CONFIG_KEYS, "config")
+        try:
+            _configs(from_file)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
+        values.update(from_file)
+    return _configs(values)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -132,6 +151,8 @@ def _eval_one(payload: tuple[Scene, LanguageDescription, tuple, EvalConfig]) -> 
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     configs = _effective_config(args)
     scene = parse_scene(args.manifest, args.gt_dir)
     descriptions = parse_descriptions(args.descriptions, scene)
@@ -149,7 +170,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             predictions = parse_predictions(pred_dir, desc.id, scene.num_views)
         payloads.append((scene, desc, predictions.tracks, configs[0]))
     if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_eval_one, payloads))
     else:
         results = [_eval_one(p) for p in payloads]
@@ -220,6 +241,8 @@ def _sample_description(
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.descriptions < 1:
         raise ValueError("--descriptions must be at least 1")
+    for flag in ("hi", "lo", "jitter"):
+        check_type(f"--{flag}", getattr(args, flag), float)
     seed = _effective_config(args)[-1].seed
     scene = generate_scene(
         args.views,

@@ -77,14 +77,16 @@ def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes on the closed real plane.
 
     Symmetric, bounded in [0, 1]; 0 for disjoint boxes and exactly 1 for
-    identical boxes.
+    identical boxes. Same float operations as ``BBox.x2``, ``y2`` and ``area``.
     """
-    ix = min(a.x2, b.x2) - max(a.x, b.x)
-    iy = min(a.y2, b.y2) - max(a.y, b.y)
+    ax, ay, bx, by = a.x, a.y, b.x, b.y
+    ax2, ay2, bx2, by2 = ax + a.w, ay + a.h, bx + b.w, by + b.h
+    ix = min(ax2, bx2) - max(ax, bx)
+    iy = min(ay2, by2) - max(ay, by)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
+    return inter / ((ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter)
 
 
 @dataclass(frozen=True)

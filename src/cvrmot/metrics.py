@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .assignment import FORBIDDEN, CostMatrix, solve_lap
 from .datamodel import Detection, LanguageDescription, Scene, Track, check_type, iou
@@ -165,9 +165,9 @@ def _gated_edges(
     when its x extents overlap: ``iou`` is 0 for every other pair, and the
     gate is positive, so no gated pair is skipped.
     """
+    boxes = ([d.bbox for d in gt_dets], [d.bbox for d in pred_dets])
     starts = sorted(
-        [(d.bbox.x, 0, i, d.bbox.x2) for i, d in enumerate(gt_dets)]
-        + [(d.bbox.x, 1, j, d.bbox.x2) for j, d in enumerate(pred_dets)]
+        (b.x, side, k, b.x + b.w) for side in (0, 1) for k, b in enumerate(boxes[side])
     )
     open_boxes: list[list[tuple[float, int]]] = [[], []]  # per side: (right edge, index)
     edges = []
@@ -177,11 +177,39 @@ def _gated_edges(
         open_boxes[1 - side] = others
         for _, o in others:
             gi, pj = (k, o) if side == 0 else (o, k)
-            overlap = iou(gt_dets[gi].bbox, pred_dets[pj].bbox)
+            overlap = iou(boxes[0][gi], boxes[1][pj])
             if overlap >= iou_threshold:
                 edges.append((gi, pj, overlap))
         open_boxes[side].append((x2, k))
     return edges
+
+
+def _components(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[list[int], list[int]]]:
+    """Connected components of a bipartite graph given as (row, column) pairs.
+
+    Yields each component's rows and columns, both sorted, in order of the
+    component's smallest row.
+    """
+    cols_of: dict[int, list[int]] = defaultdict(list)
+    rows_of: dict[int, list[int]] = defaultdict(list)
+    for r, c in pairs:
+        cols_of[r].append(c)
+        rows_of[c].append(r)
+    seen: set[int] = set()
+    for root in sorted(cols_of):
+        if root in seen:
+            continue
+        seen.add(root)
+        rows, cols = [root], set()
+        for r in rows:  # breadth-first: rows grows while it is walked
+            for c in cols_of[r]:
+                if c not in cols:
+                    cols.add(c)
+                    for r2 in rows_of[c]:
+                        if r2 not in seen:
+                            seen.add(r2)
+                            rows.append(r2)
+        yield sorted(rows), sorted(cols)
 
 
 def _match_components(
@@ -197,34 +225,15 @@ def _match_components(
     optimum ``solve_lap`` returns for the whole dense matrix (ties closer
     than the solver's tolerance are decided within their component).
     """
-    costs: dict[int, dict[int, float]] = defaultdict(dict)  # gt -> pred -> cost
-    rows_of: dict[int, list[int]] = defaultdict(list)  # pred -> gts
-    for gi, pj, overlap in edges:
-        costs[gi][pj] = 1.0 - overlap
-        rows_of[pj].append(gi)
+    costs = {(gi, pj): 1.0 - overlap for gi, pj, overlap in edges}
     pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for root in sorted(costs):
-        if root in seen:
-            continue
-        seen.add(root)
-        rows, cols = [root], set()
-        for r in rows:  # breadth-first: rows grows while it is walked
-            for c in costs[r]:
-                if c not in cols:
-                    cols.add(c)
-                    for r2 in rows_of[c]:
-                        if r2 not in seen:
-                            seen.add(r2)
-                            rows.append(r2)
+    for rows, cols in _components(costs):
         if len(rows) == 1 and len(cols) == 1:
-            pairs.append((root, cols.pop()))
+            pairs.append((rows[0], cols[0]))
             continue
-        rows.sort()
-        col_order = sorted(cols)
-        matrix = [[costs[r].get(c, FORBIDDEN) for c in col_order] for r in rows]
+        matrix = [[costs.get((r, c), FORBIDDEN) for c in cols] for r in rows]
         solved = solve_lap(CostMatrix.from_rows(matrix))
-        pairs.extend((rows[a], col_order[b]) for a, b in solved.pairs)
+        pairs.extend((rows[a], cols[b]) for a, b in solved.pairs)
     pairs.sort()
     matched_gt = {g for g, _ in pairs}
     matched_pred = {p for _, p in pairs}
@@ -389,7 +398,8 @@ def id_measures(
     Detections are pooled across all views and frames; each candidate
     (gt identity, predicted identity) pair is scored by the number of
     (view, frame) slots where the two boxes overlap at or above the IoU
-    threshold, and a bijection maximizing the total overlap is solved exactly.
+    threshold, and a bijection maximizing the total overlap is solved exactly,
+    one connected component of the positive-overlap pairs at a time.
     """
     overlap = gated_pass(referred_gt, predictions, iou_threshold).overlap
     return _identity_bijection(referred_gt, predictions, overlap)
@@ -400,19 +410,24 @@ def _identity_bijection(
     predictions: Sequence[Track],
     overlap: Mapping[tuple[int, int], int],
 ) -> IdMeasures:
-    """Solve the identity bijection from a gated pass's overlap counts."""
+    """Solve the identity bijection from a gated pass's overlap counts.
+
+    Zero-overlap pairs add nothing, so the maximum total overlap is the sum
+    over the connected components of the positive pairs. A 1 x 1 component
+    gives its count; a larger one is solved on cost -overlap with its zero
+    pairs feasible at cost 0, where maximum cardinality is maximum overlap.
+    """
     total_gt = sum(len(t.detections) for t in referred_gt)
     total_pred = sum(len(t.detections) for t in predictions)
-    gt_ids = sorted(t.identity for t in referred_gt)
-    pred_ids = sorted(t.identity for t in predictions)
-    if not gt_ids or not pred_ids:
-        return IdMeasures(0, total_pred, total_gt)
-    table = [[overlap.get((g, p), 0) for p in pred_ids] for g in gt_ids]
-    # Zero-overlap pairs stay feasible at cost 0, so maximum-cardinality
-    # matching coincides with maximum total overlap.
-    costs = [[-float(v) for v in row] for row in table]
-    assignment = solve_lap(CostMatrix.from_rows(costs))
-    idtp = sum(table[r][c] for r, c in assignment.pairs)
+    idtp = 0
+    for gt_ids, pred_ids in _components(pair for pair, n in overlap.items() if n > 0):
+        if len(gt_ids) == 1 and len(pred_ids) == 1:
+            idtp += overlap[(gt_ids[0], pred_ids[0])]
+            continue
+        table = [[overlap.get((g, p), 0) for p in pred_ids] for g in gt_ids]
+        costs = [[-float(v) for v in row] for row in table]
+        assignment = solve_lap(CostMatrix.from_rows(costs))
+        idtp += sum(table[r][c] for r, c in assignment.pairs)
     return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)
 
 

@@ -401,6 +401,21 @@ def test_evaluate_is_serial_unless_jobs_given(workspace, tmp_path, monkeypatch):
     assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "pool.json").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_evaluate_rejects_jobs_below_one(workspace, capsys, jobs):
+    assert run(_evaluate_argv(workspace, workspace / "tracks", "--jobs", jobs)) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--jitter", "--hi", "--lo"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_synth_rejects_non_finite_score_flags(tmp_path, capsys, flag, value):
+    argv = ["synth", "--views", 2, "--ids", 2, "--frames", 2, f"{flag}={value}", "--out", tmp_path / "w"]
+    assert run(argv) == 2
+    assert f"{flag} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_filter_reads_views_after_a_gap(workspace, tmp_path):
     tracks = tmp_path / "gap"
     tracks.mkdir()
@@ -480,6 +495,8 @@ def test_every_subcommand_rejects_bad_config_naming_the_key(
         assert code == 2
         err = capsys.readouterr().err
         assert named in err
+        if "--config" in extra:
+            assert str(path) in err
         assert "Traceback" not in err
 
 

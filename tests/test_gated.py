@@ -1,13 +1,18 @@
 """The gated per-slot pass against the dense oracles and brute force."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import defaultdict
-from itertools import product
+from itertools import count, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvrmot
 from cvrmot import (
     BBox,
     CostMatrix,
@@ -21,7 +26,7 @@ from cvrmot import (
     id_measures,
     match_frame,
 )
-from cvrmot.metrics import _match_components, gated_pass
+from cvrmot.metrics import _identity_bijection, _match_components, gated_pass
 
 from helpers import desc_for, lane_scene, tracks_copy
 from oracles import dense_count_events, dense_id_measures, dense_match_frame
@@ -187,3 +192,73 @@ def test_iou_threshold_one_matches_identical_boxes_only():
     shifted = [Detection(0, 1, 9, BBox(1, 0, 10, 10))]
     assert match_frame(gt, same, 1.0).pairs == ((0, 0),)
     assert match_frame(gt, shifted, 1.0).pairs == ()
+
+
+def _tracks_with_overlaps(overlap, lone_ids=()):
+    """GT (ids < 100) and predicted (ids >= 100) tracks whose gated overlaps are ``overlap``.
+
+    Each counted slot is a frame of its own holding one GT box and an
+    identical predicted box; each entry of ``lone_ids`` adds one detection
+    alone in its frame.
+    """
+    dets = defaultdict(list)
+    frames = count(1)
+    for (g, p), n in overlap.items():
+        for _ in range(n):
+            frame = next(frames)
+            dets[g].append(Detection(0, frame, g, BBox(0, 0, 10, 10)))
+            dets[p].append(Detection(0, frame, p, BBox(0, 0, 10, 10)))
+    for identity in lone_ids:
+        dets[identity].append(Detection(0, next(frames), identity, BBox(0, 0, 10, 10)))
+    tracks = [Track(identity, tuple(ds)) for identity, ds in sorted(dets.items())]
+    return (
+        tuple(t for t in tracks if t.identity < 100),
+        tuple(t for t in tracks if t.identity >= 100),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(1, 5), st.integers(101, 106)), st.integers(0, 6)),
+    st.lists(st.sampled_from([1, 2, 3, 4, 5, 101, 102, 103, 104, 105, 106]), max_size=4),
+)
+def test_per_component_bijection_equals_dense_lap(overlap, lone_ids):
+    gt_tracks, pred_tracks = _tracks_with_overlaps(overlap, lone_ids)
+    assert gated_pass(gt_tracks, pred_tracks).overlap == {k: n for k, n in overlap.items() if n}
+    expected = dense_id_measures(gt_tracks, pred_tracks)
+    assert _identity_bijection(gt_tracks, pred_tracks, overlap) == expected
+
+
+def test_bijection_maximizes_overlap_not_pair_count():
+    overlap = {(1, 101): 10, (1, 102): 1, (2, 101): 1}
+    gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
+    measures = _identity_bijection(gt_tracks, pred_tracks, overlap)
+    assert measures.idtp == 10
+    assert measures == dense_id_measures(gt_tracks, pred_tracks)
+
+
+def test_serial_runs_never_import_the_process_pool(tmp_path):
+    script = """
+import sys
+from cvrmot import cli
+
+work = sys.argv[1]
+steps = [
+    ["synth", "--views", "2", "--ids", "2", "--frames", "3", "--out", work],
+    ["filter", "--tracks", work + "/tracks/d00", "--out", work + "/filtered/d00"],
+    ["evaluate", "--manifest", work + "/manifest.json", "--gt-dir", work + "/gt",
+     "--descriptions", work + "/descriptions.json", "--predictions-root", work + "/filtered"],
+]
+loaded = []
+for argv in steps:
+    assert cli.main(argv) == 0, argv
+    loaded.append("concurrent.futures" in sys.modules)
+print(loaded, cli.ProcessPoolExecutor.__module__)
+"""
+    src = str(Path(cvrmot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "work")],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "[False, False, False] concurrent.futures.process"
