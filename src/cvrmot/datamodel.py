@@ -51,10 +51,12 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "w", "h"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"bbox {name} must be finite, got {value!r}")
+        # A nan or an infinity makes the sum non-finite; so, rarely, does overflow.
+        if not math.isfinite(self.x + self.y + self.w + self.h):
+            for name in ("x", "y", "w", "h"):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"bbox {name} must be finite, got {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"bbox sides must be positive, got w={self.w}, h={self.h}")
 

@@ -38,10 +38,11 @@ class ScoreRecord:
     s_a: float
 
     def __post_init__(self) -> None:
-        for name in ("s_t", "s_a"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        if not (0.0 <= self.s_t <= 1.0 and 0.0 <= self.s_a <= 1.0):  # false for nan
+            for name in ("s_t", "s_a"):
+                value = getattr(self, name)
+                if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+                    raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def fuse_scores(s_t: float, s_a: float, beta: float) -> float:

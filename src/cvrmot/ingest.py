@@ -22,9 +22,10 @@ Formats (all text is UTF-8, all numbers decimal ASCII):
 Parsers are strict: bad input raises :class:`ParseError` (a ``ValueError``)
 naming the file and the line or key, so no row, view or value is dropped or
 coerced. All CSVs share one row reader (integer key, view >= 0, frame >= 1, no
-repeated key outside ground truth) and one row writer (``repr`` floats, so a
-re-parse is exact); one helper decides which ``view_NN.csv`` files a directory
-holds. JSON values must have exactly their type (a count is an ``int``).
+repeated key outside ground truth, numbers without non-ASCII digits or ``_``)
+and one row writer (``repr`` floats, so a re-parse is exact); one helper
+decides which ``view_NN.csv`` files a directory holds. JSON values must have
+exactly their type (a count is an ``int``), and no object may repeat a key.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .datamodel import (
     ATTRIBUTE_CATEGORIES,
@@ -107,12 +108,24 @@ class EmbeddingRecord:
 def read_json(path: Path | str, kind: type = dict) -> object:
     """The JSON value in ``path``, which must be a ``kind`` (an object by default).
 
-    Invalid JSON or a value of another type is a ParseError naming the file.
+    Invalid JSON, an object with a repeated key or a value of another type is
+    a ParseError naming the file.
     """
     path = Path(path)
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ParseError(path, f"duplicate key {key!r}")
+            out[key] = value
+        return out
+
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=unique_keys)
+    except ParseError:
+        raise
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(path, f"invalid JSON: {exc}") from None
     _check_json(path, "the top-level value", raw, kind)
@@ -169,76 +182,143 @@ def view_count(directory: Path | str) -> int:
     return max(files) + 1
 
 
-@dataclass(slots=True)
-class _Row:
-    """One non-blank CSV row; :meth:`parse` raises ParseError naming file and line."""
-
-    path: Path
-    line: int
-    fields: list[str]
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(self.path, message, self.line)
-
-    def parse(self, index: int, what: str, kind: type = float) -> Any:
-        """Field ``index`` as a ``kind`` (``int`` or a finite ``float``)."""
-        raw = self.fields[index]
-        try:
-            value = kind(raw)
-        except ValueError:
-            raise self.error(f"bad {what}: {raw!r}") from None
-        if kind is float and not math.isfinite(value):
-            raise self.error(f"{what} must be finite, got {raw!r}")
-        return value
-
-    def make(self, cls: Callable[..., Any], *args: object) -> Any:
-        """``cls(*args)``, with a ValueError of its checks raised as a ParseError."""
-        try:
-            return cls(*args)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
-
-
 _KEY_MIN = {"view": 0, "frame": 1}
 
 
-def _read_rows(
-    path: Path, key: Sequence[str], widths: Sequence[int] = (), unique: bool = True
-) -> Iterator[tuple[_Row, tuple[int, ...]]]:
-    """Yield each non-blank row of a headerless CSV with its integer key.
+class _Layout(NamedTuple):
+    """The rows of one CSV kind, as :func:`_read_rows` reads them.
 
     ``key`` names the leading integer columns; a view must be >= 0 and a frame
-    >= 1. ``widths`` lists the allowed field counts (without it, any count past
-    the key). With ``unique`` a repeated key is an error naming its first line.
+    >= 1. ``widths`` lists the allowed field counts (without it, any count
+    past the key). With ``unique`` a repeated key is an error naming its first
+    line. ``check(field, fields)`` reads the columns past the key with
+    ``field(index, name, kind)`` in column order and builds the records they
+    make, so the first of their checks that fails is the one reported.
     """
+
+    key: tuple[str, ...]
+    widths: tuple[int, ...]
+    unique: bool
+    check: Callable[[Callable[..., Any], list[str]], object]
+
+
+def _read_rows(
+    path: Path, layout: _Layout, convert: Callable[[tuple[int, ...], list[str]], None]
+) -> None:
+    """Call ``convert(key, fields)`` on each non-blank row of a headerless CSV.
+
+    Each row is split once and its key converted with the built-in ``int``;
+    ``convert`` reads the other fields with ``int`` and ``float`` straight into
+    records, whose own checks reject non-finite or out-of-range values, and
+    stores nothing until they have passed. A row that fails any of this (or
+    holds a non-ASCII character or an ``_``, which ``int`` and ``float`` would
+    accept) is read again by :func:`_checked_row`, which raises the first
+    error it has, naming the file, line and field.
+    """
+    key, widths, unique = layout.key, layout.widths, layout.unique
+    width = len(key)
+    bounds = [(i, _KEY_MIN[name]) for i, name in enumerate(key) if name in _KEY_MIN]
     first_line: dict[tuple[int, ...], int] = {}
-    bounds = [(i, name, _KEY_MIN[name]) for i, name in enumerate(key) if name in _KEY_MIN]
     with open(path, encoding="utf-8") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
+                if line.isspace():
                     continue
-                row = _Row(path, line_no, [p.strip() for p in text.split(",")])
-                count = len(row.fields)
-                if (count not in widths) if widths else count <= len(key):
-                    expected = " or ".join(map(str, widths)) if widths else f"more than {len(key)}"
-                    raise row.error(f"expected {expected} fields, got {count}")
+                fields = line.split(",")
+                count = len(fields)
                 try:
-                    values = tuple(map(int, row.fields[:len(key)]))
-                except ValueError:  # name the first bad column
-                    values = tuple([row.parse(i, name, int) for i, name in enumerate(key)])
-                for i, name, low in bounds:
-                    if values[i] < low:
-                        raise row.error(f"{name} must be >= {low}, got {values[i]}")
-                if unique:
-                    earlier = first_line.setdefault(values, line_no)
-                    if earlier != line_no:
-                        where = ", ".join(f"{n} {v}" for n, v in zip(key, values))
-                        raise row.error(f"duplicate row for {where} (first at line {earlier})")
-                yield row, values
+                    if not line.isascii() or "_" in line:
+                        raise ValueError
+                    if (count not in widths) if widths else count <= width:
+                        raise ValueError
+                    values = tuple(map(int, fields[:width]))
+                    for i, low in bounds:
+                        if values[i] < low:
+                            raise ValueError
+                    if unique and first_line.setdefault(values, line_no) != line_no:
+                        raise ValueError
+                    convert(values, fields)
+                except ValueError:
+                    convert(*_checked_row(path, line_no, line, layout, first_line))
         except UnicodeDecodeError as exc:
             raise ParseError(path, f"not UTF-8 text: {exc}") from None
+
+
+def _checked_row(
+    path: Path, line_no: int, line: str, layout: _Layout, first_line: dict[tuple[int, ...], int]
+) -> tuple[tuple[int, ...], list[str]]:
+    """Read one row field by field and raise its first error as a ParseError.
+
+    A row without one is returned as its key and stripped fields: its fields
+    are padded with whitespace that ``int`` and ``float`` do not strip
+    (``\\x1c`` to ``\\x1f``, or a non-ASCII space).
+    """
+    fields = [p.strip() for p in line.strip().split(",")]
+
+    def error(message: str) -> ParseError:
+        return ParseError(path, message, line_no)
+
+    def field(index: int, what: str, kind: type = float) -> Any:
+        """Field ``index`` as a ``kind`` (``int`` or a finite ``float``)."""
+        raw = fields[index]
+        try:
+            if not raw.isascii() or "_" in raw:
+                raise ValueError
+            value = kind(raw)
+        except ValueError:
+            raise error(f"bad {what}: {raw!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise error(f"{what} must be finite, got {raw!r}")
+        return value
+
+    key, widths = layout.key, layout.widths
+    count = len(fields)
+    if (count not in widths) if widths else count <= len(key):
+        expected = " or ".join(map(str, widths)) if widths else f"more than {len(key)}"
+        raise error(f"expected {expected} fields, got {count}")
+    values = tuple([field(i, name, int) for i, name in enumerate(key)])
+    for name, value in zip(key, values):
+        if name in _KEY_MIN and value < _KEY_MIN[name]:
+            raise error(f"{name} must be >= {_KEY_MIN[name]}, got {value}")
+    if layout.unique:
+        earlier = first_line.setdefault(values, line_no)
+        if earlier != line_no:
+            where = ", ".join(f"{n} {v}" for n, v in zip(key, values))
+            raise error(f"duplicate row for {where} (first at line {earlier})")
+    try:
+        layout.check(field, fields)
+    except ParseError:
+        raise
+    except ValueError as exc:  # a record's own check
+        raise error(str(exc)) from None
+    return values, fields
+
+
+def _check_box(field: Callable[..., Any], fields: list[str]) -> None:
+    BBox(field(2, "x"), field(3, "y"), field(4, "w"), field(5, "h"))
+    if len(fields) == 8:
+        ScoreRecord(field(6, "s_t"), field(7, "s_a"))
+
+
+def _check_scores(field: Callable[..., Any], fields: list[str]) -> None:
+    ScoreRecord(field(2, "s_t"), field(3, "s_a"))
+
+
+def _check_embedding(field: Callable[..., Any], fields: list[str]) -> None:
+    dim = field(3, "D", int)
+    if dim <= 0:
+        raise ValueError(f"D must be positive, got {dim}")
+    if len(fields) != 4 + 2 * dim:
+        raise ValueError(f"expected {4 + 2 * dim} fields for D={dim}, got {len(fields)}")
+    for i in range(4, len(fields)):
+        field(i, "feature")
+
+
+# Ground-truth duplicates are reported by validate_scene.
+_GT_ROWS = _Layout(("frame", "id"), (6,), False, _check_box)
+_PREDICTION_ROWS = _Layout(("frame", "id"), (6, 8), True, _check_box)
+_SCORE_ROWS = _Layout(("frame", "id"), (4,), True, _check_scores)
+_EMBEDDING_ROWS = _Layout(("view", "frame", "id"), (), True, _check_embedding)
 
 
 def _write_rows(path: Path, rows: Iterable[Sequence[object]]) -> None:
@@ -274,15 +354,14 @@ def _read_box_rows(
 ) -> tuple[list[Detection], dict[tuple[int, int, int], ScoreRecord]]:
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-    # ground-truth duplicates are reported by validate_scene
-    rows = _read_rows(path, ("frame", "id"), (6, 8) if allow_scores else (6,), allow_scores)
-    for row, (frame, identity) in rows:
-        x, y = row.parse(2, "x"), row.parse(3, "y")
-        box = row.make(BBox, x, y, row.parse(4, "w"), row.parse(5, "h"))
-        detections.append(Detection(view, frame, identity, box))
-        if len(row.fields) == 8:
-            record = row.make(ScoreRecord, row.parse(6, "s_t"), row.parse(7, "s_a"))
-            scores[(view, frame, identity)] = record
+
+    def convert(key: tuple[int, ...], f: list[str]) -> None:
+        box = BBox(float(f[2]), float(f[3]), float(f[4]), float(f[5]))
+        if len(f) == 8:
+            scores[(view, *key)] = ScoreRecord(float(f[6]), float(f[7]))
+        detections.append(Detection(view, *key, box))
+
+    _read_rows(path, _PREDICTION_ROWS if allow_scores else _GT_ROWS, convert)
     return detections, scores
 
 
@@ -431,9 +510,17 @@ def parse_scores(
     """Parse standalone per-view score CSVs (``frame,id,s_t,s_a``)."""
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
     for view, path in _view_files(directory, num_views).items():
-        for row, (frame, identity) in _read_rows(path, ("frame", "id"), (4,)):
-            record = row.make(ScoreRecord, row.parse(2, "s_t"), row.parse(3, "s_a"))
-            scores[(view, frame, identity)] = record
+        scores.update(_read_score_rows(path, view))
+    return scores
+
+
+def _read_score_rows(path: Path, view: int) -> dict[tuple[int, int, int], ScoreRecord]:
+    scores: dict[tuple[int, int, int], ScoreRecord] = {}
+
+    def convert(key: tuple[int, ...], f: list[str]) -> None:
+        scores[(view, *key)] = ScoreRecord(float(f[2]), float(f[3]))
+
+    _read_rows(path, _SCORE_ROWS, convert)
     return scores
 
 
@@ -501,14 +588,15 @@ def render_description(attrs: AttributeSet, template_id: str = "default") -> str
 
 def parse_embeddings(path: Path | str) -> list[EmbeddingRecord]:
     records: list[EmbeddingRecord] = []
-    for row, key in _read_rows(Path(path), ("view", "frame", "id")):
-        dim = row.parse(3, "D", int)
-        if dim <= 0:
-            raise row.error(f"D must be positive, got {dim}")
-        if len(row.fields) != 4 + 2 * dim:
-            raise row.error(f"expected {4 + 2 * dim} fields for D={dim}, got {len(row.fields)}")
-        values = [row.parse(i, "feature") for i in range(4, len(row.fields))]
-        records.append(row.make(EmbeddingRecord, key, tuple(values[:dim]), tuple(values[dim:])))
+
+    def convert(key: tuple[int, ...], f: list[str]) -> None:
+        dim = int(f[3])
+        values = tuple(map(float, f[4:]))
+        if dim <= 0 or len(values) != 2 * dim:
+            raise ValueError  # _checked_row names the error
+        records.append(EmbeddingRecord(key, values[:dim], values[dim:]))
+
+    _read_rows(Path(path), _EMBEDDING_ROWS, convert)
     return records
 
 

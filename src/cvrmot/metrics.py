@@ -162,25 +162,42 @@ def _gated_edges(
     """(gt index, pred index, IoU) for every pair at or above the IoU gate.
 
     Boxes are swept in order of their left edge, and a pair is scored only
-    when its x extents overlap: ``iou`` is 0 for every other pair, and the
-    gate is positive, so no gated pair is skipped.
+    when both its x extents and its y extents overlap: ``iou`` is 0 for every
+    other pair (its right and bottom edges are the same sums ``x + w`` and
+    ``y + h`` as here), and the gate is positive, so no gated pair is
+    skipped. A slot with one box on each side tests its one pair directly.
     """
+    if not gt_dets or not pred_dets:
+        return []
+    if len(gt_dets) == len(pred_dets) == 1:  # the commonest slot needs no sweep
+        a, b = gt_dets[0].bbox, pred_dets[0].bbox
+        if a.x + a.w > b.x and b.x + b.w > a.x and a.y + a.h > b.y and b.y + b.h > a.y:
+            overlap = iou(a, b)
+            if overlap >= iou_threshold:
+                return [(0, 0, overlap)]
+        return []
     boxes = ([d.bbox for d in gt_dets], [d.bbox for d in pred_dets])
-    starts = sorted(
-        (b.x, side, k, b.x + b.w) for side in (0, 1) for k, b in enumerate(boxes[side])
-    )
-    open_boxes: list[list[tuple[float, int]]] = [[], []]  # per side: (right edge, index)
+    starts = [
+        (b.x, side, k, b.x + b.w, b.y, b.y + b.h)
+        for side in (0, 1)
+        for k, b in enumerate(boxes[side])
+    ]
+    starts.sort()
+    # per side: (right edge, top edge, bottom edge, index)
+    open_boxes: list[list[tuple[float, float, float, int]]] = [[], []]
     edges = []
-    for x, side, k, x2 in starts:
+    for x, side, k, x2, y, y2 in starts:
         # A box whose right edge is at or left of x overlaps nothing from here on.
         others = [o for o in open_boxes[1 - side] if o[0] > x]
         open_boxes[1 - side] = others
-        for _, o in others:
+        for _, top, bottom, o in others:
+            if bottom <= y or y2 <= top:
+                continue
             gi, pj = (k, o) if side == 0 else (o, k)
             overlap = iou(boxes[0][gi], boxes[1][pj])
             if overlap >= iou_threshold:
                 edges.append((gi, pj, overlap))
-        open_boxes[side].append((x2, k))
+        open_boxes[side].append((x2, y, y2, k))
     return edges
 
 
@@ -212,9 +229,7 @@ def _components(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[list[int], l
         yield sorted(rows), sorted(cols)
 
 
-def _match_components(
-    n_gt: int, n_pred: int, edges: Sequence[tuple[int, int, float]]
-) -> FrameMatch:
+def _component_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int, int]]:
     """Minimum-cost matching on cost 1 - IoU over the gated pairs only.
 
     The gated graph is split into connected components. A component with one
@@ -224,6 +239,7 @@ def _match_components(
     tie-break decides each component independently, so the union is the
     optimum ``solve_lap`` returns for the whole dense matrix (ties closer
     than the solver's tolerance are decided within their component).
+    Returns the matched (gt index, pred index) pairs, sorted.
     """
     costs = {(gi, pj): 1.0 - overlap for gi, pj, overlap in edges}
     pairs: list[tuple[int, int]] = []
@@ -235,6 +251,30 @@ def _match_components(
         solved = solve_lap(CostMatrix.from_rows(matrix))
         pairs.extend((rows[a], cols[b]) for a, b in solved.pairs)
     pairs.sort()
+    return pairs
+
+
+def _matched_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int, int]]:
+    """The sorted pairs of :func:`_component_pairs`.
+
+    When no two gated pairs share a GT box or a prediction, every component
+    is 1 x 1 and the gated pairs are the matching, so they are returned
+    directly.
+    """
+    pairs = [(gi, pj) for gi, pj, _ in edges]
+    if len(pairs) > 1 and not len({gi for gi, _ in pairs}) == len(pairs) == len(
+        {pj for _, pj in pairs}
+    ):
+        return _component_pairs(edges)
+    pairs.sort()
+    return pairs
+
+
+def _match_components(
+    n_gt: int, n_pred: int, edges: Sequence[tuple[int, int, float]]
+) -> FrameMatch:
+    """:func:`_matched_pairs` with the unmatched GT and predicted indices."""
+    pairs = _matched_pairs(edges)
     matched_gt = {g for g, _ in pairs}
     matched_pred = {p for _, p in pairs}
     return FrameMatch(
@@ -331,10 +371,10 @@ def gated_pass(
             edges = _gated_edges(gts, preds, iou_threshold)
             for gi, pj, _ in edges:
                 overlap[(gts[gi].identity, preds[pj].identity)] += 1
-            match = _match_components(len(gts), len(preds), edges)
-            m_t += len(match.unmatched_gt)
-            fp_t += len(match.unmatched_pred)
-            for gi, pj in match.pairs:
+            pairs = _matched_pairs(edges)
+            m_t += len(gts) - len(pairs)
+            fp_t += len(preds) - len(pairs)
+            for gi, pj in pairs:
                 matched_here[gts[gi].identity][view] = preds[pj].identity
         temporal = 0
         crossview = 0

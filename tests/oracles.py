@@ -1,24 +1,35 @@
-"""Dense reference implementations of the per-slot matching and the metrics.
+"""Reference implementations that faster code in ``cvrmot`` replaced.
 
-These are the straightforward versions the gated pass in ``cvrmot.metrics``
-replaced: every (gt, pred) pair of a slot gets an IoU and a cell in one dense
-LAP, and the identity overlap table is filled by a G x P x slot loop. Tests
-compare the gated path against them.
+* The dense per-slot matching and metrics the gated pass in
+  ``cvrmot.metrics`` replaced: every (gt, pred) pair of a slot gets an IoU and
+  a cell in one dense LAP, and the identity overlap table is filled by a
+  G x P x slot loop.
+* The per-field CSV row reader ``cvrmot.ingest`` had before its one-pass
+  reader: a row object per line, each field parsed and each record built
+  through a checking wrapper that names the file, line and field.
+
+Tests compare the current code against them.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from typing import Sequence
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, Iterator, Sequence
 
 from cvrmot import (
     BBox,
     CostMatrix,
     Detection,
+    EmbeddingRecord,
     FORBIDDEN,
     FrameMatch,
     IdMeasures,
     MetricCounts,
+    ParseError,
+    ScoreRecord,
     Track,
     iou,
     solve_lap,
@@ -145,3 +156,110 @@ def dense_id_measures(
     assignment = solve_lap(CostMatrix.from_rows(costs))
     idtp = sum(overlap[r][c] for r, c in assignment.pairs)
     return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)
+
+
+@dataclass(slots=True)
+class _Row:
+    """One non-blank CSV row; :meth:`parse` raises ParseError naming file and line."""
+
+    path: Path
+    line: int
+    fields: list[str]
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(self.path, message, self.line)
+
+    def parse(self, index: int, what: str, kind: type = float) -> Any:
+        """Field ``index`` as a ``kind`` (``int`` or a finite ``float``)."""
+        raw = self.fields[index]
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise self.error(f"bad {what}: {raw!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise self.error(f"{what} must be finite, got {raw!r}")
+        return value
+
+    def make(self, cls: Callable[..., Any], *args: object) -> Any:
+        """``cls(*args)``, with a ValueError of its checks raised as a ParseError."""
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
+
+_KEY_MIN = {"view": 0, "frame": 1}
+
+
+def _read_rows(
+    path: Path, key: Sequence[str], widths: Sequence[int] = (), unique: bool = True
+) -> Iterator[tuple[_Row, tuple[int, ...]]]:
+    """Yield each non-blank row of a headerless CSV with its integer key."""
+    first_line: dict[tuple[int, ...], int] = {}
+    bounds = [(i, name, _KEY_MIN[name]) for i, name in enumerate(key) if name in _KEY_MIN]
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                row = _Row(path, line_no, [p.strip() for p in text.split(",")])
+                count = len(row.fields)
+                if (count not in widths) if widths else count <= len(key):
+                    expected = " or ".join(map(str, widths)) if widths else f"more than {len(key)}"
+                    raise row.error(f"expected {expected} fields, got {count}")
+                try:
+                    values = tuple(map(int, row.fields[:len(key)]))
+                except ValueError:  # name the first bad column
+                    values = tuple([row.parse(i, name, int) for i, name in enumerate(key)])
+                for i, name, low in bounds:
+                    if values[i] < low:
+                        raise row.error(f"{name} must be >= {low}, got {values[i]}")
+                if unique:
+                    earlier = first_line.setdefault(values, line_no)
+                    if earlier != line_no:
+                        where = ", ".join(f"{n} {v}" for n, v in zip(key, values))
+                        raise row.error(f"duplicate row for {where} (first at line {earlier})")
+                yield row, values
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, f"not UTF-8 text: {exc}") from None
+
+
+def oracle_box_rows(
+    path: Path, view: int, allow_scores: bool
+) -> tuple[list[Detection], dict[tuple[int, int, int], ScoreRecord]]:
+    """Ground-truth (``allow_scores`` false) or prediction rows of one view file."""
+    detections: list[Detection] = []
+    scores: dict[tuple[int, int, int], ScoreRecord] = {}
+    rows = _read_rows(path, ("frame", "id"), (6, 8) if allow_scores else (6,), allow_scores)
+    for row, (frame, identity) in rows:
+        x, y = row.parse(2, "x"), row.parse(3, "y")
+        box = row.make(BBox, x, y, row.parse(4, "w"), row.parse(5, "h"))
+        detections.append(Detection(view, frame, identity, box))
+        if len(row.fields) == 8:
+            record = row.make(ScoreRecord, row.parse(6, "s_t"), row.parse(7, "s_a"))
+            scores[(view, frame, identity)] = record
+    return detections, scores
+
+
+def oracle_score_rows(path: Path, view: int) -> dict[tuple[int, int, int], ScoreRecord]:
+    """Rows ``frame,id,s_t,s_a`` of one view's score file."""
+    scores: dict[tuple[int, int, int], ScoreRecord] = {}
+    for row, (frame, identity) in _read_rows(path, ("frame", "id"), (4,)):
+        record = row.make(ScoreRecord, row.parse(2, "s_t"), row.parse(3, "s_a"))
+        scores[(view, frame, identity)] = record
+    return scores
+
+
+def oracle_embeddings(path: Path) -> list[EmbeddingRecord]:
+    """Rows ``view,frame,id,D,<D floats>,<D floats>`` of an embedding file."""
+    records: list[EmbeddingRecord] = []
+    for row, key in _read_rows(Path(path), ("view", "frame", "id")):
+        dim = row.parse(3, "D", int)
+        if dim <= 0:
+            raise row.error(f"D must be positive, got {dim}")
+        if len(row.fields) != 4 + 2 * dim:
+            raise row.error(f"expected {4 + 2 * dim} fields for D={dim}, got {len(row.fields)}")
+        values = [row.parse(i, "feature") for i in range(4, len(row.fields))]
+        records.append(row.make(EmbeddingRecord, key, tuple(values[:dim]), tuple(values[dim:])))
+    return records

@@ -556,3 +556,52 @@ def test_filter_rejects_score_view_past_tracks(workspace, tmp_path, capsys):
             "--out", tmp_path / "out"]
     assert run(argv) == 2
     assert "view_03.csv: view 3 is outside the 3 views" in capsys.readouterr().err
+
+
+def _with_repeated_key(path, key):
+    """Rewrite the JSON object (or the first object of a list) in ``path`` with ``key`` twice."""
+    raw = json.loads(path.read_text())
+    target = raw[0] if isinstance(raw, list) else raw
+    text = json.dumps(target)
+    repeated = text[:-1] + f", {json.dumps(key)}: {json.dumps(target[key])}}}"
+    if isinstance(raw, list):
+        repeated = "[" + ", ".join([repeated] + [json.dumps(e) for e in raw[1:]]) + "]"
+    path.write_text(repeated)
+
+
+@pytest.mark.parametrize("target", ["config", "manifest", "descriptions", "errors"])
+def test_json_files_reject_a_repeated_key(workspace, tmp_path, capsys, target):
+    if target == "config":
+        path = tmp_path / "config.json"
+        path.write_text('{"iou_threshold": 0.3, "iou_threshold": 0.9}')
+        argv, key = _evaluate_argv(workspace, workspace / "tracks", "--config", path), "iou_threshold"
+    elif target == "manifest":
+        path, key = workspace / "manifest.json", "views"
+        argv = ["validate", "--manifest", path, "--gt-dir", workspace / "gt"]
+    elif target == "descriptions":
+        path, key = workspace / "descriptions.json", "referred_identities"
+        argv = ["validate", "--manifest", workspace / "manifest.json", "--gt-dir", workspace / "gt",
+                "--descriptions", path]
+    else:
+        path, key = tmp_path / "errors.json", "miss_count"
+        path.write_text('{"miss_count": 1, "fp_count": 0, "miss_count": 2}')
+        argv = ["synth", "--views", 2, "--ids", 2, "--frames", 2, "--errors", path,
+                "--out", tmp_path / "work"]
+    if target in ("manifest", "descriptions"):
+        _with_repeated_key(path, key)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: duplicate key {key!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["1_0.0", "٢", "３"])
+def test_filter_rejects_non_ascii_or_underscore_numbers(workspace, tmp_path, capsys, token):
+    tracks = tmp_path / "tracks"
+    tracks.mkdir()
+    (tracks / "view_00.csv").write_text(f"1,1,10.0,10.0,5.0,5.0\n2,1,{token},10.0,5.0,5.0\n", "utf-8")
+    assert run(["filter", "--tracks", tracks, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"view_00.csv:2: bad x: {token!r}" in err
+    assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cvrmot import (
@@ -23,6 +24,9 @@ from cvrmot import (
     write_scene,
     write_scores,
 )
+from cvrmot.ingest import _read_box_rows, _read_score_rows
+
+from oracles import oracle_box_rows, oracle_embeddings, oracle_score_rows
 
 NUM_VIEWS = 3
 NUM_FRAMES = 4
@@ -119,3 +123,76 @@ def test_garbage_rows_parse_or_raise_parse_error(lines):
                 parse()
             except ParseError:
                 pass
+
+
+# Fields for the one-pass reader against the per-field reader it replaced.
+# Each field is valid nine times in ten; otherwise it is garbage, out of range
+# (a key, a size <= 0, a score outside [0, 1]) or nan / inf / 1e400. Small keys
+# make repeats common; rows also get wrong field counts and padding.
+
+
+def mostly(good, bad):
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+NOT_FINITE = ["nan", "inf", "-inf", "1e400", "-1e400", "NaN"]
+GARBAGE = ["", "-", "abc", "1.5.2", "0x10", "1e", "--1"]
+KEY = mostly(st.integers(1, 4).map(str), st.sampled_from(["0", "-1", "1.0", "+2", *GARBAGE]))
+NUMBER = mostly(
+    st.one_of(st.floats(-60, 60).map(repr), st.integers(-60, 60).map(str), st.just("1e-400")),
+    st.sampled_from(NOT_FINITE + GARBAGE),
+)
+SIZE = mostly(st.floats(0.5, 40).map(repr), st.sampled_from(["0", "-0.0", "-3", *NOT_FINITE]))
+SCORE = mostly(st.floats(0, 1).map(repr), st.sampled_from(["1.5", "-0.5", "1.0000001", *NOT_FINITE]))
+PADS = st.sampled_from(["", "", "", " ", "\t", " \t "])
+
+
+@st.composite
+def csv_texts(draw, kind):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 7)) == 0:  # blank or whitespace-only
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t  "])))
+            continue
+        fields = [draw(KEY) for _ in range(3 if kind == "embeddings" else 2)]
+        if kind == "embeddings":
+            dim = draw(mostly(st.integers(1, 2), st.sampled_from([0, -1])))
+            dim_field = draw(mostly(st.just(str(dim)), st.sampled_from(["x", "", "2.0", "1e400"])))
+            fields += [dim_field] + [draw(NUMBER) for _ in range(2 * dim)]
+        elif kind == "scores":
+            fields += [draw(SCORE), draw(SCORE)]
+        else:
+            fields += [draw(NUMBER), draw(NUMBER), draw(SIZE), draw(SIZE)]
+            if kind == "predictions" and draw(st.booleans()):
+                fields += [draw(SCORE), draw(SCORE)]
+        if draw(st.integers(0, 9)) == 0:  # one field too few or too many
+            fields = fields[:-1] if draw(st.booleans()) else fields + [draw(NUMBER)]
+        lines.append(",".join(draw(PADS) + f + draw(PADS) for f in fields))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _outcome(read):
+    try:
+        return "ok", read()
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("kind", ["gt", "predictions", "scores", "embeddings"])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_row_reader_matches_the_per_field_oracle(kind, data):
+    text = data.draw(csv_texts(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "view_01.csv"
+        path.write_bytes(text.encode("ascii"))
+        new, old = {
+            "gt": (lambda: _read_box_rows(path, 1, False), lambda: oracle_box_rows(path, 1, False)),
+            "predictions": (
+                lambda: _read_box_rows(path, 1, True), lambda: oracle_box_rows(path, 1, True)
+            ),
+            "scores": (lambda: _read_score_rows(path, 1), lambda: oracle_score_rows(path, 1)),
+            "embeddings": (lambda: parse_embeddings(path), lambda: oracle_embeddings(path)),
+        }[kind]
+        assert _outcome(new) == _outcome(old)

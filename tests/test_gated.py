@@ -26,7 +26,13 @@ from cvrmot import (
     id_measures,
     match_frame,
 )
-from cvrmot.metrics import _identity_bijection, _match_components, gated_pass
+from cvrmot.metrics import (
+    _component_pairs,
+    _identity_bijection,
+    _match_components,
+    _matched_pairs,
+    gated_pass,
+)
 
 from helpers import desc_for, lane_scene, tracks_copy
 from oracles import dense_count_events, dense_id_measures, dense_match_frame
@@ -262,3 +268,66 @@ print(loaded, cli.ProcessPoolExecutor.__module__)
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
     assert done.stdout.splitlines()[-1] == "[False, False, False] concurrent.futures.process"
+
+
+# (other box, threshold, gated): the GT box is (0, 0, 10, 10) and every other
+# box overlaps it in x. Boxes that only touch it in y or miss it in y get no
+# IoU; the float cases touch at 0.1 + 0.2 = 0.30000000000000004 or overlap by
+# 4e-17, and a gate of 1e-300 would pass any overlap at all.
+Y_CASES = [
+    (BBox(2, 10, 10, 10), 0.5, False),  # touches below
+    (BBox(2, -10, 10, 10), 0.5, False),  # touches above
+    (BBox(2, 15, 10, 10), 0.5, False),  # misses below
+    (BBox(2, -25, 10, 10), 0.5, False),  # misses above
+    (BBox(-5, 10, 30, 1), 1e-300, False),  # wider, touches below
+    (BBox(2, 1, 10, 10), 0.5, True),  # overlaps
+    (BBox(2, 9.5, 10, 10), 1e-300, True),  # overlaps by half a pixel
+]
+FLOAT_GT = BBox(0, 0.1, 10, 0.2)
+FLOAT_CASES = [
+    (BBox(1, 0.1 + 0.2, 10, 1), 1e-300, False),  # touches at 0.30000000000000004
+    (BBox(1, 0.3, 10, 1), 1e-300, True),  # overlaps by 4e-17
+]
+
+
+@pytest.mark.parametrize("crowded", [False, True])  # a 1 x 1 slot, or a 2 x 2 one swept
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize(
+    "gt_box, other, threshold, gated",
+    [(BBox(0, 0, 10, 10), *case) for case in Y_CASES] + [(FLOAT_GT, *case) for case in FLOAT_CASES],
+)
+def test_y_disjoint_pairs_stay_ungated(monkeypatch, crowded, mirror, gt_box, other, threshold, gated):
+    gts = [Detection(0, 1, 1, gt_box)]
+    preds = [Detection(0, 1, 101, other)]
+    if mirror:
+        gts, preds = [Detection(0, 1, 1, other)], [Detection(0, 1, 101, gt_box)]
+    if crowded:  # boxes far to the right of the pair, overlapping nothing
+        gts.append(Detection(0, 1, 2, BBox(500, 0, 10, 10)))
+        preds.append(Detection(0, 1, 102, BBox(600, 0, 10, 10)))
+    calls = []
+    monkeypatch.setattr("cvrmot.metrics.iou", lambda a, b: calls.append(1) or cvrmot.iou(a, b))
+    match = match_frame(gts, preds, threshold)
+    assert len(calls) == int(gated)  # a y-disjoint pair never reaches iou
+    assert match.pairs == (((0, 0),) if gated else ())
+    assert match == dense_match_frame(gts, preds, threshold)
+    gt_tracks = tuple(Track(d.identity, (d,)) for d in gts)
+    pred_tracks = tuple(Track(d.identity, (d,)) for d in preds)
+    counts = count_events(gt_tracks, pred_tracks, threshold)
+    assert counts == dense_count_events(gt_tracks, pred_tracks, threshold)
+    assert counts.miss_total == counts.fp_total == int(not gated) + int(crowded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(12)).map(lambda rows: rows[:n]),
+            st.permutations(range(12)).map(lambda cols: cols[:n]),
+            st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n),
+        )
+    )
+)
+def test_direct_one_by_one_pairs_equal_the_component_path(drawn):
+    rows, cols, overlaps = drawn
+    edges = list(zip(rows, cols, overlaps))
+    assert _matched_pairs(edges) == _component_pairs(edges) == sorted(zip(rows, cols))

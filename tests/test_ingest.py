@@ -392,3 +392,52 @@ def test_non_utf8_files_are_parse_errors_naming_the_file(tmp_path):
     with pytest.raises(ParseError, match="invalid JSON") as err:
         parse_descriptions(tmp_path / "descriptions.json")
     assert err.value.path == str(tmp_path / "descriptions.json")
+
+
+_ROWS = {  # a valid row of each CSV kind, with a {} where one numeric field goes
+    "gt": ("1,1,0.0,{},10.0,10.0", "y", "0.0"),
+    "predictions": ("{},1,0.0,0.0,10.0,10.0,0.5,0.5", "frame", "1"),
+    "scores": ("1,1,0.5,{}", "s_a", "0.5"),
+    "embeddings": ("0,1,1,1,{},2.0", "feature", "1.0"),
+}
+
+
+def _parse_kind(kind, tmp_path, text):
+    """Write ``text`` as view 0's file of ``kind`` in a 2-view scene; parse and return it."""
+    path = _kind_path(kind, tmp_path)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text, "utf-8")
+    (path.parent / "view_01.csv").write_text("")
+    if kind == "gt":
+        manifest = {"name": "s", "views": 2, "frames_per_view": 9,
+                    "image_width": 99, "image_height": 99}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        return parse_scene(tmp_path / "manifest.json", path.parent).gt_tracks
+    if kind == "predictions":
+        return parse_predictions(path.parent, "d", 2)
+    if kind == "scores":
+        return parse_scores(path.parent, 2)
+    return parse_embeddings(path)
+
+
+def _kind_path(kind, tmp_path):
+    return tmp_path / "csv" / ("embeddings.csv" if kind == "embeddings" else "view_00.csv")
+
+
+@pytest.mark.parametrize("kind", sorted(_ROWS))
+@pytest.mark.parametrize("token", ["1_0", "1_0.0", "\u0662", "\u0661.5", "\uff11", "2\u00b2"])
+def test_csv_numbers_must_be_ascii_without_underscores(tmp_path, kind, token):
+    row, field, value = _ROWS[kind]
+    text = row.format(value) + "\n\n" + row.format(token).replace("1,1,", "2,1,", 1) + "\n"
+    with pytest.raises(ParseError) as err:
+        _parse_kind(kind, tmp_path, text)
+    assert str(err.value) == f"{_kind_path(kind, tmp_path)}:3: bad {field}: {token!r}"
+
+
+@pytest.mark.parametrize("kind", sorted(_ROWS))
+@pytest.mark.parametrize("pad", [" \t", "\xa0", "\u3000", "\x1c", "\x1f"])
+def test_csv_fields_padded_with_any_whitespace_still_parse(tmp_path, kind, pad):
+    row, _, value = _ROWS[kind]
+    plain = _parse_kind(kind, tmp_path, row.format(value) + "\n")
+    padded = _parse_kind(kind, tmp_path, pad + row.format(pad + value + pad) + pad + "\n")
+    assert padded == plain
