@@ -194,6 +194,13 @@ class _Layout(NamedTuple):
     line. ``check(field, fields)`` reads the columns past the key with
     ``field(index, name, kind)`` in column order and builds the records they
     make, so the first of their checks that fails is the one reported.
+
+    Each kind's row format is written twice: once in the ``convert`` that
+    :func:`_read_rows` calls on every row, and once in its ``check``, which
+    runs only on a row that failed. Each ``check`` must accept exactly the
+    rows its ``convert`` accepts; ``tests/test_codec.py`` holds them to the
+    old reader. One builder taking a field reader would be a Python call per
+    field on every row.
     """
 
     key: tuple[str, ...]

@@ -165,16 +165,9 @@ def _gated_edges(
     when both its x extents and its y extents overlap: ``iou`` is 0 for every
     other pair (its right and bottom edges are the same sums ``x + w`` and
     ``y + h`` as here), and the gate is positive, so no gated pair is
-    skipped. A slot with one box on each side tests its one pair directly.
+    skipped.
     """
     if not gt_dets or not pred_dets:
-        return []
-    if len(gt_dets) == len(pred_dets) == 1:  # the commonest slot needs no sweep
-        a, b = gt_dets[0].bbox, pred_dets[0].bbox
-        if a.x + a.w > b.x and b.x + b.w > a.x and a.y + a.h > b.y and b.y + b.h > a.y:
-            overlap = iou(a, b)
-            if overlap >= iou_threshold:
-                return [(0, 0, overlap)]
         return []
     boxes = ([d.bbox for d in gt_dets], [d.bbox for d in pred_dets])
     starts = [
@@ -239,10 +232,16 @@ def _component_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int,
     tie-break decides each component independently, so the union is the
     optimum ``solve_lap`` returns for the whole dense matrix (ties closer
     than the solver's tolerance are decided within their component).
-    Returns the matched (gt index, pred index) pairs, sorted.
+    When no two gated pairs share a GT box or a prediction, every component
+    is 1 x 1 and the gated pairs are the matching, so they are returned
+    without the walk. Returns the matched (gt index, pred index) pairs, sorted.
     """
+    pairs = [(gi, pj) for gi, pj, _ in edges]
+    if len({gi for gi, _ in pairs}) == len(pairs) == len({pj for _, pj in pairs}):
+        pairs.sort()
+        return pairs
     costs = {(gi, pj): 1.0 - overlap for gi, pj, overlap in edges}
-    pairs: list[tuple[int, int]] = []
+    pairs = []
     for rows, cols in _components(costs):
         if len(rows) == 1 and len(cols) == 1:
             pairs.append((rows[0], cols[0]))
@@ -254,27 +253,11 @@ def _component_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int,
     return pairs
 
 
-def _matched_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int, int]]:
-    """The sorted pairs of :func:`_component_pairs`.
-
-    When no two gated pairs share a GT box or a prediction, every component
-    is 1 x 1 and the gated pairs are the matching, so they are returned
-    directly.
-    """
-    pairs = [(gi, pj) for gi, pj, _ in edges]
-    if len(pairs) > 1 and not len({gi for gi, _ in pairs}) == len(pairs) == len(
-        {pj for _, pj in pairs}
-    ):
-        return _component_pairs(edges)
-    pairs.sort()
-    return pairs
-
-
 def _match_components(
     n_gt: int, n_pred: int, edges: Sequence[tuple[int, int, float]]
 ) -> FrameMatch:
-    """:func:`_matched_pairs` with the unmatched GT and predicted indices."""
-    pairs = _matched_pairs(edges)
+    """:func:`_component_pairs` with the unmatched GT and predicted indices."""
+    pairs = _component_pairs(edges)
     matched_gt = {g for g, _ in pairs}
     matched_pred = {p for _, p in pairs}
     return FrameMatch(
@@ -371,7 +354,7 @@ def gated_pass(
             edges = _gated_edges(gts, preds, iou_threshold)
             for gi, pj, _ in edges:
                 overlap[(gts[gi].identity, preds[pj].identity)] += 1
-            pairs = _matched_pairs(edges)
+            pairs = _component_pairs(edges)
             m_t += len(gts) - len(pairs)
             fp_t += len(preds) - len(pairs)
             for gi, pj in pairs:

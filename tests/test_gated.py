@@ -26,11 +26,11 @@ from cvrmot import (
     id_measures,
     match_frame,
 )
+from cvrmot import metrics
 from cvrmot.metrics import (
     _component_pairs,
     _identity_bijection,
     _match_components,
-    _matched_pairs,
     gated_pass,
 )
 
@@ -290,7 +290,7 @@ FLOAT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("crowded", [False, True])  # a 1 x 1 slot, or a 2 x 2 one swept
+@pytest.mark.parametrize("crowded", [False, True])  # a 1 x 1 slot, or a 2 x 2 one
 @pytest.mark.parametrize("mirror", [False, True])
 @pytest.mark.parametrize(
     "gt_box, other, threshold, gated",
@@ -330,4 +330,11 @@ def test_y_disjoint_pairs_stay_ungated(monkeypatch, crowded, mirror, gt_box, oth
 def test_direct_one_by_one_pairs_equal_the_component_path(drawn):
     rows, cols, overlaps = drawn
     edges = list(zip(rows, cols, overlaps))
-    assert _matched_pairs(edges) == _component_pairs(edges) == sorted(zip(rows, cols))
+    components = list(metrics._components(zip(rows, cols)))
+    assert all(len(r) == len(c) == 1 for r, c in components)
+    walked = sorted((r[0], c[0]) for r, c in components)
+    dense = [[FORBIDDEN] * 12 for _ in range(12)]
+    for r, c, overlap in edges:
+        dense[r][c] = 1.0 - overlap
+    solved = sorted(cvrmot.solve_lap(CostMatrix.from_rows(dense)).pairs)
+    assert _component_pairs(edges) == walked == solved == sorted(zip(rows, cols))
