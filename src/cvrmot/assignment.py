@@ -15,31 +15,34 @@ precision arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 FORBIDDEN = math.inf
 
 _REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Rectangular cost matrix; ``math.inf`` entries mark forbidden pairs."""
-
+class _CostMatrix(NamedTuple):
     costs: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.costs or not self.costs[0]:
+
+class CostMatrix(_CostMatrix):
+    """Rectangular cost matrix; ``math.inf`` entries mark forbidden pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, costs: tuple[tuple[float, ...], ...]) -> CostMatrix:
+        if not costs or not costs[0]:
             raise ValueError("cost matrix must have at least one row and one column")
-        width = len(self.costs[0])
-        for r, row in enumerate(self.costs):
+        width = len(costs[0])
+        for r, row in enumerate(costs):
             if len(row) != width:
                 raise ValueError(f"ragged cost matrix: row {r} has {len(row)} entries")
             for c, value in enumerate(row):
                 if math.isnan(value) or value == -math.inf:
                     raise ValueError(f"cost[{r}][{c}] must be finite or +inf, got {value!r}")
+        return tuple.__new__(cls, (costs,))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CostMatrix":
@@ -54,8 +57,7 @@ class CostMatrix:
         return len(self.costs[0])
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """A partial matching as a sorted pair tuple plus its total cost."""
 
     pairs: tuple[tuple[int, int], ...]

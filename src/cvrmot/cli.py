@@ -9,9 +9,12 @@ self-tests of the fusion and loss formulas).
 The configuration keys are the fields of ``EvalConfig``, ``FusionWeights``,
 ``PredictorConfig`` and ``RunConfig``, whose defaults and checks are the only
 ones; each field is also a flag. Effective configuration is resolved as: the
-dataclass defaults, overridden by flags, overridden by a ``--config`` JSON
-file. Every subcommand that takes them builds all four dataclasses, and the
+config class defaults, overridden by flags, overridden by a ``--config`` JSON
+file. Every subcommand that takes them builds all four config classes, and the
 effective values are echoed into every report.
+
+``synth`` is imported only by the ``synth`` subcommand, through this module's
+attributes, so ``filter`` and ``evaluate`` never load it.
 """
 
 from __future__ import annotations
@@ -20,16 +23,15 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Collection, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .datamodel import (
     AttributeSet,
+    Checked,
     DEFAULT_VOCABULARY,
     LanguageDescription,
     Scene,
-    check_fields,
     check_type,
     field_types,
     validate_attributes,
@@ -67,33 +69,31 @@ from .metrics import (
     evaluate_description,
 )
 from .predictor import MissingScoreError, PredictorConfig, filter_tracks
-from .synth import (
-    ErrorSpec,
-    InfeasibleSpecError,
-    generate_scene,
-    ledger_to_dict,
-    perturb,
-    predictions_from_gt,
-    score_tracks,
-)
+
+_SYNTH_NAMES = {"ErrorSpec", "generate_scene", "ledger_to_dict", "perturb",
+                "predictions_from_gt", "score_tracks"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """CLI-level settings: ``seed`` seeds ``synth``."""
-
+class _RunConfig(NamedTuple):
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        check_fields(self)
+
+class RunConfig(Checked, _RunConfig):
+    """CLI-level settings: ``seed`` seeds ``synth``."""
+
+    __slots__ = ()
 
 
 def __getattr__(name: str) -> object:
-    """``ProcessPoolExecutor`` is imported on first use, so a serial run never loads the pool."""
+    """The pool and the ``synth`` names are imported on first use, so only their users load them."""
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -111,7 +111,7 @@ def _read_keys(path: str, names: Collection[str], what: str) -> dict:
 
 
 def _configs(values: dict) -> tuple[EvalConfig, FusionWeights, PredictorConfig, RunConfig]:
-    """The four config dataclasses from ``values``; each checks its own keys."""
+    """The four config classes from ``values``; each checks its own keys."""
     return tuple(
         cls(**{name: values[name] for name in field_types(cls) if name in values})
         for cls in _CONFIG_CLASSES
@@ -175,7 +175,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         results = [_eval_one(p) for p in payloads]
     aggregate_result = aggregate(results) if results else None
-    echo = {key: value for config in configs for key, value in asdict(config).items()}
+    echo = {key: value for config in configs for key, value in config._asdict().items()}
     report = build_report(results, aggregate_result, echo)
     if args.out:
         write_report(report, args.out)
@@ -244,7 +244,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for flag in ("hi", "lo", "jitter"):
         check_type(f"--{flag}", getattr(args, flag), float)
     seed = _effective_config(args)[-1].seed
-    scene = generate_scene(
+    cli = sys.modules[__name__]
+    scene = cli.generate_scene(
         args.views,
         args.ids,
         args.frames,
@@ -261,9 +262,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         referred = frozenset(rng.sample(identities, size))
         descriptions.append(_sample_description(rng, scene, index, referred))
     write_descriptions(descriptions, out / "descriptions.json")
-    base = predictions_from_gt(scene)
+    base = cli.predictions_from_gt(scene)
     for desc in descriptions:
-        scores = score_tracks(
+        scores = cli.score_tracks(
             scene,
             base,
             desc.referred_identities,
@@ -275,10 +276,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         scored = PredictionSet(desc.id, base.tracks, scores)
         write_predictions(scored, out / "tracks" / desc.id, scene.num_views)
     if args.errors:
-        spec = ErrorSpec(**_read_keys(args.errors, field_types(ErrorSpec), "error spec"))
-        perturbed, ledger = perturb(scene, spec, seed=seed + 3, description_id=descriptions[0].id)
-        write_predictions(perturbed, out / "predictions" / descriptions[0].id, scene.num_views)
-        write_json(ledger_to_dict(ledger), out / "ledger.json")
+        spec = cli.ErrorSpec(**_read_keys(args.errors, field_types(cli.ErrorSpec), "error spec"))
+        first = descriptions[0].id
+        perturbed, ledger = cli.perturb(scene, spec, seed=seed + 3, description_id=first)
+        write_predictions(perturbed, out / "predictions" / first, scene.num_views)
+        write_json(cli.ledger_to_dict(ledger), out / "ledger.json")
     print(f"wrote synthetic scene {scene.name!r} to {out}")
     return 0
 
@@ -431,7 +433,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleSpecError, MissingScoreError, ValueError, OSError) as exc:
+    except (MissingScoreError, ValueError, OSError) as exc:  # InfeasibleSpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Iterator, Mapping, Optional, get_type_hints
+from operator import itemgetter
+from typing import Any, Iterator, Mapping, NamedTuple, Optional, get_type_hints
 
 _EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false",
              str: "a string", dict: "a JSON object", list: "a JSON list"}
@@ -32,33 +32,57 @@ def check_type(name: str, value: object, kind: type) -> None:
         raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
 
 
-field_types = functools.cache(get_type_hints)  # a dataclass's fields -> their types
+field_types = functools.cache(get_type_hints)  # a record's fields -> their types
 
 
 def check_fields(instance: object) -> None:
-    """:func:`check_type` every field of a dataclass against its annotation."""
+    """:func:`check_type` every field of a record against its annotation."""
     for name, kind in field_types(type(instance)).items():
         check_type(name, getattr(instance, name), kind)
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box: top-left corner plus positive width/height."""
+class Checked:
+    """Base of a record whose values are checked when it is built.
 
+    Records are ``NamedTuple`` classes, and ``typing`` allows no ``__new__``
+    in their body. So a checked record ``R`` is ``class R(Checked, _R)``, with
+    its fields in the ``NamedTuple`` ``_R``: the tuple is built by ``_R`` and
+    then ``R._check`` raises ``ValueError`` on a bad value (by default,
+    :func:`check_fields`). ``_replace`` skips the check; build a new record.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    def _check(self) -> None:
+        check_fields(self)
+
+
+class _BBox(NamedTuple):
     x: float
     y: float
     w: float
     h: float
 
-    def __post_init__(self) -> None:
+
+class BBox(_BBox):
+    """Axis-aligned box: top-left corner plus positive width/height."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, w: float, h: float) -> BBox:
         # A nan or an infinity makes the sum non-finite; so, rarely, does overflow.
-        if not math.isfinite(self.x + self.y + self.w + self.h):
-            for name in ("x", "y", "w", "h"):
-                value = getattr(self, name)
+        if not math.isfinite(x + y + w + h):
+            for name, value in zip(cls._fields, (x, y, w, h)):
                 if not math.isfinite(value):
                     raise ValueError(f"bbox {name} must be finite, got {value!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"bbox sides must be positive, got w={self.w}, h={self.h}")
+        if w <= 0 or h <= 0:
+            raise ValueError(f"bbox sides must be positive, got w={w}, h={h}")
+        return tuple.__new__(cls, (x, y, w, h))
 
     @property
     def x2(self) -> float:
@@ -81,8 +105,9 @@ def iou(a: BBox, b: BBox) -> float:
     Symmetric, bounded in [0, 1]; 0 for disjoint boxes and exactly 1 for
     identical boxes. Same float operations as ``BBox.x2``, ``y2`` and ``area``.
     """
-    ax, ay, bx, by = a.x, a.y, b.x, b.y
-    ax2, ay2, bx2, by2 = ax + a.w, ay + a.h, bx + b.w, by + b.h
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ax2, ay2, bx2, by2 = ax + aw, ay + ah, bx + bw, by + bh
     ix = min(ax2, bx2) - max(ax, bx)
     iy = min(ay2, by2) - max(ay, by)
     if ix <= 0 or iy <= 0:
@@ -91,8 +116,7 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / ((ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter)
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """One observation of an object: a box in one view at one frame."""
 
     view_id: int
@@ -101,16 +125,21 @@ class Detection:
     bbox: BBox
 
 
-@dataclass(frozen=True)
-class Track:
-    """All detections of one identity, ordered by (frame, view)."""
+_FRAME_VIEW = itemgetter(1, 0)  # a detection's (frame, view_id)
 
+
+class _Track(NamedTuple):
     identity: int
     detections: tuple[Detection, ...]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.detections, key=lambda d: (d.frame, d.view_id)))
-        object.__setattr__(self, "detections", ordered)
+
+class Track(_Track):
+    """All detections of one identity, ordered by (frame, view)."""
+
+    __slots__ = ()
+
+    def __new__(cls, identity: int, detections: tuple[Detection, ...]) -> Track:
+        return tuple.__new__(cls, (identity, tuple(sorted(detections, key=_FRAME_VIEW))))
 
     def frames(self) -> tuple[int, ...]:
         return tuple(sorted({d.frame for d in self.detections}))
@@ -119,8 +148,7 @@ class Track:
         return tuple(sorted({d.view_id for d in self.detections}))
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     """Synchronized multi-view ground truth with globally consistent identities."""
 
     name: str
@@ -140,8 +168,7 @@ class Scene:
         return sum(len(t.detections) for t in self.gt_tracks)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A single validation finding; violations are data, not faults."""
 
     kind: str
@@ -151,19 +178,21 @@ class Violation:
         return f"[{self.kind}] {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(tuple):
+    """The violations found, in order; iterating or ``len`` goes over them."""
+
+    __slots__ = ()
+
+    def __new__(cls, violations: tuple[Violation, ...] = ()) -> ValidationReport:
+        return tuple.__new__(cls, violations)
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        return tuple(self)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
-
-    def __iter__(self) -> Iterator[Violation]:
-        return iter(self.violations)
-
-    def __len__(self) -> int:
-        return len(self.violations)
+        return not self
 
 
 def validate_scene(scene: Scene) -> ValidationReport:
@@ -224,8 +253,7 @@ ATTRIBUTE_CATEGORIES: tuple[str, ...] = (
 _COLORS = ("white", "black", "gray", "green", "pink", "red", "yellow", "blue", "orange", "purple")
 
 
-@dataclass(frozen=True)
-class AttributeVocabulary:
+class AttributeVocabulary(NamedTuple):
     """Per-category word lists for attribute validation."""
 
     words: Mapping[str, tuple[str, ...]]
@@ -267,8 +295,7 @@ DEFAULT_VOCABULARY = AttributeVocabulary(
 )
 
 
-@dataclass(frozen=True)
-class AttributeSet:
+class AttributeSet(NamedTuple):
     """One optional word per attribute category; None means absent."""
 
     headwear_color: Optional[str] = None
@@ -281,8 +308,7 @@ class AttributeSet:
     transportation: Optional[str] = None
 
     def items(self) -> Iterator[tuple[str, Optional[str]]]:
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+        return zip(self._fields, self)
 
 
 def validate_attributes(
@@ -303,8 +329,7 @@ def validate_attributes(
     return ValidationReport(tuple(found))
 
 
-@dataclass(frozen=True)
-class LanguageDescription:
+class LanguageDescription(NamedTuple):
     """A referring query: text, attribute decomposition, and referred identities.
 
     The referred set may be empty (a query matching nobody), a single identity,

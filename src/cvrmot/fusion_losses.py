@@ -7,42 +7,44 @@ formula can be verified directly (worked examples, finite differences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .datamodel import check_fields
+from .datamodel import Checked
 
 _LOG_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class FusionWeights:
-    """Feature fusion weight (alpha) and score fusion weight (beta)."""
-
+class _FusionWeights(NamedTuple):
     alpha: float = 0.01
     beta: float = 0.1
 
-    def __post_init__(self) -> None:
-        check_fields(self)
+
+class FusionWeights(Checked, _FusionWeights):
+    """Feature fusion weight (alpha) and score fusion weight (beta)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
+class _ScoreRecord(NamedTuple):
+    s_t: float
+    s_a: float
+
+
+class ScoreRecord(_ScoreRecord):
     """Per-detection text score and attribute score, both in [0, 1].
 
     No fused score is stored: consumers recompute it from (s_t, s_a), so beta
     sweeps never require re-export.
     """
 
-    s_t: float
-    s_a: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.s_t <= 1.0 and 0.0 <= self.s_a <= 1.0):  # false for nan
-            for name in ("s_t", "s_a"):
-                value = getattr(self, name)
+    def __new__(cls, s_t: float, s_a: float) -> ScoreRecord:
+        if not (0.0 <= s_t <= 1.0 and 0.0 <= s_a <= 1.0):  # false for nan
+            for name, value in zip(cls._fields, (s_t, s_a)):
                 if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                     raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        return tuple.__new__(cls, (s_t, s_a))
 
 
 def fuse_scores(s_t: float, s_a: float, beta: float) -> float:
@@ -63,16 +65,7 @@ def fuse_features(
     return [a + alpha * b for a, b in zip(f_f, f_ai)]
 
 
-@dataclass(frozen=True)
-class LossInputs:
-    """Inputs to the combined tracking loss.
-
-    l_d is the detection loss, l_s and l_c the single-view and cross-view
-    re-identification losses; w1 and w2 are the learnable balance weights.
-    ``probs`` is a row-stochastic N x K matrix and ``labels`` the matching
-    one-hot matrix for the referring term.
-    """
-
+class _LossInputs(NamedTuple):
     l_d: float
     l_s: float
     l_c: float
@@ -81,7 +74,19 @@ class LossInputs:
     probs: tuple[tuple[float, ...], ...] = ()
     labels: tuple[tuple[float, ...], ...] = ()
 
-    def __post_init__(self) -> None:
+
+class LossInputs(Checked, _LossInputs):
+    """Inputs to the combined tracking loss.
+
+    l_d is the detection loss, l_s and l_c the single-view and cross-view
+    re-identification losses; w1 and w2 are the learnable balance weights.
+    ``probs`` is a row-stochastic N x K matrix and ``labels`` the matching
+    one-hot matrix for the referring term.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for name in ("l_d", "l_s", "l_c"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .datamodel import (
@@ -42,6 +42,7 @@ from .datamodel import (
     AttributeSet,
     AttributeVocabulary,
     BBox,
+    Checked,
     DEFAULT_VOCABULARY,
     Detection,
     LanguageDescription,
@@ -65,15 +66,18 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    """Tracker output for one language description."""
-
+class _PredictionSet(NamedTuple):
     description_id: str
     tracks: tuple[Track, ...]
-    scores: Mapping[tuple[int, int, int], ScoreRecord] = field(default_factory=dict)
+    scores: Mapping[tuple[int, int, int], ScoreRecord] = MappingProxyType({})
 
-    def __post_init__(self) -> None:
+
+class PredictionSet(Checked, _PredictionSet):
+    """Tracker output for one language description."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         existing = {
             (d.view_id, d.frame, d.identity)
             for t in self.tracks
@@ -87,15 +91,18 @@ class PredictionSet:
         return sum(len(t.detections) for t in self.tracks)
 
 
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """Stored feature pair for one detection; both vectors share length D."""
-
+class _EmbeddingRecord(NamedTuple):
     key: tuple[int, int, int]
     f_f: tuple[float, ...]
     f_ai: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+
+class EmbeddingRecord(Checked, _EmbeddingRecord):
+    """Stored feature pair for one detection; both vectors share length D."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if len(self.f_f) == 0 or len(self.f_f) != len(self.f_ai):
             raise ValueError(
                 f"feature vectors must be non-empty and equal length, "
@@ -353,7 +360,8 @@ def _write_views(directory: Path | str, num_views: int, rows: Iterable[Sequence]
 
 
 def _box_row(d: Detection) -> tuple:
-    return (d.view_id, d.frame, d.identity, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h)
+    view, frame, identity, box = d
+    return (view, frame, identity, *box)
 
 
 def _read_box_rows(
@@ -505,9 +513,8 @@ def write_predictions(pred: PredictionSet, directory: Path | str, num_views: int
     rows = []
     for track in pred.tracks:
         for d in track.detections:
-            record = pred.scores.get((d.view_id, d.frame, d.identity))
-            score = () if record is None else (record.s_t, record.s_a)
-            rows.append(_box_row(d) + score)
+            row = _box_row(d)
+            rows.append(row + pred.scores.get(row[:3], ()))  # a ScoreRecord is (s_t, s_a)
     _write_views(directory, num_views, rows)
 
 

@@ -13,12 +13,11 @@ Ratios are computed with exact rational arithmetic and exported as floats.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .assignment import FORBIDDEN, CostMatrix, solve_lap
-from .datamodel import Detection, LanguageDescription, Scene, Track, check_type, iou
+from .datamodel import Checked, Detection, LanguageDescription, Scene, Track, check_type, iou
 
 
 class UndefinedMetricError(ValueError):
@@ -40,18 +39,20 @@ def check_iou_threshold(value: object) -> None:
         raise ValueError(f"iou_threshold must be in (0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Evaluation parameters; the 0.5 IoU gate is standard practice."""
-
+class _EvalConfig(NamedTuple):
     iou_threshold: float = 0.5
 
-    def __post_init__(self) -> None:
+
+class EvalConfig(Checked, _EvalConfig):
+    """Evaluation parameters; the 0.5 IoU gate is standard practice."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         check_iou_threshold(self.iou_threshold)
 
 
-@dataclass(frozen=True)
-class MetricCounts:
+class MetricCounts(NamedTuple):
     """Per-frame event tallies, index-aligned across the tuples."""
 
     frames: tuple[int, ...]
@@ -77,8 +78,7 @@ class MetricCounts:
         return sum(self.gt_totals)
 
 
-@dataclass(frozen=True)
-class IdMeasures:
+class IdMeasures(NamedTuple):
     """Global identity-assignment tallies and the derived precision/recall."""
 
     idtp: int
@@ -112,8 +112,7 @@ class IdMeasures:
         return float(self.cvidr_exact())
 
 
-@dataclass(frozen=True)
-class FrameMatch:
+class FrameMatch(NamedTuple):
     """Result of matching one (view, frame): index pairs into the inputs."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -121,8 +120,7 @@ class FrameMatch:
     unmatched_pred: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DescriptionResult:
+class DescriptionResult(NamedTuple):
     """All metric output for one language description."""
 
     description_id: str
@@ -134,8 +132,7 @@ class DescriptionResult:
     cvma_exact: Fraction
 
 
-@dataclass(frozen=True)
-class AggregateResult:
+class AggregateResult(NamedTuple):
     """Per-description means: identity F1 and clamped matching accuracy."""
 
     n_l: int
@@ -171,9 +168,9 @@ def _gated_edges(
         return []
     boxes = ([d.bbox for d in gt_dets], [d.bbox for d in pred_dets])
     starts = [
-        (b.x, side, k, b.x + b.w, b.y, b.y + b.h)
+        (x, side, k, x + w, y, y + h)
         for side in (0, 1)
-        for k, b in enumerate(boxes[side])
+        for k, (x, y, w, h) in enumerate(boxes[side])
     ]
     starts.sort()
     # per side: (right edge, top edge, bottom edge, index)
@@ -291,18 +288,17 @@ def _index_by_slot(
     slots: dict[tuple[int, int], dict[int, Detection]] = defaultdict(dict)
     for track in tracks:
         for det in track.detections:
-            slot = slots[(det.view_id, det.frame)]
-            if det.identity in slot:
+            view, frame, identity, _ = det
+            slot = slots[(view, frame)]
+            if identity in slot:
                 raise ValueError(
-                    f"{side} identity {det.identity} appears twice "
-                    f"at view {det.view_id}, frame {det.frame}"
+                    f"{side} identity {identity} appears twice at view {view}, frame {frame}"
                 )
-            slot[det.identity] = det
+            slot[identity] = det
     return {key: [by_id[i] for i in sorted(by_id)] for key, by_id in slots.items()}
 
 
-@dataclass(frozen=True)
-class GatedPass:
+class GatedPass(NamedTuple):
     """One gated pass over a description: CVMA tallies and CVIDF1 overlaps.
 
     ``overlap`` maps (gt identity, predicted identity) to the number of
@@ -484,7 +480,7 @@ def evaluate_description(
         # Empty referred set and an empty tracker output is a success.
         raw = Fraction(1)
     else:
-        raw = Fraction(1) - Fraction(counts.fp_total, max(counts.gt_total, 1))
+        raw = Fraction(1 - counts.fp_total)
     measures = _identity_bijection(referred, predictions, shared.overlap)
     if counts.gt_total == 0 and total_pred == 0:
         f1 = Fraction(1)

@@ -10,10 +10,9 @@ frames and never drops below zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .datamodel import Track, check_fields
+from .datamodel import Checked, Track, check_fields
 from .fusion_losses import FusionWeights, ScoreRecord, fuse_scores
 
 
@@ -21,8 +20,17 @@ class MissingScoreError(KeyError):
     """A detection to be filtered has no score record."""
 
 
-@dataclass(frozen=True)
-class PredictorConfig:
+class _PredictorConfig(NamedTuple):
+    t_as: float = 0.5
+    t_ss: float = 0.75
+    t_hs: float = 30.0
+    s1: float = 3.0
+    s2: float = 3.0
+    s3: float = 1.0
+    whole_track: bool = False
+
+
+class PredictorConfig(Checked, _PredictorConfig):
     """Thresholds and increments of the filtering rules.
 
     t_as gates the cross-view average of fused scores, t_ss the single-view
@@ -32,15 +40,9 @@ class PredictorConfig:
     emission from per-frame to all-or-nothing per track.
     """
 
-    t_as: float = 0.5
-    t_ss: float = 0.75
-    t_hs: float = 30.0
-    s1: float = 3.0
-    s2: float = 3.0
-    s3: float = 1.0
-    whole_track: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_fields(self)
         if self.s1 < 0 or self.s2 < 0 or self.s3 < 0:
             raise ValueError("score increments s1, s2, s3 must be non-negative")
@@ -48,15 +50,18 @@ class PredictorConfig:
             raise ValueError("t_ss must be positive")
 
 
-@dataclass(frozen=True)
-class TrackState:
-    """Accumulated filtering state of one track."""
-
+class _TrackState(NamedTuple):
     track_id: int
     hit_score: float = 0.0
     emitted_frames: frozenset[int] = frozenset()
 
-    def __post_init__(self) -> None:
+
+class TrackState(Checked, _TrackState):
+    """Accumulated filtering state of one track."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.hit_score < 0:
             raise ValueError("hit score is never negative")
 
@@ -86,7 +91,7 @@ def step(
             else:
                 hit = max(hit - config.s3, 0.0)
         emit = hit > config.t_hs
-    return replace(state, hit_score=hit), emit
+    return TrackState(state.track_id, hit, state.emitted_frames), emit
 
 
 def filter_tracks(

@@ -11,11 +11,10 @@ therefore exact by construction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .datamodel import BBox, Detection, Scene, Track, check_fields, iou
+from .datamodel import BBox, Checked, Detection, Scene, Track, check_fields, iou
 from .fusion_losses import ScoreRecord
 from .ingest import PredictionSet
 from .metrics import IdMeasures
@@ -25,8 +24,14 @@ class InfeasibleSpecError(ValueError):
     """The requested error injection cannot be realized on this scene."""
 
 
-@dataclass(frozen=True)
-class ErrorSpec:
+class _ErrorSpec(NamedTuple):
+    miss_count: int = 0
+    fp_count: int = 0
+    temporal_switch_count: int = 0
+    crossview_mismatch_count: int = 0
+
+
+class ErrorSpec(Checked, _ErrorSpec):
     """Requested error injections.
 
     ``miss_count`` requests standalone deletions; cross-view events may add
@@ -37,20 +42,16 @@ class ErrorSpec:
     events (each realizes one switch per view that was already matched).
     """
 
-    miss_count: int = 0
-    fp_count: int = 0
-    temporal_switch_count: int = 0
-    crossview_mismatch_count: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         check_fields(self)
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be non-negative")
+        for name, value in zip(self._fields, self):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class FrameErrors:
+class FrameErrors(NamedTuple):
     """Realized error counts at one frame."""
 
     misses: int = 0
@@ -63,8 +64,7 @@ class FrameErrors:
         return self.temporal + self.crossview
 
 
-@dataclass(frozen=True)
-class Ledger:
+class Ledger(NamedTuple):
     """Exact record of the injected errors and the metric values they imply."""
 
     per_frame: Mapping[int, FrameErrors]
