@@ -19,10 +19,9 @@ _EXPORTS = {  # module -> the names it defines
         "loss_cmot loss_referring loss_total"
     ),
     "ingest": (
-        "EmbeddingRecord ParseError PredictionSet build_report parse_descriptions "
-        "parse_embeddings parse_predictions parse_scene parse_scores read_report "
-        "render_description write_descriptions write_embeddings write_predictions "
-        "write_report write_scene write_scores"
+        "ParseError PredictionSet build_report parse_descriptions parse_predictions "
+        "parse_scene parse_scores read_report render_description write_descriptions "
+        "write_predictions write_report write_scene write_scores"
     ),
     "metrics": (
         "AggregateResult DescriptionResult EvalConfig FrameMatch IdMeasures "

@@ -92,18 +92,12 @@ class BBox(_BBox):
     def y2(self) -> float:
         return self.y + self.h
 
-    @property
-    def area(self) -> float:
-        # Derived from the corner coordinates so that the identical-box case
-        # reproduces the intersection arithmetic exactly (IoU == 1.0).
-        return (self.x2 - self.x) * (self.y2 - self.y)
-
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes on the closed real plane.
 
     Symmetric, bounded in [0, 1]; 0 for disjoint boxes and exactly 1 for
-    identical boxes. Same float operations as ``BBox.x2``, ``y2`` and ``area``.
+    identical boxes. Same float operations as ``BBox.x2`` and ``y2``.
     """
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
@@ -143,9 +137,6 @@ class Track(_Track):
 
     def frames(self) -> tuple[int, ...]:
         return tuple(sorted({d.frame for d in self.detections}))
-
-    def views(self) -> tuple[int, ...]:
-        return tuple(sorted({d.view_id for d in self.detections}))
 
 
 class Scene(NamedTuple):
@@ -216,24 +207,27 @@ def validate_scene(scene: Scene) -> ValidationReport:
                 Violation("duplicate-track", f"identity {track.identity} appears in two tracks")
             )
         seen_identities.add(track.identity)
-        for det in track.detections:
-            where = f"(view={det.view_id}, frame={det.frame}, identity={det.identity})"
-            if det.identity != track.identity:
+        for view, frame, identity, _ in track.detections:
+            slot = (view, frame, identity)
+            if identity != track.identity:
                 found.append(
                     Violation(
                         "track-identity",
-                        f"detection {where} stored under track identity {track.identity}",
+                        f"detection {_where(slot)} stored under track identity {track.identity}",
                     )
                 )
-            if not 0 <= det.view_id < scene.num_views:
-                found.append(Violation("range", f"detection {where} has out-of-range view"))
-            if not 1 <= det.frame <= scene.frames_per_view:
-                found.append(Violation("range", f"detection {where} has out-of-range frame"))
-            slot = (det.view_id, det.frame, det.identity)
+            if not 0 <= view < scene.num_views:
+                found.append(Violation("range", f"detection {_where(slot)} has out-of-range view"))
+            if not 1 <= frame <= scene.frames_per_view:
+                found.append(Violation("range", f"detection {_where(slot)} has out-of-range frame"))
             if slot in seen_slots:
-                found.append(Violation("duplicate", f"duplicate detection at {where}"))
+                found.append(Violation("duplicate", f"duplicate detection at {_where(slot)}"))
             seen_slots.add(slot)
     return ValidationReport(tuple(found))
+
+
+def _where(slot: tuple[int, int, int]) -> str:
+    return "(view={}, frame={}, identity={})".format(*slot)
 
 
 # Attribute vocabulary: 8 categories, 74 words in total counting the "null"

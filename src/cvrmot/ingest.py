@@ -1,4 +1,4 @@
-"""On-disk formats: scenes, descriptions, predictions, scores, embeddings, reports.
+"""On-disk formats: scenes, descriptions, predictions, scores, reports.
 
 Formats (all text is UTF-8, all numbers decimal ASCII):
 
@@ -14,16 +14,14 @@ Formats (all text is UTF-8, all numbers decimal ASCII):
 * Descriptions -- JSON list of ``{id, text, attributes, referred_identities}``
   where ``attributes`` maps category names to vocabulary words ("null" or a
   missing key means absent).
-* Embeddings -- headerless CSV rows ``view,frame,id,D,<D floats>,<D floats>``
-  holding the full re-id feature and the encoder feature.
 * Report -- JSON document with the effective config, one block per
   description, and the aggregate; see :func:`build_report`.
 
 Parsers are strict: bad input raises :class:`ParseError` (a ``ValueError``)
 naming the file and the line or key, so no row, view or value is dropped or
-coerced. All CSVs share one row reader (integer key, view >= 0, frame >= 1, no
-repeated key outside ground truth, numbers without non-ASCII digits or ``_``)
-and one row writer (``repr`` floats, so a re-parse is exact); one helper
+coerced. All CSVs share one row reader (integer frame >= 1 and id, no repeated
+``(frame, id)`` outside ground truth, numbers without non-ASCII digits or
+``_``) and one row writer (``repr`` floats, so a re-parse is exact); one helper
 decides which ``view_NN.csv`` files a directory holds. JSON values must have
 exactly their type (a count is an ``int``), and no object may repeat a key.
 """
@@ -89,27 +87,6 @@ class PredictionSet(Checked, _PredictionSet):
 
     def detection_count(self) -> int:
         return sum(len(t.detections) for t in self.tracks)
-
-
-class _EmbeddingRecord(NamedTuple):
-    key: tuple[int, int, int]
-    f_f: tuple[float, ...]
-    f_ai: tuple[float, ...]
-
-
-class EmbeddingRecord(Checked, _EmbeddingRecord):
-    """Stored feature pair for one detection; both vectors share length D."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if len(self.f_f) == 0 or len(self.f_f) != len(self.f_ai):
-            raise ValueError(
-                f"feature vectors must be non-empty and equal length, "
-                f"got {len(self.f_f)} and {len(self.f_ai)}"
-            )
-        if any(not math.isfinite(x) for x in self.f_f + self.f_ai):
-            raise ValueError("feature entries must be finite")
 
 
 def read_json(path: Path | str, kind: type = dict) -> object:
@@ -189,83 +166,86 @@ def view_count(directory: Path | str) -> int:
     return max(files) + 1
 
 
-_KEY_MIN = {"view": 0, "frame": 1}
-
-
 class _Layout(NamedTuple):
-    """The rows of one CSV kind, as :func:`_read_rows` reads them.
+    """The rows of one CSV kind, as :func:`_read_rows` and :func:`_checked_row` read them.
 
-    ``key`` names the leading integer columns; a view must be >= 0 and a frame
-    >= 1. ``widths`` lists the allowed field counts (without it, any count
-    past the key). With ``unique`` a repeated key is an error naming its first
-    line. ``check(field, fields)`` reads the columns past the key with
-    ``field(index, name, kind)`` in column order and builds the records they
-    make, so the first of their checks that fails is the one reported.
-
-    Each kind's row format is written twice: once in the ``convert`` that
-    :func:`_read_rows` calls on every row, and once in its ``check``, which
-    runs only on a row that failed. Each ``check`` must accept exactly the
-    rows its ``convert`` accepts; ``tests/test_codec.py`` holds them to the
-    old reader. One builder taking a field reader would be a Python call per
-    field on every row.
+    A row is ``frame,id`` (a frame >= 1) and then the columns of the records it
+    builds. ``spans`` maps each allowed field count to those records, in
+    column order: each record class with its first and past-the-end column.
+    A class reads ``len(cls._fields)`` columns, and its field names are the
+    names an error gives them. With ``unique`` a repeated ``(frame, id)`` is
+    an error naming its first line.
     """
 
-    key: tuple[str, ...]
-    widths: tuple[int, ...]
+    spans: Mapping[int, tuple[tuple[type, int, int], ...]]
     unique: bool
-    check: Callable[[Callable[..., Any], list[str]], object]
+
+
+def _layout(unique: bool, *rows: tuple[type, ...]) -> _Layout:
+    """The layout whose rows each build the record classes of one of ``rows``."""
+    spans = {}
+    for classes in rows:
+        start, row = 2, []
+        for cls in classes:
+            row.append((cls, start, start + len(cls._fields)))
+            start += len(cls._fields)
+        spans[start] = tuple(row)
+    return _Layout(spans, unique)
+
+
+# Ground-truth duplicates are reported by validate_scene.
+_GT_ROWS = _layout(False, (BBox,))
+_PREDICTION_ROWS = _layout(True, (BBox,), (BBox, ScoreRecord))
+_SCORE_ROWS = _layout(True, (ScoreRecord,))
 
 
 def _read_rows(
-    path: Path, layout: _Layout, convert: Callable[[tuple[int, ...], list[str]], None]
+    path: Path, layout: _Layout, convert: Callable[[tuple[int, int], list[Any]], None]
 ) -> None:
-    """Call ``convert(key, fields)`` on each non-blank row of a headerless CSV.
+    """Call ``convert((frame, id), records)`` on each non-blank row of a headerless CSV.
 
-    Each row is split once and its key converted with the built-in ``int``;
-    ``convert`` reads the other fields with ``int`` and ``float`` straight into
-    records, whose own checks reject non-finite or out-of-range values, and
-    stores nothing until they have passed. A row that fails any of this (or
-    holds a non-ASCII character or an ``_``, which ``int`` and ``float`` would
+    Each row is split once; its key is read with the built-in ``int`` and its
+    records are built from ``float`` columns, so their own checks reject
+    non-finite or out-of-range values. A row that fails any of this (or holds
+    a non-ASCII character or an ``_``, which ``int`` and ``float`` would
     accept) is read again by :func:`_checked_row`, which raises the first
     error it has, naming the file, line and field.
     """
-    key, widths, unique = layout.key, layout.widths, layout.unique
-    width = len(key)
-    bounds = [(i, _KEY_MIN[name]) for i, name in enumerate(key) if name in _KEY_MIN]
-    first_line: dict[tuple[int, ...], int] = {}
+    spans, unique = layout
+    first_line: dict[tuple[int, int], int] = {}
     with open(path, encoding="utf-8") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
                 if line.isspace():
                     continue
                 fields = line.split(",")
-                count = len(fields)
+                row = spans.get(len(fields))
                 try:
-                    if not line.isascii() or "_" in line:
+                    if row is None or not line.isascii() or "_" in line:
                         raise ValueError
-                    if (count not in widths) if widths else count <= width:
+                    key = int(fields[0]), int(fields[1])
+                    if key[0] < 1:
                         raise ValueError
-                    values = tuple(map(int, fields[:width]))
-                    for i, low in bounds:
-                        if values[i] < low:
-                            raise ValueError
-                    if unique and first_line.setdefault(values, line_no) != line_no:
+                    if unique and first_line.setdefault(key, line_no) != line_no:
                         raise ValueError
-                    convert(values, fields)
+                    records = []
+                    for cls, start, stop in row:
+                        records.append(cls(*map(float, fields[start:stop])))
                 except ValueError:
-                    convert(*_checked_row(path, line_no, line, layout, first_line))
+                    key, records = _checked_row(path, line_no, line, layout, first_line)
+                convert(key, records)
         except UnicodeDecodeError as exc:
             raise ParseError(path, f"not UTF-8 text: {exc}") from None
 
 
 def _checked_row(
-    path: Path, line_no: int, line: str, layout: _Layout, first_line: dict[tuple[int, ...], int]
-) -> tuple[tuple[int, ...], list[str]]:
+    path: Path, line_no: int, line: str, layout: _Layout, first_line: dict[tuple[int, int], int]
+) -> tuple[tuple[int, int], list[Any]]:
     """Read one row field by field and raise its first error as a ParseError.
 
-    A row without one is returned as its key and stripped fields: its fields
-    are padded with whitespace that ``int`` and ``float`` do not strip
-    (``\\x1c`` to ``\\x1f``, or a non-ASCII space).
+    A row without one is returned as its key and records: its fields are
+    padded with whitespace that ``int`` and ``float`` do not strip (``\\x1c``
+    to ``\\x1f``, or a non-ASCII space).
     """
     fields = [p.strip() for p in line.strip().split(",")]
 
@@ -285,54 +265,25 @@ def _checked_row(
             raise error(f"{what} must be finite, got {raw!r}")
         return value
 
-    key, widths = layout.key, layout.widths
-    count = len(fields)
-    if (count not in widths) if widths else count <= len(key):
-        expected = " or ".join(map(str, widths)) if widths else f"more than {len(key)}"
-        raise error(f"expected {expected} fields, got {count}")
-    values = tuple([field(i, name, int) for i, name in enumerate(key)])
-    for name, value in zip(key, values):
-        if name in _KEY_MIN and value < _KEY_MIN[name]:
-            raise error(f"{name} must be >= {_KEY_MIN[name]}, got {value}")
+    row = layout.spans.get(len(fields))
+    if row is None:
+        expected = " or ".join(map(str, layout.spans))
+        raise error(f"expected {expected} fields, got {len(fields)}")
+    key = frame, identity = field(0, "frame", int), field(1, "id", int)
+    if frame < 1:
+        raise error(f"frame must be >= 1, got {frame}")
     if layout.unique:
-        earlier = first_line.setdefault(values, line_no)
+        earlier = first_line.setdefault(key, line_no)
         if earlier != line_no:
-            where = ", ".join(f"{n} {v}" for n, v in zip(key, values))
-            raise error(f"duplicate row for {where} (first at line {earlier})")
-    try:
-        layout.check(field, fields)
-    except ParseError:
-        raise
-    except ValueError as exc:  # a record's own check
-        raise error(str(exc)) from None
-    return values, fields
-
-
-def _check_box(field: Callable[..., Any], fields: list[str]) -> None:
-    BBox(field(2, "x"), field(3, "y"), field(4, "w"), field(5, "h"))
-    if len(fields) == 8:
-        ScoreRecord(field(6, "s_t"), field(7, "s_a"))
-
-
-def _check_scores(field: Callable[..., Any], fields: list[str]) -> None:
-    ScoreRecord(field(2, "s_t"), field(3, "s_a"))
-
-
-def _check_embedding(field: Callable[..., Any], fields: list[str]) -> None:
-    dim = field(3, "D", int)
-    if dim <= 0:
-        raise ValueError(f"D must be positive, got {dim}")
-    if len(fields) != 4 + 2 * dim:
-        raise ValueError(f"expected {4 + 2 * dim} fields for D={dim}, got {len(fields)}")
-    for i in range(4, len(fields)):
-        field(i, "feature")
-
-
-# Ground-truth duplicates are reported by validate_scene.
-_GT_ROWS = _Layout(("frame", "id"), (6,), False, _check_box)
-_PREDICTION_ROWS = _Layout(("frame", "id"), (6, 8), True, _check_box)
-_SCORE_ROWS = _Layout(("frame", "id"), (4,), True, _check_scores)
-_EMBEDDING_ROWS = _Layout(("view", "frame", "id"), (), True, _check_embedding)
+            raise error(f"duplicate row for frame {frame}, id {identity} (first at line {earlier})")
+    records = []
+    for cls, start, _ in row:
+        values = [field(start + i, name) for i, name in enumerate(cls._fields)]
+        try:
+            records.append(cls(*values))
+        except ValueError as exc:  # the record's own check
+            raise error(str(exc)) from None
+    return key, records
 
 
 def _write_rows(path: Path, rows: Iterable[Sequence[object]]) -> None:
@@ -370,11 +321,10 @@ def _read_box_rows(
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
 
-    def convert(key: tuple[int, ...], f: list[str]) -> None:
-        box = BBox(float(f[2]), float(f[3]), float(f[4]), float(f[5]))
-        if len(f) == 8:
-            scores[(view, *key)] = ScoreRecord(float(f[6]), float(f[7]))
-        detections.append(Detection(view, *key, box))
+    def convert(key: tuple[int, int], records: list[Any]) -> None:
+        detections.append(Detection(view, *key, records[0]))
+        if len(records) == 2:
+            scores[(view, *key)] = records[1]
 
     _read_rows(path, _PREDICTION_ROWS if allow_scores else _GT_ROWS, convert)
     return detections, scores
@@ -449,19 +399,27 @@ def parse_descriptions(
 ) -> list[LanguageDescription]:
     """Parse and validate the description list.
 
-    With a scene supplied, every referred identity must exist in the scene's
-    ground truth.
+    A repeated description ``id``, or an identity listed twice in one
+    ``referred_identities``, is an error. With a scene supplied, every
+    referred identity must exist in the scene's ground truth.
     """
     path = Path(path)
     raw = read_json(path, list)
     out: list[LanguageDescription] = []
+    first_entry: dict[str, int] = {}
     for index, entry in enumerate(raw):
         _check_json(path, f"entry {index}", entry, dict)
         _check_json_fields(path, entry, _DESCRIPTION_FIELDS, f"entry {index}")
+        earlier = first_entry.setdefault(entry["id"], index)
+        if earlier != index:
+            message = f"repeats description id {entry['id']!r} (first in entry {earlier})"
+            raise ParseError(path, f"entry {index} {message}")
         referred = entry["referred_identities"]
         for position, identity in enumerate(referred):
             name = f"entry {index} referred_identities[{position}]"
             _check_json(path, name, identity, int)
+            if identity in referred[:position]:
+                raise ParseError(path, f"{name} repeats identity {identity}")
         desc = LanguageDescription(
             id=entry["id"],
             text=entry["text"],
@@ -531,8 +489,8 @@ def parse_scores(
 def _read_score_rows(path: Path, view: int) -> dict[tuple[int, int, int], ScoreRecord]:
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
 
-    def convert(key: tuple[int, ...], f: list[str]) -> None:
-        scores[(view, *key)] = ScoreRecord(float(f[2]), float(f[3]))
+    def convert(key: tuple[int, int], records: list[Any]) -> None:
+        scores[(view, *key)] = records[0]
 
     _read_rows(path, _SCORE_ROWS, convert)
     return scores
@@ -598,30 +556,6 @@ def render_description(attrs: AttributeSet, template_id: str = "default") -> str
     if not parts:
         return "A person."
     return "A person " + parts[0] + "".join(", " + p for p in parts[1:]) + "."
-
-
-def parse_embeddings(path: Path | str) -> list[EmbeddingRecord]:
-    records: list[EmbeddingRecord] = []
-
-    def convert(key: tuple[int, ...], f: list[str]) -> None:
-        dim = int(f[3])
-        values = tuple(map(float, f[4:]))
-        if dim <= 0 or len(values) != 2 * dim:
-            raise ValueError  # _checked_row names the error
-        records.append(EmbeddingRecord(key, values[:dim], values[dim:]))
-
-    _read_rows(Path(path), _EMBEDDING_ROWS, convert)
-    return records
-
-
-def write_embeddings(records: Sequence[EmbeddingRecord], path: Path | str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    rows = (
-        (*record.key, len(record.f_f), *record.f_f, *record.f_ai)
-        for record in sorted(records, key=lambda r: r.key)
-    )
-    _write_rows(path, rows)
 
 
 def build_report(

@@ -53,7 +53,6 @@ class PredictorConfig(Checked, _PredictorConfig):
 class _TrackState(NamedTuple):
     track_id: int
     hit_score: float = 0.0
-    emitted_frames: frozenset[int] = frozenset()
 
 
 class TrackState(Checked, _TrackState):
@@ -91,7 +90,7 @@ def step(
             else:
                 hit = max(hit - config.s3, 0.0)
         emit = hit > config.t_hs
-    return TrackState(state.track_id, hit, state.emitted_frames), emit
+    return TrackState(state.track_id, hit), emit
 
 
 def filter_tracks(

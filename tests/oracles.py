@@ -23,7 +23,6 @@ from cvrmot import (
     BBox,
     CostMatrix,
     Detection,
-    EmbeddingRecord,
     FORBIDDEN,
     FrameMatch,
     IdMeasures,
@@ -249,17 +248,3 @@ def oracle_score_rows(path: Path, view: int) -> dict[tuple[int, int, int], Score
         record = row.make(ScoreRecord, row.parse(2, "s_t"), row.parse(3, "s_a"))
         scores[(view, frame, identity)] = record
     return scores
-
-
-def oracle_embeddings(path: Path) -> list[EmbeddingRecord]:
-    """Rows ``view,frame,id,D,<D floats>,<D floats>`` of an embedding file."""
-    records: list[EmbeddingRecord] = []
-    for row, key in _read_rows(Path(path), ("view", "frame", "id")):
-        dim = row.parse(3, "D", int)
-        if dim <= 0:
-            raise row.error(f"D must be positive, got {dim}")
-        if len(row.fields) != 4 + 2 * dim:
-            raise row.error(f"expected {4 + 2 * dim} fields for D={dim}, got {len(row.fields)}")
-        values = [row.parse(i, "feature") for i in range(4, len(row.fields))]
-        records.append(row.make(EmbeddingRecord, key, tuple(values[:dim]), tuple(values[dim:])))
-    return records

@@ -605,3 +605,21 @@ def test_filter_rejects_non_ascii_or_underscore_numbers(workspace, tmp_path, cap
     err = capsys.readouterr().err
     assert f"view_00.csv:2: bad x: {token!r}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
+def test_repeated_description_id_is_rejected(workspace, capsys, command):
+    path = workspace / "descriptions.json"
+    raw = json.loads(path.read_text())
+    raw[1]["id"] = raw[0]["id"]
+    path.write_text(json.dumps(raw))
+    if command == "evaluate":
+        argv = _evaluate_argv(workspace, workspace / "tracks")
+    else:
+        argv = ["validate", "--manifest", workspace / "manifest.json", "--gt-dir",
+                workspace / "gt", "--descriptions", path]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: entry 1 repeats description id 'd00' (first in entry 0)" in err
+    assert "Traceback" not in err

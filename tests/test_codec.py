@@ -9,24 +9,21 @@ from hypothesis import given, settings, strategies as st
 from cvrmot import (
     BBox,
     Detection,
-    EmbeddingRecord,
     ParseError,
     PredictionSet,
     Scene,
     ScoreRecord,
     Track,
-    parse_embeddings,
     parse_predictions,
     parse_scene,
     parse_scores,
-    write_embeddings,
     write_predictions,
     write_scene,
     write_scores,
 )
 from cvrmot.ingest import _read_box_rows, _read_score_rows
 
-from oracles import oracle_box_rows, oracle_embeddings, oracle_score_rows
+from oracles import oracle_box_rows, oracle_score_rows
 
 NUM_VIEWS = 3
 NUM_FRAMES = 4
@@ -74,27 +71,6 @@ def test_scores_round_trip(scores):
         assert parse_scores(tmp, NUM_VIEWS) == scores
 
 
-@st.composite
-def embedding_records(draw):
-    by_key = draw(st.dictionaries(keys, st.integers(1, 3), max_size=10))
-    return [
-        EmbeddingRecord(
-            key,
-            tuple(draw(st.lists(finite, min_size=dim, max_size=dim))),
-            tuple(draw(st.lists(finite, min_size=dim, max_size=dim))),
-        )
-        for key, dim in by_key.items()
-    ]
-
-
-@settings(max_examples=100, deadline=None)
-@given(embedding_records())
-def test_embeddings_round_trip(records):
-    with tempfile.TemporaryDirectory() as tmp:
-        write_embeddings(records, Path(tmp) / "e.csv")
-        assert parse_embeddings(Path(tmp) / "e.csv") == sorted(records, key=lambda r: r.key)
-
-
 numberish = st.text(alphabet="0123456789-+.,eEinfa _", max_size=40)
 garbage_lines = st.lists(st.one_of(numberish, st.text(max_size=40)), max_size=6)
 
@@ -117,7 +93,6 @@ def test_garbage_rows_parse_or_raise_parse_error(lines):
             lambda: parse_scene(root / "manifest.json", root / "gt"),
             lambda: parse_predictions(root / "csv", "d", 2),
             lambda: parse_scores(root / "csv", 2),
-            lambda: parse_embeddings(root / "csv" / "view_00.csv"),
         ):
             try:
                 parse()
@@ -154,12 +129,8 @@ def csv_texts(draw, kind):
         if draw(st.integers(0, 7)) == 0:  # blank or whitespace-only
             lines.append(draw(st.sampled_from(["", " ", "\t", " \t  "])))
             continue
-        fields = [draw(KEY) for _ in range(3 if kind == "embeddings" else 2)]
-        if kind == "embeddings":
-            dim = draw(mostly(st.integers(1, 2), st.sampled_from([0, -1])))
-            dim_field = draw(mostly(st.just(str(dim)), st.sampled_from(["x", "", "2.0", "1e400"])))
-            fields += [dim_field] + [draw(NUMBER) for _ in range(2 * dim)]
-        elif kind == "scores":
+        fields = [draw(KEY), draw(KEY)]
+        if kind == "scores":
             fields += [draw(SCORE), draw(SCORE)]
         else:
             fields += [draw(NUMBER), draw(NUMBER), draw(SIZE), draw(SIZE)]
@@ -179,7 +150,7 @@ def _outcome(read):
         return "error", str(exc)
 
 
-@pytest.mark.parametrize("kind", ["gt", "predictions", "scores", "embeddings"])
+@pytest.mark.parametrize("kind", ["gt", "predictions", "scores"])
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_row_reader_matches_the_per_field_oracle(kind, data):
@@ -193,6 +164,5 @@ def test_row_reader_matches_the_per_field_oracle(kind, data):
                 lambda: _read_box_rows(path, 1, True), lambda: oracle_box_rows(path, 1, True)
             ),
             "scores": (lambda: _read_score_rows(path, 1), lambda: oracle_score_rows(path, 1)),
-            "embeddings": (lambda: parse_embeddings(path), lambda: oracle_embeddings(path)),
         }[kind]
         assert _outcome(new) == _outcome(old)

@@ -5,21 +5,18 @@ import pytest
 
 from cvrmot import (
     AttributeSet,
-    EmbeddingRecord,
     LanguageDescription,
     ParseError,
     PredictionSet,
     ScoreRecord,
     build_report,
     parse_descriptions,
-    parse_embeddings,
     parse_predictions,
     parse_scene,
     parse_scores,
     read_report,
     render_description,
     write_descriptions,
-    write_embeddings,
     write_predictions,
     write_report,
     write_scene,
@@ -234,28 +231,6 @@ def test_report_empty_results_marks_aggregate_undefined(tmp_path):
     assert read_report(tmp_path / "r.json") == report
 
 
-def test_embeddings_round_trip(tmp_path):
-    records = [
-        EmbeddingRecord((0, 1, 1), (1.0, 2.0, 3.0), (0.5, -0.5, 0.25)),
-        EmbeddingRecord((1, 4, 2), (0.0, 1.0, 0.0), (2.0, 2.0, 2.0)),
-    ]
-    path = tmp_path / "embeddings.csv"
-    write_embeddings(records, path)
-    assert parse_embeddings(path) == records
-
-
-def test_embeddings_validation(tmp_path):
-    with pytest.raises(ValueError):
-        EmbeddingRecord((0, 1, 1), (1.0,), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        EmbeddingRecord((0, 1, 1), (float("nan"),), (1.0,))
-    path = tmp_path / "embeddings.csv"
-    path.write_text("0,1,1,2,1.0,2.0,3.0\n")  # three floats for D=2
-    with pytest.raises(ParseError) as err:
-        parse_embeddings(path)
-    assert err.value.line == 1
-
-
 def test_predictions_from_gt_matches_scene():
     scene = lane_scene(num_views=2, num_ids=2, num_frames=2)
     preds = predictions_from_gt(scene, "all")
@@ -318,6 +293,7 @@ def test_manifest_values_must_have_exact_types(tmp_path, key, value):
         ("text", None, "entry 0 field 'text'"),
         ("attributes", None, "entry 0 field 'attributes'"),
         ("attributes", {"coat": 1}, "attribute 'coat'"),
+        ("referred_identities", [1, 1], "entry 0 referred_identities[1] repeats identity 1"),
     ],
 )
 def test_description_values_must_have_exact_types(tmp_path, key, value, named):
@@ -356,28 +332,6 @@ def test_score_rows_get_the_box_row_key_checks(tmp_path, rows, line, message):
     assert message in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "rows, line, message",
-    [
-        (
-            "0,1,1,1,1.0,2.0\n0,1,1,1,3.0,4.0\n",
-            2,
-            "duplicate row for view 0, frame 1, id 1 (first at line 1)",
-        ),
-        ("-1,1,1,1,1.0,2.0\n", 1, "view must be >= 0, got -1"),
-        ("0,0,1,1,1.0,2.0\n", 1, "frame must be >= 1, got 0"),
-        ("0,1\n", 1, "expected more than 3 fields, got 2"),
-    ],
-)
-def test_embedding_rows_get_the_box_row_key_checks(tmp_path, rows, line, message):
-    path = tmp_path / "embeddings.csv"
-    path.write_text(rows)
-    with pytest.raises(ParseError) as err:
-        parse_embeddings(path)
-    assert err.value.line == line
-    assert message in str(err.value)
-
-
 def test_writers_reject_a_view_past_the_view_count(tmp_path):
     with pytest.raises(ValueError, match="view 1 is outside the 1 views"):
         write_scores({(1, 1, 1): ScoreRecord(0.5, 0.5)}, tmp_path, 1)
@@ -398,13 +352,12 @@ _ROWS = {  # a valid row of each CSV kind, with a {} where one numeric field goe
     "gt": ("1,1,0.0,{},10.0,10.0", "y", "0.0"),
     "predictions": ("{},1,0.0,0.0,10.0,10.0,0.5,0.5", "frame", "1"),
     "scores": ("1,1,0.5,{}", "s_a", "0.5"),
-    "embeddings": ("0,1,1,1,{},2.0", "feature", "1.0"),
 }
 
 
 def _parse_kind(kind, tmp_path, text):
     """Write ``text`` as view 0's file of ``kind`` in a 2-view scene; parse and return it."""
-    path = _kind_path(kind, tmp_path)
+    path = tmp_path / "csv" / "view_00.csv"
     path.parent.mkdir(exist_ok=True)
     path.write_text(text, "utf-8")
     (path.parent / "view_01.csv").write_text("")
@@ -415,13 +368,7 @@ def _parse_kind(kind, tmp_path, text):
         return parse_scene(tmp_path / "manifest.json", path.parent).gt_tracks
     if kind == "predictions":
         return parse_predictions(path.parent, "d", 2)
-    if kind == "scores":
-        return parse_scores(path.parent, 2)
-    return parse_embeddings(path)
-
-
-def _kind_path(kind, tmp_path):
-    return tmp_path / "csv" / ("embeddings.csv" if kind == "embeddings" else "view_00.csv")
+    return parse_scores(path.parent, 2)
 
 
 @pytest.mark.parametrize("kind", sorted(_ROWS))
@@ -431,7 +378,7 @@ def test_csv_numbers_must_be_ascii_without_underscores(tmp_path, kind, token):
     text = row.format(value) + "\n\n" + row.format(token).replace("1,1,", "2,1,", 1) + "\n"
     with pytest.raises(ParseError) as err:
         _parse_kind(kind, tmp_path, text)
-    assert str(err.value) == f"{_kind_path(kind, tmp_path)}:3: bad {field}: {token!r}"
+    assert str(err.value) == f"{tmp_path / 'csv' / 'view_00.csv'}:3: bad {field}: {token!r}"
 
 
 @pytest.mark.parametrize("kind", sorted(_ROWS))

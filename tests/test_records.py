@@ -9,7 +9,6 @@ from cvrmot import (
     BBox,
     CostMatrix,
     Detection,
-    EmbeddingRecord,
     ErrorSpec,
     EvalConfig,
     FusionWeights,
@@ -40,21 +39,11 @@ BAD = [
     (ScoreRecord, {"s_t": 0.5, "s_a": -0.25}, "s_a must lie in [0, 1], got -0.25"),
     (ScoreRecord, {"s_t": 0.5, "s_a": math.nan}, "s_a must lie in [0, 1], got nan"),
     (ScoreRecord, {"s_t": math.inf, "s_a": 0.5}, "s_t must lie in [0, 1], got inf"),
-    (
-        EmbeddingRecord,
-        {"key": (0, 1, 1), "f_f": (1.0,), "f_ai": (1.0, 2.0)},
-        "feature vectors must be non-empty and equal length, got 1 and 2",
-    ),
-    (
-        EmbeddingRecord,
-        {"key": (0, 1, 1), "f_f": (), "f_ai": ()},
-        "feature vectors must be non-empty and equal length, got 0 and 0",
-    ),
-    (
-        EmbeddingRecord,
-        {"key": (0, 1, 1), "f_f": (1.0,), "f_ai": (math.inf,)},
-        "feature entries must be finite",
-    ),
+    # A row's error path reports the first failing check: finiteness before
+    # the sides, and the fields in order.
+    (BBox, {"x": math.inf, "y": 0, "w": -1, "h": 10}, "bbox x must be finite, got inf"),
+    (BBox, {"x": 0, "y": 0, "w": -math.inf, "h": -1}, "bbox w must be finite, got -inf"),
+    (ScoreRecord, {"s_t": 2.0, "s_a": math.nan}, "s_t must lie in [0, 1], got 2.0"),
     (
         PredictionSet,
         {"description_id": "d", "tracks": (), "scores": {(5, 5, 5): ScoreRecord(0.5, 0.5)}},

@@ -19,10 +19,9 @@ EAGER_EXPORTS = {
     "validate_attributes validate_scene",
     "fusion_losses": "FusionWeights LossInputs ScoreRecord fuse_features fuse_scores "
     "grad_loss_cmot loss_cmot loss_referring loss_total",
-    "ingest": "EmbeddingRecord ParseError PredictionSet build_report parse_descriptions "
-    "parse_embeddings parse_predictions parse_scene parse_scores read_report "
-    "render_description write_descriptions write_embeddings write_predictions write_report "
-    "write_scene write_scores",
+    "ingest": "ParseError PredictionSet build_report parse_descriptions parse_predictions "
+    "parse_scene parse_scores read_report render_description write_descriptions "
+    "write_predictions write_report write_scene write_scores",
     "metrics": "AggregateResult DescriptionResult EvalConfig FrameMatch IdMeasures MetricCounts "
     "UndefinedAggregateError UndefinedMetricError aggregate count_events cvidf1 cvidf1_exact "
     "cvma cvma_exact evaluate_description id_measures match_frame restrict_gt",
