@@ -11,8 +11,8 @@ _EXPORTS = {  # module -> the names it defines
     "assignment": "Assignment CostMatrix FORBIDDEN brute_force_lap solve_lap",
     "datamodel": (
         "ATTRIBUTE_CATEGORIES AttributeSet AttributeVocabulary BBox DEFAULT_VOCABULARY "
-        "Detection LanguageDescription Scene Track ValidationReport Violation iou "
-        "validate_attributes validate_scene"
+        "Detection EvalConfig LanguageDescription Scene Track ValidationReport Violation "
+        "iou validate_attributes validate_scene"
     ),
     "fusion_losses": (
         "FusionWeights LossInputs ScoreRecord fuse_features fuse_scores grad_loss_cmot "
@@ -24,8 +24,8 @@ _EXPORTS = {  # module -> the names it defines
         "write_predictions write_report write_scene write_scores"
     ),
     "metrics": (
-        "AggregateResult DescriptionResult EvalConfig FrameMatch IdMeasures "
-        "MetricCounts UndefinedAggregateError UndefinedMetricError aggregate "
+        "AggregateResult DescriptionResult FrameMatch IdMeasures MetricCounts "
+        "UndefinedAggregateError UndefinedMetricError aggregate "
         "count_events cvidf1 cvidf1_exact cvma cvma_exact evaluate_description "
         "id_measures match_frame restrict_gt"
     ),

@@ -13,8 +13,9 @@ config class defaults, overridden by flags, overridden by a ``--config`` JSON
 file. Every subcommand that takes them builds all four config classes, and the
 effective values are echoed into every report.
 
-``synth`` is imported only by the ``synth`` subcommand, through this module's
-attributes, so ``filter`` and ``evaluate`` never load it.
+``synth`` and ``metrics`` are imported through this module's attributes on
+first use, by ``synth`` and ``evaluate`` (``synth`` itself uses ``metrics``),
+so ``filter`` loads neither.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ import argparse
 import math
 import random
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import Collection, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, NamedTuple, Optional, Sequence
 
 from .datamodel import (
     AttributeSet,
     Checked,
     DEFAULT_VOCABULARY,
+    EvalConfig,
     LanguageDescription,
     Scene,
     check_type,
@@ -62,16 +65,16 @@ from .ingest import (
     write_report,
     write_scene,
 )
-from .metrics import (
-    DescriptionResult,
-    EvalConfig,
-    aggregate,
-    evaluate_description,
-)
 from .predictor import MissingScoreError, PredictorConfig, filter_tracks
 
-_SYNTH_NAMES = {"ErrorSpec", "generate_scene", "ledger_to_dict", "perturb",
-                "predictions_from_gt", "score_tracks"}
+if TYPE_CHECKING:
+    from .metrics import DescriptionResult
+
+_LAZY_NAMES = {
+    "synth": {"ErrorSpec", "generate_scene", "ledger_to_dict", "perturb",
+              "predictions_from_gt", "score_tracks"},
+    "metrics": {"DescriptionResult", "aggregate", "evaluate_description"},
+}
 
 
 class _RunConfig(NamedTuple):
@@ -85,15 +88,14 @@ class RunConfig(Checked, _RunConfig):
 
 
 def __getattr__(name: str) -> object:
-    """The pool and the ``synth`` names are imported on first use, so only their users load them."""
+    """The pool, ``synth`` and ``metrics`` are imported on first use: only their users load them."""
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor
-    if name in _SYNTH_NAMES:
-        from . import synth
-
-        return getattr(synth, name)
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            return getattr(import_module(f"{__package__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -147,12 +149,13 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _eval_one(payload: tuple[Scene, LanguageDescription, tuple, EvalConfig]) -> DescriptionResult:
     scene, desc, tracks, config = payload
-    return evaluate_description(scene, desc, tracks, config)
+    return sys.modules[__name__].evaluate_description(scene, desc, tracks, config)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    cli = sys.modules[__name__]
     configs = _effective_config(args)
     scene = parse_scene(args.manifest, args.gt_dir)
     descriptions = parse_descriptions(args.descriptions, scene)
@@ -170,11 +173,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             predictions = parse_predictions(pred_dir, desc.id, scene.num_views)
         payloads.append((scene, desc, predictions.tracks, configs[0]))
     if args.jobs > 1 and len(payloads) > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with cli.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_eval_one, payloads))
     else:
         results = [_eval_one(p) for p in payloads]
-    aggregate_result = aggregate(results) if results else None
+    aggregate_result = cli.aggregate(results) if results else None
     echo = {key: value for config in configs for key, value in config._asdict().items()}
     report = build_report(results, aggregate_result, echo)
     if args.out:
@@ -208,11 +211,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if args.scores:
         scores = parse_scores(args.scores, num_views)
     kept = filter_tracks(predictions.tracks, scores, predictor_config, weights)
-    kept_scores = {
-        (d.view_id, d.frame, d.identity): scores[(d.view_id, d.frame, d.identity)]
-        for t in kept
-        for d in t.detections
-        if (d.view_id, d.frame, d.identity) in scores
+    kept_scores = {  # a detection's key is its (view, frame, identity)
+        key: scores[key] for t in kept for d in t.detections if (key := d[:3]) in scores
     }
     out = PredictionSet(predictions.description_id, kept, kept_scores)
     write_predictions(out, args.out, num_views)

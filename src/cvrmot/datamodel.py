@@ -62,6 +62,30 @@ class Checked:
         check_fields(self)
 
 
+def check_iou_threshold(value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number in (0, 1].
+
+    At 0 disjoint boxes would be feasible matches, and the gated sweep skips
+    pairs whose IoU is 0, which is exact only for a positive gate.
+    """
+    check_type("iou_threshold", value, float)
+    if not 0 < value <= 1:
+        raise ValueError(f"iou_threshold must be in (0, 1], got {value!r}")
+
+
+class _EvalConfig(NamedTuple):
+    iou_threshold: float = 0.5
+
+
+class EvalConfig(Checked, _EvalConfig):
+    """Evaluation parameters; the 0.5 IoU gate is standard practice."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
+        check_iou_threshold(self.iou_threshold)
+
+
 class _BBox(NamedTuple):
     x: float
     y: float

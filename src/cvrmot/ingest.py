@@ -21,19 +21,21 @@ Parsers are strict: bad input raises :class:`ParseError` (a ``ValueError``)
 naming the file and the line or key, so no row, view or value is dropped or
 coerced. All CSVs share one row reader (integer frame >= 1 and id, no repeated
 ``(frame, id)`` outside ground truth, numbers without non-ASCII digits or
-``_``) and one row writer (``repr`` floats, so a re-parse is exact); one helper
-decides which ``view_NN.csv`` files a directory holds. JSON values must have
-exactly their type (a count is an ``int``), and no object may repeat a key.
+``_``), which converts a file of plain lines whole, column by column, and any
+other file line by line, field by field; and one row writer (``repr`` floats,
+so a re-parse is exact). One helper decides which ``view_NN.csv`` files a
+directory holds. JSON values must have exactly their type (a count is an
+``int``), and no object may repeat a key.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from itertools import repeat, starmap
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .datamodel import (
     ATTRIBUTE_CATEGORIES,
@@ -51,7 +53,9 @@ from .datamodel import (
     validate_scene,
 )
 from .fusion_losses import ScoreRecord
-from .metrics import AggregateResult, DescriptionResult
+
+if TYPE_CHECKING:
+    from .metrics import AggregateResult, DescriptionResult
 
 
 class ParseError(ValueError):
@@ -76,11 +80,7 @@ class PredictionSet(Checked, _PredictionSet):
     __slots__ = ()
 
     def _check(self) -> None:
-        existing = {
-            (d.view_id, d.frame, d.identity)
-            for t in self.tracks
-            for d in t.detections
-        }
+        existing = {d[:3] for t in self.tracks for d in t.detections}  # (view, frame, identity)
         for key in self.scores:
             if key not in existing:
                 raise ValueError(f"score key {key} has no matching detection")
@@ -95,6 +95,8 @@ def read_json(path: Path | str, kind: type = dict) -> object:
     Invalid JSON, an object with a repeated key or a value of another type is
     a ParseError naming the file.
     """
+    import json
+
     path = Path(path)
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -199,43 +201,54 @@ _PREDICTION_ROWS = _layout(True, (BBox,), (BBox, ScoreRecord))
 _SCORE_ROWS = _layout(True, (ScoreRecord,))
 
 
-def _read_rows(
-    path: Path, layout: _Layout, convert: Callable[[tuple[int, int], list[Any]], None]
-) -> None:
-    """Call ``convert((frame, id), records)`` on each non-blank row of a headerless CSV.
+def _read_rows(path: Path, layout: _Layout) -> list[tuple]:
+    """The non-blank rows of a headerless CSV, as blocks of columns in file order.
 
-    Each row is split once; its key is read with the built-in ``int`` and its
-    records are built from ``float`` columns, so their own checks reject
-    non-finite or out-of-range values. A row that fails any of this (or holds
-    a non-ASCII character or an ``_``, which ``int`` and ``float`` would
-    accept) is read again by :func:`_checked_row`, which raises the first
-    error it has, naming the file, line and field.
+    A block is ``(frames, ids, records)`` for rows of one width, with one
+    column of ``records`` per record class. A file whose every non-empty line
+    is plain (ASCII without ``_``, which ``int`` and ``float`` would accept,
+    not all whitespace, and all of one width the layout allows) is one block:
+    its text is split once, each column is converted with the built-in ``int``
+    or ``float``, and the records are built column by column, so their own
+    checks reject non-finite or out-of-range values. Any other file, or one
+    that fails any of this, is read by :func:`_checked_rows`.
     """
-    spans, unique = layout
+    try:
+        text = path.read_text("utf-8")
+        if not text.isascii() or "_" in text:
+            raise ValueError
+        lines = list(filter(None, text.split("\n")))  # empty lines are skipped
+        (commas,) = set(map(str.count, lines, repeat(",")))  # a ValueError unless one width
+        width = commas + 1
+        if width not in layout.spans:
+            raise ValueError
+        fields = ",".join(lines).split(",")
+        frames = list(map(int, fields[0::width]))
+        ids = list(map(int, fields[1::width]))
+        if min(frames) < 1 or layout.unique and len(set(zip(frames, ids))) < len(frames):
+            raise ValueError
+        records = [
+            list(starmap(cls, zip(*(map(float, fields[i::width]) for i in range(start, stop)))))
+            for cls, start, stop in layout.spans[width]
+        ]
+    except ValueError:  # UnicodeDecodeError included
+        return _checked_rows(path, layout)
+    return [(frames, ids, records)]
+
+
+def _checked_rows(path: Path, layout: _Layout) -> list[tuple]:
+    """Every non-blank row of a CSV read by :func:`_checked_row`, one block per row."""
+    blocks = []
     first_line: dict[tuple[int, int], int] = {}
     with open(path, encoding="utf-8") as handle:
         try:
             for line_no, line in enumerate(handle, start=1):
-                if line.isspace():
-                    continue
-                fields = line.split(",")
-                row = spans.get(len(fields))
-                try:
-                    if row is None or not line.isascii() or "_" in line:
-                        raise ValueError
-                    key = int(fields[0]), int(fields[1])
-                    if key[0] < 1:
-                        raise ValueError
-                    if unique and first_line.setdefault(key, line_no) != line_no:
-                        raise ValueError
-                    records = []
-                    for cls, start, stop in row:
-                        records.append(cls(*map(float, fields[start:stop])))
-                except ValueError:
+                if not line.isspace():
                     key, records = _checked_row(path, line_no, line, layout, first_line)
-                convert(key, records)
+                    blocks.append(((key[0],), (key[1],), [(record,) for record in records]))
         except UnicodeDecodeError as exc:
             raise ParseError(path, f"not UTF-8 text: {exc}") from None
+    return blocks
 
 
 def _checked_row(
@@ -288,7 +301,7 @@ def _checked_row(
 
 def _write_rows(path: Path, rows: Iterable[Sequence[object]]) -> None:
     """Write numeric rows as headerless CSV; ``repr`` keeps every float exact."""
-    lines = [",".join(map(repr, row)) for row in rows]
+    lines = list(map(",".join, map(map, repeat(repr), rows)))
     path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
 
 
@@ -307,12 +320,7 @@ def _write_views(directory: Path | str, num_views: int, rows: Iterable[Sequence]
         by_view[row[0]].append(row)
     for view, view_rows in by_view.items():
         view_rows.sort(key=itemgetter(1, 2))
-        _write_rows(_view_file(directory, view), (row[1:] for row in view_rows))
-
-
-def _box_row(d: Detection) -> tuple:
-    view, frame, identity, box = d
-    return (view, frame, identity, *box)
+        _write_rows(_view_file(directory, view), map(itemgetter(slice(1, None)), view_rows))
 
 
 def _read_box_rows(
@@ -320,13 +328,12 @@ def _read_box_rows(
 ) -> tuple[list[Detection], dict[tuple[int, int, int], ScoreRecord]]:
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-
-    def convert(key: tuple[int, int], records: list[Any]) -> None:
-        detections.append(Detection(view, *key, records[0]))
+    for frames, ids, records in _read_rows(path, _PREDICTION_ROWS if allow_scores else _GT_ROWS):
+        # Detection checks nothing, so its tuples are built without a Python call per row.
+        rows = zip(repeat(view), frames, ids, records[0])
+        detections += map(tuple.__new__, repeat(Detection), rows)
         if len(records) == 2:
-            scores[(view, *key)] = records[1]
-
-    _read_rows(path, _PREDICTION_ROWS if allow_scores else _GT_ROWS, convert)
+            scores.update(zip(zip(repeat(view), frames, ids), records[1]))
     return detections, scores
 
 
@@ -375,7 +382,7 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
 def write_scene(scene: Scene, manifest_path: Path | str, gt_dir: Path | str) -> None:
     values = (scene.name, scene.num_views, scene.frames_per_view, *scene.image_size)
     write_json(dict(zip(_MANIFEST_FIELDS, values)), manifest_path)
-    _write_views(gt_dir, scene.num_views, map(_box_row, scene.all_detections()))
+    _write_views(gt_dir, scene.num_views, [(*d[:3], *d.bbox) for d in scene.all_detections()])
 
 
 def _attributes_from_json(raw: Mapping[str, object], path: Path) -> AttributeSet:
@@ -399,9 +406,10 @@ def parse_descriptions(
 ) -> list[LanguageDescription]:
     """Parse and validate the description list.
 
-    A repeated description ``id``, or an identity listed twice in one
-    ``referred_identities``, is an error. With a scene supplied, every
-    referred identity must exist in the scene's ground truth.
+    An ``id`` that is not one plain directory name (``evaluate`` reads the
+    predictions under ``<root>/<id>``), a repeated ``id``, or an identity
+    listed twice in one ``referred_identities`` is an error. With a scene
+    supplied, every referred identity must exist in the scene's ground truth.
     """
     path = Path(path)
     raw = read_json(path, list)
@@ -410,9 +418,12 @@ def parse_descriptions(
     for index, entry in enumerate(raw):
         _check_json(path, f"entry {index}", entry, dict)
         _check_json_fields(path, entry, _DESCRIPTION_FIELDS, f"entry {index}")
-        earlier = first_entry.setdefault(entry["id"], index)
+        desc_id = entry["id"]
+        if desc_id in ("", ".", "..") or any(c in desc_id for c in "/\\\0"):
+            raise ParseError(path, f"entry {index} id {desc_id!r} is not a plain directory name")
+        earlier = first_entry.setdefault(desc_id, index)
         if earlier != index:
-            message = f"repeats description id {entry['id']!r} (first in entry {earlier})"
+            message = f"repeats description id {desc_id!r} (first in entry {earlier})"
             raise ParseError(path, f"entry {index} {message}")
         referred = entry["referred_identities"]
         for position, identity in enumerate(referred):
@@ -421,7 +432,7 @@ def parse_descriptions(
             if identity in referred[:position]:
                 raise ParseError(path, f"{name} repeats identity {identity}")
         desc = LanguageDescription(
-            id=entry["id"],
+            id=desc_id,
             text=entry["text"],
             attributes=_attributes_from_json(entry["attributes"], path),
             referred_identities=frozenset(referred),
@@ -468,11 +479,12 @@ def parse_predictions(
 
 
 def write_predictions(pred: PredictionSet, directory: Path | str, num_views: int) -> None:
-    rows = []
-    for track in pred.tracks:
-        for d in track.detections:
-            row = _box_row(d)
-            rows.append(row + pred.scores.get(row[:3], ()))  # a ScoreRecord is (s_t, s_a)
+    scores = pred.scores
+    rows = [
+        (view, frame, identity, *box, *scores.get((view, frame, identity), ()))  # (s_t, s_a)
+        for track in pred.tracks
+        for view, frame, identity, box in track.detections
+    ]
     _write_views(directory, num_views, rows)
 
 
@@ -488,11 +500,8 @@ def parse_scores(
 
 def _read_score_rows(path: Path, view: int) -> dict[tuple[int, int, int], ScoreRecord]:
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-
-    def convert(key: tuple[int, int], records: list[Any]) -> None:
-        scores[(view, *key)] = records[0]
-
-    _read_rows(path, _SCORE_ROWS, convert)
+    for frames, ids, (records,) in _read_rows(path, _SCORE_ROWS):
+        scores.update(zip(zip(repeat(view), frames, ids), records))
     return scores
 
 
@@ -619,6 +628,8 @@ def build_report(
 
 def write_json(value: object, path: Path | str) -> None:
     """Write ``value`` as indented, key-sorted JSON ending in a newline."""
+    import json
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", "utf-8")

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .assignment import FORBIDDEN, CostMatrix, solve_lap
-from .datamodel import Checked, Detection, LanguageDescription, Scene, Track, check_type, iou
+from .datamodel import Detection, LanguageDescription, Scene, Track, iou
+from .datamodel import EvalConfig, check_iou_threshold  # defined there, re-exported here
 
 
 class UndefinedMetricError(ValueError):
@@ -26,30 +27,6 @@ class UndefinedMetricError(ValueError):
 
 class UndefinedAggregateError(ValueError):
     """Aggregation over zero descriptions is undefined."""
-
-
-def check_iou_threshold(value: object) -> None:
-    """Raise ``ValueError`` unless ``value`` is a finite number in (0, 1].
-
-    At 0 disjoint boxes would be feasible matches, and the gated sweep skips
-    pairs whose IoU is 0, which is exact only for a positive gate.
-    """
-    check_type("iou_threshold", value, float)
-    if not 0 < value <= 1:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {value!r}")
-
-
-class _EvalConfig(NamedTuple):
-    iou_threshold: float = 0.5
-
-
-class EvalConfig(Checked, _EvalConfig):
-    """Evaluation parameters; the 0.5 IoU gate is standard practice."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        check_iou_threshold(self.iou_threshold)
 
 
 class MetricCounts(NamedTuple):

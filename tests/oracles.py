@@ -7,6 +7,9 @@
 * The per-field CSV row reader ``cvrmot.ingest`` had before its one-pass
   reader: a row object per line, each field parsed and each record built
   through a checking wrapper that names the file, line and field.
+* The per-row CSV writer ``cvrmot.ingest`` had before it formatted whole
+  files: one ``",".join(map(repr, row))`` per row, each row built as a tuple
+  and sliced.
 
 Tests compare the current code against them.
 """
@@ -248,3 +251,29 @@ def oracle_score_rows(path: Path, view: int) -> dict[tuple[int, int, int], Score
         record = row.make(ScoreRecord, row.parse(2, "s_t"), row.parse(3, "s_a"))
         scores[(view, frame, identity)] = record
     return scores
+
+
+def oracle_write_views(directory: Path, num_views: int, rows: Sequence[tuple]) -> None:
+    """One ``view_NN.csv`` per view from ``(view, frame, id, ...)`` rows, by (frame, id)."""
+    by_view: dict[int, list[tuple]] = {view: [] for view in range(num_views)}
+    for row in rows:
+        by_view[row[0]].append(row)
+    for view, view_rows in by_view.items():
+        view_rows.sort(key=lambda row: (row[1], row[2]))
+        lines = [",".join(map(repr, row[1:])) for row in view_rows]
+        text = "\n".join(lines) + ("\n" if lines else "")
+        (Path(directory) / f"view_{view:02d}.csv").write_text(text, "utf-8")
+
+
+def oracle_box_row(d: Detection) -> tuple:
+    return (d.view_id, d.frame, d.identity, *d.bbox)
+
+
+def oracle_prediction_rows(tracks: Sequence[Track], scores: dict) -> list[tuple]:
+    """A detection's box row plus its ``(s_t, s_a)`` when it has a score."""
+    rows = []
+    for track in tracks:
+        for d in track.detections:
+            row = oracle_box_row(d)
+            rows.append(row + tuple(scores.get(row[:3], ())))
+    return rows

@@ -623,3 +623,22 @@ def test_repeated_description_id_is_rejected(workspace, capsys, command):
     err = capsys.readouterr().err
     assert f"{path}: entry 1 repeats description id 'd00' (first in entry 0)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bad_id", ["", ".", "..", "a/b", "a\\b", "a\0b"],
+    ids=["empty", "dot", "dotdot", "slash", "backslash", "nul"],
+)
+def test_description_id_must_be_a_plain_directory_name(workspace, capsys, bad_id):
+    path = workspace / "descriptions.json"
+    raw = json.loads(path.read_text())
+    raw[1]["id"] = bad_id
+    path.write_text(json.dumps(raw))
+    validate = ["validate", "--manifest", workspace / "manifest.json", "--gt-dir",
+                workspace / "gt", "--descriptions", path]
+    for argv in (_evaluate_argv(workspace, workspace / "tracks"), validate):
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: entry 1 id {bad_id!r} is not a plain directory name" in err
+        assert "Traceback" not in err

@@ -23,7 +23,13 @@ from cvrmot import (
 )
 from cvrmot.ingest import _read_box_rows, _read_score_rows
 
-from oracles import oracle_box_rows, oracle_score_rows
+from oracles import (
+    oracle_box_row,
+    oracle_box_rows,
+    oracle_prediction_rows,
+    oracle_score_rows,
+    oracle_write_views,
+)
 
 NUM_VIEWS = 3
 NUM_FRAMES = 4
@@ -69,6 +75,54 @@ def test_scores_round_trip(scores):
     with tempfile.TemporaryDirectory() as tmp:
         write_scores(scores, tmp, NUM_VIEWS)
         assert parse_scores(tmp, NUM_VIEWS) == scores
+
+
+# Numbers whose repr is easy to get wrong: signed zero, extremes, and ints.
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e22, -1e22, 5e-324])
+coordinates = st.one_of(EDGE_FLOATS, st.integers(-10**6, 10**6), finite)
+sides = st.one_of(st.sampled_from([1e-300, 1e22, 5e-324]), st.integers(1, 10**6), positive)
+unit_scores = st.one_of(st.sampled_from([-0.0, 0.0, 1e-300, 1.0, 0, 1]), unit)
+written_boxes = st.builds(BBox, coordinates, coordinates, sides, sides)
+written_scores = st.builds(ScoreRecord, unit_scores, unit_scores)
+
+
+def _same_files(tmp, write, oracle):
+    """``write`` and ``oracle`` each fill a directory; their files must be byte-identical."""
+    new, old = Path(tmp) / "new", Path(tmp) / "old"
+    write(new)
+    old.mkdir(parents=True)
+    oracle(old)
+    names = sorted(p.name for p in old.iterdir())
+    assert sorted(p.name for p in new.iterdir()) == names
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(keys, st.tuples(written_boxes, st.none() | written_scores), max_size=12))
+def test_writers_match_the_per_row_oracle(rows):
+    scores = {key: score for key, (_, score) in rows.items() if score is not None}
+    tracks = _tracks({key: bbox for key, (bbox, _) in rows.items()})
+    scene = Scene("s", NUM_VIEWS, NUM_FRAMES, (640, 480), tracks)
+    score_rows = [(*key, *record) for key, record in scores.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        _same_files(
+            Path(tmp) / "scene",
+            lambda out: write_scene(scene, out.parent / "manifest.json", out),
+            lambda out: oracle_write_views(
+                out, NUM_VIEWS, [oracle_box_row(d) for d in scene.all_detections()]
+            ),
+        )
+        _same_files(
+            Path(tmp) / "predictions",
+            lambda out: write_predictions(PredictionSet("d", tracks, scores), out, NUM_VIEWS),
+            lambda out: oracle_write_views(out, NUM_VIEWS, oracle_prediction_rows(tracks, scores)),
+        )
+        _same_files(
+            Path(tmp) / "scores",
+            lambda out: write_scores(scores, out, NUM_VIEWS),
+            lambda out: oracle_write_views(out, NUM_VIEWS, score_rows),
+        )
 
 
 numberish = st.text(alphabet="0123456789-+.,eEinfa _", max_size=40)
@@ -150,6 +204,17 @@ def _outcome(read):
         return "error", str(exc)
 
 
+def _readers(kind, path):
+    """The reader of ``kind`` and the per-field oracle of it, both reading ``path``."""
+    return {
+        "gt": (lambda: _read_box_rows(path, 1, False), lambda: oracle_box_rows(path, 1, False)),
+        "predictions": (
+            lambda: _read_box_rows(path, 1, True), lambda: oracle_box_rows(path, 1, True)
+        ),
+        "scores": (lambda: _read_score_rows(path, 1), lambda: oracle_score_rows(path, 1)),
+    }[kind]
+
+
 @pytest.mark.parametrize("kind", ["gt", "predictions", "scores"])
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
@@ -158,11 +223,40 @@ def test_row_reader_matches_the_per_field_oracle(kind, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "view_01.csv"
         path.write_bytes(text.encode("ascii"))
-        new, old = {
-            "gt": (lambda: _read_box_rows(path, 1, False), lambda: oracle_box_rows(path, 1, False)),
-            "predictions": (
-                lambda: _read_box_rows(path, 1, True), lambda: oracle_box_rows(path, 1, True)
-            ),
-            "scores": (lambda: _read_score_rows(path, 1), lambda: oracle_score_rows(path, 1)),
-        }[kind]
+        new, old = _readers(kind, path)
         assert _outcome(new) == _outcome(old)
+
+
+BOX_ROWS = [f"{frame},{identity},10.5,-2.0,5.0,6.25" for frame in (1, 2) for identity in (1, 2)]
+SCORED = [row + ",0.5,0.75" for row in BOX_ROWS]
+# Longer than the 8 KiB a text-mode file decodes at a time: a bad byte after that is
+# named by its position within its chunk, not within the file.
+LONG_GT = "".join(f"1,{identity},10.5,-2.0,5.0,6.25\n" for identity in range(400)).encode()
+
+# Edge cases of the whole-file pass and of the line-by-line reader it falls back to:
+# case -> (kind, file bytes, "ok" or a part of the error).
+EDGE_CASES = {
+    "mixed-widths": ("predictions", "\n".join(BOX_ROWS[:2] + SCORED[2:]).encode(), "ok"),
+    "blank-line": ("gt", "\n".join(BOX_ROWS[:2] + [""] + BOX_ROWS[2:]).encode(), "ok"),
+    "crlf": ("predictions", "\r\n".join(SCORED).encode() + b"\r\n", "ok"),
+    "cr": ("scores", b"1,1,0.5,0.5\r2,1,0.5,0.5\r", "ok"),
+    "x1c-padding": ("gt", "\n".join(BOX_ROWS[:1] + ["\x1c1,2,10.5,-2.0,5.0,6.25"]).encode(), "ok"),
+    "repeated-key": ("scores", b"1,1,0.5,0.5\n2,1,0.5,0.5\n1,1,0.25,0.5\n", "first at line 1"),
+    "empty": ("predictions", b"", "ok"),
+    "whitespace-only": ("gt", b" \n\t\n", "ok"),
+    "non-utf8-past-8k": ("gt", LONG_GT + b"2,1,1\xff.0,20.0,5.0,6.0\n", "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_row_reader_edge_cases_match_the_per_field_oracle(tmp_path, case):
+    kind, data, expected = EDGE_CASES[case]
+    path = tmp_path / "view_01.csv"
+    path.write_bytes(data)
+    new, old = _readers(kind, path)
+    status, value = _outcome(new)
+    assert (status, value) == _outcome(old)
+    if expected == "ok":
+        assert status == "ok"
+    else:
+        assert status == "error" and expected in value

@@ -55,6 +55,8 @@ def test_unknown_attribute_raises_naming_it():
 SCRIPT = """
 import sys
 
+before = set(sys.modules)  # what the interpreter and site load is not counted
+watched = {"cvrmot.metrics", "cvrmot.assignment", "fractions", "json"}
 mode, work = sys.argv[1:]
 if mode == "bare":
     import cvrmot
@@ -74,7 +76,8 @@ steps = {
 }
 for argv in steps[mode]:
     assert cli.main(argv) == 0, argv
-    print("@", argv[0], "dataclasses" in sys.modules, "cvrmot.synth" in sys.modules)
+    added = sorted(watched.intersection(sys.modules) - before)
+    print("@", argv[0], "dataclasses" in sys.modules, "cvrmot.synth" in sys.modules, *added)
 """
 
 
@@ -94,5 +97,29 @@ def test_subcommands_load_neither_dataclasses_nor_unused_modules(tmp_path):
     work.mkdir()
     (work / "errors.json").write_text(json.dumps({"miss_count": 1, "fp_count": 1}), "utf-8")
     assert _run("bare", work) == ["[] False"]
-    assert _run("synth", work) == ["synth False True"]
-    assert _run("score", work) == ["filter False False", "evaluate False False"]
+    [synthesized] = _run("synth", work)
+    assert synthesized.startswith("synth False True")  # synth itself runs metrics
+    filtered, evaluated = _run("score", work)
+    assert filtered == "filter False False"  # no metrics, assignment, fractions or json
+    assert evaluated.startswith("evaluate False False cvrmot.assignment cvrmot.metrics")
+
+
+def test_evaluate_calls_the_evaluate_description_set_on_cli(tmp_path, monkeypatch):
+    """A wrapper set on ``cvrmot.cli.evaluate_description`` sees every description scored."""
+    from cvrmot import cli
+
+    work = tmp_path / "work"
+    synth = ["synth", "--views", "2", "--ids", "2", "--frames", "4", "--descriptions", "2"]
+    assert cli.main([*synth, "--out", str(work)]) == 0
+    original, calls = cli.evaluate_description, []
+
+    def wrapper(scene, desc, tracks, config):
+        calls.append(desc.id)
+        return original(scene, desc, tracks, config)
+
+    monkeypatch.setattr(cli, "evaluate_description", wrapper)
+    argv = ["evaluate", "--manifest", str(work / "manifest.json"), "--gt-dir", str(work / "gt"),
+            "--descriptions", str(work / "descriptions.json"),
+            "--predictions-root", str(work / "tracks")]
+    assert cli.main(argv) == 0
+    assert calls == ["d00", "d01"]
