@@ -21,6 +21,7 @@ so ``filter`` loads neither.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import random
 import sys
@@ -306,6 +307,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_fuse_check(args: argparse.Namespace) -> int:
     trials = args.trials
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
     rng = random.Random(args.seed if args.seed is not None else 0)
     failures = 0
 
@@ -345,14 +348,9 @@ def cmd_fuse_check(args: argparse.Namespace) -> int:
         analytic = grad_loss_cmot(candidate)
         for axis in (0, 1):
             def shifted(delta: float) -> float:
-                kwargs = {
-                    "l_d": candidate.l_d,
-                    "l_s": candidate.l_s,
-                    "l_c": candidate.l_c,
-                    "w1": candidate.w1 + (delta if axis == 0 else 0.0),
-                    "w2": candidate.w2 + (delta if axis == 1 else 0.0),
-                }
-                return loss_cmot(LossInputs(**kwargs))
+                w = [candidate.w1, candidate.w2]
+                w[axis] += delta
+                return loss_cmot(LossInputs(candidate.l_d, candidate.l_s, candidate.l_c, *w))
 
             fd = (shifted(h) - shifted(-h)) / (2 * h)
             rel = abs(analytic[axis] - fd) / max(1.0, abs(analytic[axis]))
@@ -373,64 +371,64 @@ def cmd_fuse_check(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``cvrmot`` parser; given a ``command``, only that subcommand gets its flags.
+
+    Every subcommand is listed either way, so top-level help and errors are the same.
+    """
     parser = argparse.ArgumentParser(
         prog="cvrmot",
         description="Cross-view referring multi-object tracking evaluation toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("evaluate", help="evaluate predictions against ground truth")
-    p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--gt-dir", dest="gt_dir", required=True)
-    p_eval.add_argument("--descriptions", required=True)
-    p_eval.add_argument("--predictions-root", dest="predictions_root", required=True)
-    p_eval.add_argument("--out", help="report JSON path")
-    p_eval.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default: 1, in this process)"
-    )
-    _add_config_flags(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate)
+    def add(name: str, help_text: str, func) -> Optional[argparse.ArgumentParser]:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p if command in (None, name) else None
 
-    p_filter = sub.add_parser("filter", help="filter tracks by fused scores")
-    p_filter.add_argument("--tracks", required=True, help="directory of per-view track CSVs")
-    p_filter.add_argument("--scores", help="directory of per-view score CSVs (frame,id,s_t,s_a)")
-    p_filter.add_argument("--out", required=True)
-    _add_config_flags(p_filter)
-    p_filter.set_defaults(func=cmd_filter)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic scene and fixtures")
-    p_synth.add_argument("--views", type=int, default=3)
-    p_synth.add_argument("--ids", type=int, default=5)
-    p_synth.add_argument("--frames", type=int, default=30)
-    p_synth.add_argument("--image-width", dest="image_width", type=int, default=1920)
-    p_synth.add_argument("--image-height", dest="image_height", type=int, default=1080)
-    p_synth.add_argument("--descriptions", type=int, default=1)
-    p_synth.add_argument("--errors", help="JSON file with the error spec")
-    p_synth.add_argument("--hi", type=float, default=0.95)
-    p_synth.add_argument("--lo", type=float, default=0.05)
-    p_synth.add_argument("--jitter", type=float, default=0.0)
-    p_synth.add_argument("--out", required=True)
-    _add_config_flags(p_synth)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_validate = sub.add_parser("validate", help="validate ground truth and descriptions")
-    p_validate.add_argument("--manifest", required=True)
-    p_validate.add_argument("--gt-dir", dest="gt_dir", required=True)
-    p_validate.add_argument("--descriptions")
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_check = sub.add_parser("fuse-check", help="numeric self-tests of fusion and losses")
-    p_check.add_argument("--trials", type=int, default=1000)
-    p_check.add_argument("--seed", type=int)
-    p_check.set_defaults(func=cmd_fuse_check)
-
+    if p := add("evaluate", "evaluate predictions against ground truth", cmd_evaluate):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--gt-dir", dest="gt_dir", required=True)
+        p.add_argument("--descriptions", required=True)
+        p.add_argument("--predictions-root", dest="predictions_root", required=True)
+        p.add_argument("--out", help="report JSON path")
+        p.add_argument(
+            "--jobs", type=int, default=1, help="worker processes (default: 1, in this process)"
+        )
+        _add_config_flags(p)
+    if p := add("filter", "filter tracks by fused scores", cmd_filter):
+        p.add_argument("--tracks", required=True, help="directory of per-view track CSVs")
+        p.add_argument("--scores", help="directory of per-view score CSVs (frame,id,s_t,s_a)")
+        p.add_argument("--out", required=True)
+        _add_config_flags(p)
+    if p := add("synth", "generate a synthetic scene and fixtures", cmd_synth):
+        p.add_argument("--views", type=int, default=3)
+        p.add_argument("--ids", type=int, default=5)
+        p.add_argument("--frames", type=int, default=30)
+        p.add_argument("--image-width", dest="image_width", type=int, default=1920)
+        p.add_argument("--image-height", dest="image_height", type=int, default=1080)
+        p.add_argument("--descriptions", type=int, default=1)
+        p.add_argument("--errors", help="JSON file with the error spec")
+        p.add_argument("--hi", type=float, default=0.95)
+        p.add_argument("--lo", type=float, default=0.05)
+        p.add_argument("--jitter", type=float, default=0.0)
+        p.add_argument("--out", required=True)
+        _add_config_flags(p)
+    if p := add("validate", "validate ground truth and descriptions", cmd_validate):
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--gt-dir", dest="gt_dir", required=True)
+        p.add_argument("--descriptions")
+    if p := add("fuse-check", "numeric self-tests of fusion and losses", cmd_fuse_check):
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--seed", type=int)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse runs a subcommand's parser only when argv[0] names it.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (MissingScoreError, ValueError, OSError) as exc:  # InfeasibleSpecError is a ValueError
@@ -439,7 +437,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    status = main()
+    gc.freeze()  # the interpreter's final collections then skip every live object
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -223,6 +223,9 @@ def validate_scene(scene: Scene) -> ValidationReport:
         found.append(
             Violation("scene", f"frames_per_view must be >= 1, got {scene.frames_per_view}")
         )
+    for name, size in zip(("image_width", "image_height"), scene.image_size):
+        if size < 1:
+            found.append(Violation("scene", f"{name} must be >= 1, got {size}"))
     seen_identities: set[int] = set()
     seen_slots: set[tuple[int, int, int]] = set()
     for track in scene.gt_tracks:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain, combinations, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .assignment import FORBIDDEN, CostMatrix, solve_lap
@@ -128,43 +130,44 @@ def restrict_gt(scene: Scene, desc: LanguageDescription) -> tuple[Track, ...]:
     return tuple(t for t in scene.gt_tracks if t.identity in desc.referred_identities)
 
 
-def _gated_edges(
-    gt_dets: Sequence[Detection],
-    pred_dets: Sequence[Detection],
-    iou_threshold: float,
-) -> list[tuple[int, int, float]]:
-    """(gt index, pred index, IoU) for every pair at or above the IoU gate.
+def _sweep(entries: list[tuple], iou_threshold: float) -> list[tuple]:
+    """(frame, gt key, pred key, IoU) for every same-frame pair at or above the gate.
 
-    Boxes are swept in order of their left edge, and a pair is scored only
-    when both its x extents and its y extents overlap: ``iou`` is 0 for every
-    other pair (its right and bottom edges are the same sums ``x + w`` and
-    ``y + h`` as here), and the gate is positive, so no gated pair is
-    skipped.
+    ``entries`` holds ``(x, side, key, frame, box)`` for every box of one
+    view, side 0 for ground truth and 1 for predictions, with keys unique per
+    (frame, side). Each frame's boxes are swept in order of their left edge,
+    and a pair is scored only when both its x extents and its y extents
+    overlap: ``iou`` is 0 for every other pair (its right and bottom edges
+    are the same sums ``x + w`` and ``y + h`` as here), and the gate is
+    positive, so no gated pair is skipped. Edges come out frame by frame.
     """
-    if not gt_dets or not pred_dets:
-        return []
-    boxes = ([d.bbox for d in gt_dets], [d.bbox for d in pred_dets])
-    starts = [
-        (x, side, k, x + w, y, y + h)
-        for side in (0, 1)
-        for k, (x, y, w, h) in enumerate(boxes[side])
-    ]
-    starts.sort()
-    # per side: (right edge, top edge, bottom edge, index)
-    open_boxes: list[list[tuple[float, float, float, int]]] = [[], []]
+    # Sorted by (frame, x, side, key) in two stable passes: tuples sort fast
+    # while their first items differ, and frames repeat far more than x does.
+    entries.sort()
+    entries.sort(key=itemgetter(3))
+    # per side: (right edge, top edge, bottom edge, key, box)
+    open_boxes: list[list[tuple]] = [[], []]
+    current = None
     edges = []
-    for x, side, k, x2, y, y2 in starts:
-        # A box whose right edge is at or left of x overlaps nothing from here on.
-        others = [o for o in open_boxes[1 - side] if o[0] > x]
-        open_boxes[1 - side] = others
-        for _, top, bottom, o in others:
-            if bottom <= y or y2 <= top:
-                continue
-            gi, pj = (k, o) if side == 0 else (o, k)
-            overlap = iou(boxes[0][gi], boxes[1][pj])
-            if overlap >= iou_threshold:
-                edges.append((gi, pj, overlap))
-        open_boxes[side].append((x2, y, y2, k))
+    for x, side, key, frame, box in entries:
+        if frame != current:
+            current = frame
+            open_boxes = [[], []]
+        _, y, w, h = box
+        y2 = y + h
+        others = open_boxes[1 - side]
+        if others:
+            # A box whose right edge is at or left of x overlaps nothing from here on.
+            others = open_boxes[1 - side] = [o for o in others if o[0] > x]
+            for _, top, bottom, other, other_box in others:
+                if bottom <= y or y2 <= top:
+                    continue
+                g, p = (key, other) if side == 0 else (other, key)
+                gt_box, pred_box = (box, other_box) if side == 0 else (other_box, box)
+                overlap = iou(gt_box, pred_box)
+                if overlap >= iou_threshold:
+                    edges.append((frame, g, p, overlap))
+        open_boxes[side].append((x + w, y, y2, key, box))
     return edges
 
 
@@ -197,18 +200,18 @@ def _components(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[list[int], l
 
 
 def _component_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int, int]]:
-    """Minimum-cost matching on cost 1 - IoU over the gated pairs only.
+    """Minimum-cost matching on cost 1 - IoU over one slot's gated (gt, pred, IoU) edges.
 
     The gated graph is split into connected components. A component with one
     GT box and one prediction is matched directly; any larger one is solved
-    by ``solve_lap`` with its rows and columns in their original relative
-    order. Cardinality and cost add up over components and the lexicographic
+    by ``solve_lap`` with its rows and columns in the sort order of their
+    keys. Cardinality and cost add up over components and the lexicographic
     tie-break decides each component independently, so the union is the
     optimum ``solve_lap`` returns for the whole dense matrix (ties closer
     than the solver's tolerance are decided within their component).
     When no two gated pairs share a GT box or a prediction, every component
     is 1 x 1 and the gated pairs are the matching, so they are returned
-    without the walk. Returns the matched (gt index, pred index) pairs, sorted.
+    without the walk. Returns the matched (gt key, pred key) pairs, sorted.
     """
     pairs = [(gi, pj) for gi, pj, _ in edges]
     if len({gi for gi, _ in pairs}) == len(pairs) == len({pj for _, pj in pairs}):
@@ -225,6 +228,22 @@ def _component_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int,
         pairs.extend((rows[a], cols[b]) for a, b in solved.pairs)
     pairs.sort()
     return pairs
+
+
+def _view_pairs(edges: Sequence[tuple[int, int, int, float]]) -> list[tuple[int, int, int]]:
+    """Matched (frame, gt key, pred key) of one view's :func:`_sweep` edges.
+
+    When no (frame, gt key) and no (frame, pred key) repeats, every component
+    is 1 x 1 and the edges are the matching; else each frame's are matched.
+    """
+    gts, preds = set(map(itemgetter(0, 1), edges)), set(map(itemgetter(0, 2), edges))
+    if len(gts) == len(edges) == len(preds):
+        return [edge[:3] for edge in edges]
+    return [
+        (frame, g, p)
+        for frame, slot in groupby(edges, itemgetter(0))
+        for g, p in _component_pairs([edge[1:] for edge in slot])
+    ]
 
 
 def _match_components(
@@ -253,26 +272,30 @@ def match_frame(
     of ``solve_lap``. Indices refer to the input sequences as given.
     """
     check_iou_threshold(iou_threshold)
-    return _match_components(
-        len(gt_dets), len(pred_dets), _gated_edges(gt_dets, pred_dets, iou_threshold)
-    )
+    sides = enumerate((gt_dets, pred_dets))
+    entries = [(d.bbox.x, side, k, 0, d.bbox) for side, dets in sides for k, d in enumerate(dets)]
+    edges = [(g, p, overlap) for _, g, p, overlap in _sweep(entries, iou_threshold)]
+    return _match_components(len(gt_dets), len(pred_dets), edges)
 
 
-def _index_by_slot(
-    tracks: Sequence[Track], side: str
-) -> dict[tuple[int, int], list[Detection]]:
-    """Detections per (view, frame), sorted by identity; one per identity."""
-    slots: dict[tuple[int, int], dict[int, Detection]] = defaultdict(dict)
+def _view_entries(tracks: Sequence[Track], side: int, name: str) -> dict[int, list[tuple]]:
+    """Per view, the :func:`_sweep` entries of ``tracks`` keyed by identity.
+
+    The first (view, frame, identity) to repeat, tracks taken in order, is a ValueError.
+    """
+    by_view: dict[int, list[tuple]] = defaultdict(list)
     for track in tracks:
-        for det in track.detections:
-            view, frame, identity, _ = det
-            slot = slots[(view, frame)]
-            if identity in slot:
+        for view, frame, identity, box in track.detections:
+            by_view[view].append((box[0], side, identity, frame, box))
+    if any(len(set(map(itemgetter(2, 3), e))) < len(e) for e in by_view.values()):
+        seen: set[tuple[int, int, int]] = set()
+        for view, frame, identity in (det[:3] for track in tracks for det in track.detections):
+            if (view, frame, identity) in seen:
                 raise ValueError(
-                    f"{side} identity {identity} appears twice at view {view}, frame {frame}"
+                    f"{name} identity {identity} appears twice at view {view}, frame {frame}"
                 )
-            slot[identity] = det
-    return {key: [by_id[i] for i in sorted(by_id)] for key, by_id in slots.items()}
+            seen.add((view, frame, identity))
+    return by_view
 
 
 class GatedPass(NamedTuple):
@@ -294,48 +317,43 @@ def gated_pass(
 ) -> GatedPass:
     """Score every (view, frame) once for both CVMA and CVIDF1.
 
-    Each slot lists its gated (gt, pred) pairs with one sweep, matches them
-    per connected component, and adds one to the overlap count of every
-    gated pair. A mismatched pair is either temporal (a ground-truth identity
-    matched in some view to a different predicted identity than at its
-    previous matched frame in that view) or cross-view (an unordered pair of
-    views where the same ground-truth identity is matched to two different
-    predicted identities at the same frame). Frames where the referred
-    objects are absent still contribute their false positives.
+    One sweep per view, over all of its frames, lists the gated (gt, pred)
+    pairs of each (view, frame) slot; the pairs are matched per slot and
+    connected component, and every gated pair adds one to its overlap count.
+    A mismatched pair is either temporal (a ground-truth identity matched in
+    some view to a different predicted identity than at its previous matched
+    frame in that view) or cross-view (an unordered pair of views where the
+    same ground-truth identity is matched to two different predicted
+    identities at the same frame). Frames where the referred objects are
+    absent still contribute their false positives.
 
     Raises ``ValueError`` when one identity has two boxes in one slot.
     """
     check_iou_threshold(iou_threshold)
-    gt_slots = _index_by_slot(referred_gt, "ground-truth")
-    pred_slots = _index_by_slot(predictions, "predicted")
-    frames = sorted({f for _, f in gt_slots} | {f for _, f in pred_slots})
-    views = sorted({v for v, _ in gt_slots} | {v for v, _ in pred_slots})
+    gt_views = _view_entries(referred_gt, 0, "ground-truth")
+    pred_views = _view_entries(predictions, 1, "predicted")
+    frame_of = itemgetter(3)
+    gt_per_frame = Counter(map(frame_of, chain.from_iterable(gt_views.values())))
+    pred_per_frame = Counter(map(frame_of, chain.from_iterable(pred_views.values())))
 
     overlap: Counter[tuple[int, int]] = Counter()
+    # frame -> gt identity -> view -> pred identity
+    matched_at: dict[int, dict[int, dict[int, int]]] = {}
+    for view in sorted(gt_views.keys() & pred_views.keys()):
+        edges = _sweep(gt_views[view] + pred_views[view], iou_threshold)
+        overlap.update(map(itemgetter(1, 2), edges))
+        for frame, g, p in _view_pairs(edges):
+            matched_at.setdefault(frame, {}).setdefault(g, {})[view] = p
+
+    frames = sorted(gt_per_frame.keys() | pred_per_frame.keys())
     last_matched: dict[tuple[int, int], int] = {}  # (gt identity, view) -> pred identity
-    out_m: list[int] = []
-    out_fp: list[int] = []
-    out_mme: list[int] = []
-    out_gt: list[int] = []
+    out_m, out_fp, out_mme = [], [], []
     for frame in frames:
-        m_t = fp_t = gt_t = 0
-        matched_here: dict[int, dict[int, int]] = defaultdict(dict)  # gt id -> view -> pred id
-        for view in views:
-            gts = gt_slots.get((view, frame), [])
-            preds = pred_slots.get((view, frame), [])
-            gt_t += len(gts)
-            edges = _gated_edges(gts, preds, iou_threshold)
-            for gi, pj, _ in edges:
-                overlap[(gts[gi].identity, preds[pj].identity)] += 1
-            pairs = _component_pairs(edges)
-            m_t += len(gts) - len(pairs)
-            fp_t += len(preds) - len(pairs)
-            for gi, pj in pairs:
-                matched_here[gts[gi].identity][view] = preds[pj].identity
-        temporal = 0
-        crossview = 0
+        matched_here = matched_at.get(frame, {})
+        matched = temporal = crossview = 0
         for gt_id in sorted(matched_here):
             by_view = matched_here[gt_id]
+            matched += len(by_view)
             for view in sorted(by_view):
                 pred_id = by_view[view]
                 previous = last_matched.get((gt_id, view))
@@ -343,17 +361,12 @@ def gated_pass(
                     temporal += 1
                 last_matched[(gt_id, view)] = pred_id
             pred_ids = [by_view[v] for v in sorted(by_view)]
-            for i in range(len(pred_ids)):
-                for j in range(i + 1, len(pred_ids)):
-                    if pred_ids[i] != pred_ids[j]:
-                        crossview += 1
-        out_m.append(m_t)
-        out_fp.append(fp_t)
+            crossview += sum(a != b for a, b in combinations(pred_ids, 2))
+        out_m.append(gt_per_frame[frame] - matched)
+        out_fp.append(pred_per_frame[frame] - matched)
         out_mme.append(temporal + crossview)
-        out_gt.append(gt_t)
-    counts = MetricCounts(
-        tuple(frames), tuple(out_m), tuple(out_fp), tuple(out_mme), tuple(out_gt)
-    )
+    gt_totals = tuple(gt_per_frame[f] for f in frames)
+    counts = MetricCounts(tuple(frames), tuple(out_m), tuple(out_fp), tuple(out_mme), gt_totals)
     return GatedPass(counts, overlap)
 
 

@@ -1,8 +1,14 @@
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cvrmot
 from cvrmot.cli import RunConfig, build_parser, main
 from cvrmot.fusion_losses import FusionWeights
 from cvrmot.ingest import read_report, write_scene
@@ -642,3 +648,124 @@ def test_description_id_must_be_a_plain_directory_name(workspace, capsys, bad_id
         err = capsys.readouterr().err
         assert f"{path}: entry 1 id {bad_id!r} is not a plain directory name" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("side, value", [("image_width", -5), ("image_height", 0)])
+def test_manifest_image_size_below_one_is_rejected(workspace, capsys, side, value):
+    path = workspace / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[side] = value
+    path.write_text(json.dumps(manifest))
+    validate = ["validate", "--manifest", path, "--gt-dir", workspace / "gt"]
+    for argv in (validate, _evaluate_argv(workspace, workspace / "tracks")):
+        capsys.readouterr()
+        assert run(argv) == 2
+        out = capsys.readouterr()
+        assert f"error: {path}: invalid scene: [scene] {side} must be >= 1, got {value}" in out.err
+        assert "OK" not in out.out
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_fuse_check_rejects_trials_below_one(capsys, trials):
+    assert run(["fuse-check", "--trials", trials]) == 2
+    out = capsys.readouterr()
+    assert f"error: --trials must be at least 1, got {trials}" in out.err
+    assert "PASS" not in out.out
+
+
+def _argparse_exit(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends in ``SystemExit``."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+COMMANDS = ["evaluate", "filter", "synth", "validate", "fuse-check"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[command, "--help"] for command in COMMANDS]
+    + [[command] for command in COMMANDS[:3]]
+    + [["--help"], ["no-such-command"], ["evaluate", "--no-such-flag"]],
+)
+def test_main_parses_like_the_full_parser(argv, capsys):
+    """``main`` builds only the named subcommand's flags; help and errors are the same."""
+    full = _argparse_exit(build_parser().parse_args, argv, capsys)
+    assert _argparse_exit(main, argv, capsys) == full
+    if argv == ["--help"]:
+        assert "{evaluate,filter,synth,validate,fuse-check}" in full[1]
+    if argv == ["no-such-command"]:
+        assert full[0] == 2 and "invalid choice: 'no-such-command'" in full[2]
+
+
+def _console(*argv):
+    """``python -m cvrmot.cli argv`` in a new interpreter."""
+    src = str(Path(cvrmot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "cvrmot.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_console_entry_runs_the_pipeline_like_main(tmp_path, capsys):
+    work = tmp_path / "work"
+    synth = _console("synth", "--views", 2, "--ids", 3, "--frames", 6, "--descriptions", 2,
+                     "--out", work)
+    assert synth.returncode == 0, synth.stderr
+    for desc_id in ("d00", "d01"):
+        filtered = _console("filter", "--tracks", work / "tracks" / desc_id,
+                            "--out", work / "filtered" / desc_id)
+        assert filtered.returncode == 0, filtered.stderr
+        assert filtered.stdout.startswith("kept ")
+    argv = _evaluate_argv(work, work / "filtered")
+    evaluated = _console(*argv, "--out", tmp_path / "console.json")
+    assert evaluated.returncode == 0, evaluated.stderr
+    lines = evaluated.stdout.splitlines()
+    assert lines[0].split() == ["description", "CVIDF1", "CVMA"]
+    assert [line.split()[0] for line in lines[1:3]] == ["d00", "d01"]
+    assert lines[-1].startswith("aggregate") and lines[-1].endswith("(n_l=2)")
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "main.json"]) == 0
+    assert capsys.readouterr().out == evaluated.stdout
+    assert (tmp_path / "console.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_console_entry_errors_exit_2_without_a_traceback(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("{", "utf-8")
+    parse_error = _console("validate", "--manifest", manifest, "--gt-dir", tmp_path)
+    usage_error = _console("evaluate", "--manifest", manifest)
+    for done in (parse_error, usage_error):
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+    assert parse_error.stderr.startswith(f"error: {manifest}: invalid JSON: ")
+    assert "the following arguments are required: --gt-dir" in usage_error.stderr
+
+
+def test_console_entry_freezes_the_collector_only_at_exit(tmp_path):
+    """``console_main`` freezes the heap after ``main`` returns; ``atexit`` still runs."""
+    script = (
+        "import atexit, gc, sys\n"
+        "from cvrmot.cli import console_main\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, gc.isenabled()))\n"
+        "sys.argv = ['cvrmot', 'fuse-check', '--trials', '3']\n"
+        "console_main()\n"
+    )
+    src = str(Path(cvrmot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "frozen True True"
+
+
+def test_main_leaves_the_collector_alone(workspace, capsys):
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert run(_evaluate_argv(workspace, workspace / "tracks")) == 0
+    assert run(["fuse-check", "--trials", 3]) == 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()

@@ -171,9 +171,9 @@ def test_duplicate_identity_in_a_slot_is_rejected():
     scene = lane_scene(num_views=2, num_ids=1, num_frames=2)
     track = scene.gt_tracks[0]
     doubled = Track(track.identity, track.detections + track.detections[:1])
-    with pytest.raises(ValueError, match="predicted identity 1 appears twice"):
+    with pytest.raises(ValueError, match="^predicted identity 1 appears twice at view 0, frame 1$"):
         count_events(scene.gt_tracks, (doubled,))
-    with pytest.raises(ValueError, match="ground-truth identity 1 appears twice"):
+    with pytest.raises(ValueError, match="^ground-truth identity 1 appears twice at view 0, frame 1$"):
         id_measures((doubled,), tracks_copy(scene))
     with pytest.raises(ValueError, match="appears twice"):
         evaluate_description(scene, desc_for(scene), (doubled,))
@@ -338,3 +338,83 @@ def test_direct_one_by_one_pairs_equal_the_component_path(drawn):
         dense[r][c] = 1.0 - overlap
     solved = sorted(cvrmot.solve_lap(CostMatrix.from_rows(dense)).pairs)
     assert _component_pairs(edges) == walked == solved == sorted(zip(rows, cols))
+
+
+def test_duplicate_identity_names_the_first_repeat_in_track_order():
+    """Tracks and their detections are read in order; the first repeat found is named."""
+    late = Track(5, (Detection(1, 2, 5, BBox(0, 0, 10, 10)), Detection(1, 2, 5, BBox(9, 0, 10, 10))))
+    early = Track(2, (Detection(0, 1, 2, BBox(0, 0, 10, 10)), Detection(0, 1, 2, BBox(50, 0, 10, 10))))
+    with pytest.raises(ValueError, match="^predicted identity 5 appears twice at view 1, frame 2$"):
+        gated_pass((), (late, early))
+    with pytest.raises(ValueError, match="^ground-truth identity 2 appears twice at view 0, frame 1$"):
+        gated_pass((early, late), (late,))
+
+
+def _check_against_dense(gt_tracks, pred_tracks, threshold=0.5):
+    shared = gated_pass(gt_tracks, pred_tracks, threshold)
+    assert shared.counts == dense_count_events(gt_tracks, pred_tracks, threshold)
+    assert _identity_bijection(gt_tracks, pred_tracks, shared.overlap) == dense_id_measures(
+        gt_tracks, pred_tracks, threshold
+    )
+    return shared
+
+
+def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
+    """Only the view with a 2 x 2 component is matched frame by frame."""
+    gt, pred = defaultdict(list), defaultdict(list)
+    for view in (0, 1):
+        for frame in range(1, 6):
+            for g, p, x in ((1, 101, 0), (2, 102, 300)):  # far apart: two 1 x 1 components
+                gt[g].append(Detection(view, frame, g, BBox(x, 0, 10, 10)))
+                pred[p].append(Detection(view, frame, p, BBox(x + 1, 0, 10, 10)))
+    # View 0, frame 6: every GT box overlaps every prediction; the crossed pairs overlap most.
+    for g, x in ((1, 100), (2, 102)):
+        gt[g].append(Detection(0, 6, g, BBox(x, 0, 10, 10)))
+    for p, x in ((101, 103), (102, 100.5)):
+        pred[p].append(Detection(0, 6, p, BBox(x, 0, 10, 10)))
+    gt_tracks = tuple(Track(i, tuple(ds)) for i, ds in gt.items())
+    pred_tracks = tuple(Track(i, tuple(ds)) for i, ds in pred.items())
+    calls = []
+    original = metrics._component_pairs
+    monkeypatch.setattr(metrics, "_component_pairs", lambda e: calls.append(len(e)) or original(e))
+    shared = _check_against_dense(gt_tracks, pred_tracks)
+    assert calls == [2, 2, 2, 2, 2, 4]  # view 0 only, one call per frame
+    assert shared.counts.mismatches[-1] == 2  # 1 -> 102 and 2 -> 101 at frame 6
+    assert dict(shared.overlap) == {(1, 101): 11, (2, 102): 11, (1, 102): 1, (2, 101): 1}
+
+
+@pytest.mark.parametrize("with_same_frame_gt", [False, True])
+def test_boxes_of_neighbouring_frames_never_pair(monkeypatch, with_same_frame_gt):
+    gt_dets = [Detection(0, 1, 1, BBox(0, 0, 10, 10))]  # frame f
+    if with_same_frame_gt:
+        gt_dets.append(Detection(0, 2, 1, BBox(2, 0, 10, 10)))
+    gt_tracks = (Track(1, tuple(gt_dets)),)
+    pred_tracks = (Track(101, (Detection(0, 2, 101, BBox(1, 1, 10, 10)),)),)  # frame f + 1
+    calls = []
+    monkeypatch.setattr("cvrmot.metrics.iou", lambda a, b: calls.append(1) or cvrmot.iou(a, b))
+    shared = _check_against_dense(gt_tracks, pred_tracks)
+    assert len(calls) == int(with_same_frame_gt)
+    assert dict(shared.overlap) == ({(1, 101): 1} if with_same_frame_gt else {})
+    assert shared.counts.misses == (1, 0)
+    assert shared.counts.false_positives == ((0, 0) if with_same_frame_gt else (0, 1))
+
+
+def test_equal_iou_ties_follow_identity_order_not_input_order():
+    """All four pairs of frame 1 tie; identity order, not track order, breaks the tie."""
+    def tracks(boxes):
+        by_id = defaultdict(list)
+        for frame, identity, x in boxes:
+            by_id[identity].append(Detection(0, frame, identity, BBox(x, 0, 10, 10)))
+        return [Track(i, tuple(ds)) for i, ds in by_id.items()]
+
+    # Frame 1: two identical GT boxes, predictions mirrored around them.
+    # Frame 2: each GT identity overlaps one prediction only.
+    gt = tracks([(1, 9, 10), (1, 3, 10), (2, 9, 100), (2, 3, 200)])
+    pred = tracks([(1, 205, 8), (1, 201, 12), (2, 205, 100), (2, 201, 200)])
+    results = []
+    for gt_order, pred_order in product((gt, gt[::-1]), (pred, pred[::-1])):
+        results.append(_check_against_dense(tuple(gt_order), tuple(pred_order)))
+    assert all(r == results[0] for r in results)
+    # The tie goes 3 -> 201 and 9 -> 205, so frame 2 keeps both: no switch.
+    assert results[0].counts.mismatches == (0, 0)
+    assert [t.identity for t in gt] == [9, 3] and [t.identity for t in pred] == [205, 201]
