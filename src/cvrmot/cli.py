@@ -26,6 +26,7 @@ import math
 import random
 import sys
 from importlib import import_module
+from operator import getitem
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, NamedTuple, Optional, Sequence
 
@@ -38,8 +39,6 @@ from .datamodel import (
     Scene,
     check_type,
     field_types,
-    validate_attributes,
-    validate_scene,
 )
 from .fusion_losses import (
     FusionWeights,
@@ -53,15 +52,18 @@ from .fusion_losses import (
 from .ingest import (
     PredictionSet,
     build_report,
+    line_identities,
     parse_descriptions,
     parse_predictions,
     parse_scene,
     parse_scores,
+    prediction_lines,
     read_json,
     render_description,
     view_count,
     write_descriptions,
     write_json,
+    write_lines,
     write_predictions,
     write_report,
     write_scene,
@@ -264,18 +266,33 @@ def cmd_synth(args: argparse.Namespace) -> int:
         descriptions.append(_sample_description(rng, scene, index, referred))
     write_descriptions(descriptions, out / "descriptions.json")
     base = cli.predictions_from_gt(scene)
-    for desc in descriptions:
+    everyone = frozenset(identities)
+    # score_tracks draws one jitter stream whatever is referred, so a detection's
+    # record is one of two: its hi-level one when its identity is referred and its
+    # lo-level one when not. Each level a description needs is scored and formatted
+    # once; a description's row takes the line of its identity's level.
+    levels = [everyone]  # d00 refers to every identity
+    if any(desc.referred_identities != everyone for desc in descriptions):
+        levels.append(frozenset())
+    lines = []
+    for referred in levels:
         scores = cli.score_tracks(
-            scene,
-            base,
-            desc.referred_identities,
-            hi=args.hi,
-            lo=args.lo,
-            seed=seed + 2,
-            jitter=args.jitter,
+            scene, base, referred, hi=args.hi, lo=args.lo, seed=seed + 2, jitter=args.jitter
         )
-        scored = PredictionSet(desc.id, base.tracks, scores)
-        write_predictions(scored, out / "tracks" / desc.id, scene.num_views)
+        scored = PredictionSet(base.description_id, base.tracks, scores)
+        lines.append(prediction_lines(scored, scene.num_views))
+    if len(lines) == 2:
+        choices = [list(zip(lo, hi)) for hi, lo in zip(*lines)]  # indexed by "is referred"
+        row_ids = line_identities(base.tracks, scene.num_views)
+    for desc in descriptions:
+        desc_lines = lines[0]
+        if desc.referred_identities != everyone:
+            is_referred = desc.referred_identities.__contains__
+            desc_lines = [
+                list(map(getitem, pairs, map(is_referred, ids)))
+                for pairs, ids in zip(choices, row_ids)
+            ]
+        write_lines(out / "tracks" / desc.id, desc_lines)
     if args.errors:
         spec = cli.ErrorSpec(**_read_keys(args.errors, field_types(cli.ErrorSpec), "error spec"))
         first = descriptions[0].id
@@ -287,22 +304,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    """Parse the scene and descriptions, whose parsers raise on the first violation."""
     scene = parse_scene(args.manifest, args.gt_dir)
-    report = validate_scene(scene)
-    status = 0
-    for violation in report:
-        print(str(violation), file=sys.stderr)
-        status = 1
     if args.descriptions:
-        descriptions = parse_descriptions(args.descriptions, scene)
-        for desc in descriptions:
-            attr_report = validate_attributes(desc.attributes)
-            for violation in attr_report:
-                print(f"description {desc.id!r}: {violation}", file=sys.stderr)
-                status = 1
-    if status == 0:
-        print("OK")
-    return status
+        parse_descriptions(args.descriptions, scene)
+    print("OK")
+    return 0
 
 
 def cmd_fuse_check(args: argparse.Namespace) -> int:

@@ -22,8 +22,9 @@ naming the file and the line or key, so no row, view or value is dropped or
 coerced. All CSVs share one row reader (integer frame >= 1 and id, no repeated
 ``(frame, id)`` outside ground truth, numbers without non-ASCII digits or
 ``_``), which converts a file of plain lines whole, column by column, and any
-other file line by line, field by field; and one row writer (``repr`` floats,
-so a re-parse is exact). One helper decides which ``view_NN.csv`` files a
+other file line by line, field by field; and one row formatter,
+:func:`view_lines` (``repr`` floats, so a re-parse is exact), whose per-view
+lines :func:`write_lines` writes. One helper decides which ``view_NN.csv`` files a
 directory holds. JSON values must have exactly their type (a count is an
 ``int``), and no object may repeat a key.
 """
@@ -299,28 +300,36 @@ def _checked_row(
     return key, records
 
 
-def _write_rows(path: Path, rows: Iterable[Sequence[object]]) -> None:
-    """Write numeric rows as headerless CSV; ``repr`` keeps every float exact."""
-    lines = list(map(",".join, map(map, repeat(repr), rows)))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
-
-
-def _write_views(directory: Path | str, num_views: int, rows: Iterable[Sequence]) -> None:
-    """Write one ``view_NN.csv`` per view from ``(view, frame, id, ...)`` rows.
-
-    Each file holds its view's rows without the view column, ordered by
-    (frame, id); a view with no rows gets an empty file.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    by_view: dict[int, list[Sequence[object]]] = {view: [] for view in range(num_views)}
+def _view_rows(rows: Iterable[Sequence], num_views: int) -> list[list[Sequence]]:
+    """Per view, its ``(view, frame, id, ...)`` rows ordered by (frame, id)."""
+    by_view: dict[int, list[Sequence]] = {view: [] for view in range(num_views)}
     for row in rows:
         if row[0] not in by_view:
             raise ValueError(f"row for view {row[0]} is outside the {num_views} views")
         by_view[row[0]].append(row)
-    for view, view_rows in by_view.items():
+    for view_rows in by_view.values():
         view_rows.sort(key=itemgetter(1, 2))
-        _write_rows(_view_file(directory, view), map(itemgetter(slice(1, None)), view_rows))
+    return list(by_view.values())
+
+
+def view_lines(rows: Iterable[Sequence], num_views: int) -> list[list[str]]:
+    """Per view, the CSV lines of its ``(view, frame, id, ...)`` rows, ordered by (frame, id).
+
+    A line drops the view column; ``repr`` keeps every float exact.
+    """
+    return [
+        list(map(",".join, map(map, repeat(repr), map(itemgetter(slice(1, None)), view_rows))))
+        for view_rows in _view_rows(rows, num_views)
+    ]
+
+
+def write_lines(directory: Path | str, lines: Sequence[Sequence[str]]) -> None:
+    """Write each ``lines[view]`` to ``view_NN.csv``; a view without lines is an empty file."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for view, file_lines in enumerate(lines):
+        text = "\n".join(file_lines) + ("\n" if file_lines else "")
+        _view_file(directory, view).write_text(text, "utf-8")
 
 
 def _read_box_rows(
@@ -382,7 +391,8 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
 def write_scene(scene: Scene, manifest_path: Path | str, gt_dir: Path | str) -> None:
     values = (scene.name, scene.num_views, scene.frames_per_view, *scene.image_size)
     write_json(dict(zip(_MANIFEST_FIELDS, values)), manifest_path)
-    _write_views(gt_dir, scene.num_views, [(*d[:3], *d.bbox) for d in scene.all_detections()])
+    rows = [(*d[:3], *d.bbox) for d in scene.all_detections()]
+    write_lines(gt_dir, view_lines(rows, scene.num_views))
 
 
 def _attributes_from_json(raw: Mapping[str, object], path: Path) -> AttributeSet:
@@ -478,14 +488,25 @@ def parse_predictions(
     return PredictionSet(description_id, _tracks_from_detections(detections), scores)
 
 
-def write_predictions(pred: PredictionSet, directory: Path | str, num_views: int) -> None:
+def prediction_lines(pred: PredictionSet, num_views: int) -> list[list[str]]:
+    """Per view, the lines of ``pred``'s detections as :func:`write_predictions` writes them."""
     scores = pred.scores
     rows = [
         (view, frame, identity, *box, *scores.get((view, frame, identity), ()))  # (s_t, s_a)
         for track in pred.tracks
         for view, frame, identity, box in track.detections
     ]
-    _write_views(directory, num_views, rows)
+    return view_lines(rows, num_views)
+
+
+def line_identities(tracks: Sequence[Track], num_views: int) -> list[list[int]]:
+    """Per view, the identity of each line :func:`prediction_lines` gives for ``tracks``."""
+    rows = (d[:3] for track in tracks for d in track.detections)
+    return [list(map(itemgetter(2), view_rows)) for view_rows in _view_rows(rows, num_views)]
+
+
+def write_predictions(pred: PredictionSet, directory: Path | str, num_views: int) -> None:
+    write_lines(directory, prediction_lines(pred, num_views))
 
 
 def parse_scores(
@@ -511,7 +532,7 @@ def write_scores(
     num_views: int,
 ) -> None:
     rows = ((*key, record.s_t, record.s_a) for key, record in scores.items())
-    _write_views(directory, num_views, rows)
+    write_lines(directory, view_lines(rows, num_views))
 
 
 _HEADWEAR_WORDS = {"with cap": "cap", "with helmet": "helmet"}

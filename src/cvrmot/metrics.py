@@ -233,17 +233,26 @@ def _component_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int,
 def _view_pairs(edges: Sequence[tuple[int, int, int, float]]) -> list[tuple[int, int, int]]:
     """Matched (frame, gt key, pred key) of one view's :func:`_sweep` edges.
 
-    When no (frame, gt key) and no (frame, pred key) repeats, every component
-    is 1 x 1 and the edges are the matching; else each frame's are matched.
+    An edge whose (frame, gt key) and (frame, pred key) both occur once is a
+    1 x 1 component and is matched directly; the other, contested edges are
+    matched frame by frame by :func:`_component_pairs`.
     """
-    gts, preds = set(map(itemgetter(0, 1), edges)), set(map(itemgetter(0, 2), edges))
+    gts, preds = Counter(map(itemgetter(0, 1), edges)), Counter(map(itemgetter(0, 2), edges))
     if len(gts) == len(edges) == len(preds):
         return [edge[:3] for edge in edges]
-    return [
+    pairs, contested = [], []
+    for edge in edges:
+        frame, g, p, _ = edge
+        if gts[frame, g] == 1 and preds[frame, p] == 1:
+            pairs.append((frame, g, p))
+        else:
+            contested.append(edge)
+    pairs += [
         (frame, g, p)
-        for frame, slot in groupby(edges, itemgetter(0))
+        for frame, slot in groupby(contested, itemgetter(0))
         for g, p in _component_pairs([edge[1:] for edge in slot])
     ]
+    return pairs
 
 
 def _match_components(

@@ -10,6 +10,9 @@
 * The per-row CSV writer ``cvrmot.ingest`` had before it formatted whole
   files: one ``",".join(map(repr, row))`` per row, each row built as a tuple
   and sliced.
+* The per-description loop ``cvrmot synth`` had before it scored each score
+  level once: every description's tracks scored by their own
+  ``score_tracks`` call and written by ``write_predictions``.
 
 Tests compare the current code against them.
 """
@@ -29,12 +32,18 @@ from cvrmot import (
     FORBIDDEN,
     FrameMatch,
     IdMeasures,
+    LanguageDescription,
     MetricCounts,
     ParseError,
+    PredictionSet,
+    Scene,
     ScoreRecord,
     Track,
     iou,
+    predictions_from_gt,
+    score_tracks,
     solve_lap,
+    write_predictions,
 )
 
 
@@ -277,3 +286,25 @@ def oracle_prediction_rows(tracks: Sequence[Track], scores: dict) -> list[tuple]
             row = oracle_box_row(d)
             rows.append(row + tuple(scores.get(row[:3], ())))
     return rows
+
+
+def oracle_synth_tracks(
+    scene: Scene,
+    descriptions: Sequence[LanguageDescription],
+    directory: Path,
+    hi: float,
+    lo: float,
+    seed: int,
+    jitter: float,
+) -> None:
+    """``<directory>/<id>/view_NN.csv`` for each description, each scored on its own.
+
+    ``seed`` is the one ``score_tracks`` gets: ``cvrmot synth --seed S`` passes S + 2.
+    """
+    base = predictions_from_gt(scene)
+    for desc in descriptions:
+        scores = score_tracks(
+            scene, base, desc.referred_identities, hi=hi, lo=lo, seed=seed, jitter=jitter
+        )
+        write_predictions(PredictionSet(desc.id, base.tracks, scores), directory / desc.id,
+                          scene.num_views)

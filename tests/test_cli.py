@@ -243,6 +243,23 @@ def test_validate_reports_out_of_range_frame(tmp_path, capsys):
     assert "out-of-range" in err
 
 
+def test_validate_names_only_the_first_bad_attribute_word(workspace, capsys):
+    path = workspace / "descriptions.json"
+    entries = json.loads(path.read_text())
+    entries[0]["attributes"]["coat"] = "plaid cape"
+    entries[1]["attributes"]["shoes"] = "flippers"
+    path.write_text(json.dumps(entries))
+    capsys.readouterr()
+    argv = ["validate", "--manifest", workspace / "manifest.json", "--gt-dir", workspace / "gt",
+            "--descriptions", path]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "'plaid cape' is not a listed coat word" in captured.err
+    assert "flippers" not in captured.err
+
+
 def test_evaluate_parse_failure_exits_nonzero(tmp_path, capsys):
     rc = run(
         [

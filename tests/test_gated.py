@@ -340,6 +340,25 @@ def test_direct_one_by_one_pairs_equal_the_component_path(drawn):
     assert _component_pairs(edges) == walked == solved == sorted(zip(rows, cols))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4)),
+        st.sampled_from([0.5, 0.6, 0.75, 1.0]),  # few values, so equal-IoU ties are common
+        max_size=30,
+    )
+)
+def test_view_pairs_equal_per_frame_component_pairs(drawn):
+    """Uncontested edges matched directly give each frame's component matching."""
+    edges = sorted(((*key, overlap) for key, overlap in drawn.items()), key=lambda e: e[0])
+    per_frame = [
+        (frame, g, p)
+        for frame in sorted({e[0] for e in edges})
+        for g, p in _component_pairs([e[1:] for e in edges if e[0] == frame])
+    ]
+    assert sorted(metrics._view_pairs(edges)) == per_frame
+
+
 def test_duplicate_identity_names_the_first_repeat_in_track_order():
     """Tracks and their detections are read in order; the first repeat found is named."""
     late = Track(5, (Detection(1, 2, 5, BBox(0, 0, 10, 10)), Detection(1, 2, 5, BBox(9, 0, 10, 10))))
@@ -360,7 +379,7 @@ def _check_against_dense(gt_tracks, pred_tracks, threshold=0.5):
 
 
 def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
-    """Only the view with a 2 x 2 component is matched frame by frame."""
+    """Only the contested edges, those of the 2 x 2 component, reach ``_component_pairs``."""
     gt, pred = defaultdict(list), defaultdict(list)
     for view in (0, 1):
         for frame in range(1, 6):
@@ -378,7 +397,7 @@ def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
     original = metrics._component_pairs
     monkeypatch.setattr(metrics, "_component_pairs", lambda e: calls.append(len(e)) or original(e))
     shared = _check_against_dense(gt_tracks, pred_tracks)
-    assert calls == [2, 2, 2, 2, 2, 4]  # view 0 only, one call per frame
+    assert calls == [4]  # view 0, frame 6 only: the 1 x 1 pairs are matched directly
     assert shared.counts.mismatches[-1] == 2  # 1 -> 102 and 2 -> 101 at frame 6
     assert dict(shared.overlap) == {(1, 101): 11, (2, 102): 11, (1, 102): 1, (2, 101): 1}
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvrmot import (
     Detection,
@@ -23,11 +29,13 @@ from cvrmot import (
     perturb,
     score_tracks,
 )
+from cvrmot.cli import main
 from cvrmot.datamodel import validate_scene
-from cvrmot.ingest import write_scene
+from cvrmot.ingest import parse_descriptions, parse_scene, write_scene
 from cvrmot.synth import FrameErrors, predictions_from_gt
 
 from helpers import box, desc_for
+from oracles import oracle_synth_tracks
 
 
 def ledger_matches_counts(ledger, counts):
@@ -254,3 +262,31 @@ def test_generate_score_filter_evaluate_pipeline():
     assert result.cvidf1 == 1.0 and result.cvma_raw == 1.0
     lows = desc_for(scene, set(), "none")
     assert lows.referred_identities == frozenset()
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(2, 3), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    st.sampled_from([0.0, 0.2, 0.9]),
+    st.integers(0, 100),
+)
+def test_synth_tracks_equal_the_per_description_oracle(shape, levels, jitter, seed):
+    views, ids, frames, descriptions = shape
+    lo, hi = levels
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "scene"
+        argv = ["synth", "--views", views, "--ids", ids, "--frames", frames,
+                "--descriptions", descriptions, "--hi", hi, "--lo", lo, "--jitter", jitter,
+                "--seed", seed, "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([str(a) for a in argv]) == 0
+        scene = parse_scene(out / "manifest.json", out / "gt")
+        descs = parse_descriptions(out / "descriptions.json", scene)
+        oracle = Path(tmp) / "oracle"
+        oracle_synth_tracks(scene, descs, oracle, hi, lo, seed + 2, jitter)
+        assert _tree(out / "tracks") == _tree(oracle)

@@ -1,0 +1,76 @@
+"""Byte-identity guard for ``cvrmot synth``: each shape's whole output tree is pinned.
+
+The digests were computed before synth drew each score level once and
+picked every description's rows from shared lines; any change to a file's
+bytes or to the set of files fails here. A tree's digest covers each file's
+relative name and contents, in sorted name order.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from cvrmot.cli import main
+
+LEDGER_SPARSE_ERRORS = {
+    "miss_count": 50, "fp_count": 25, "temporal_switch_count": 6, "crossview_mismatch_count": 12,
+}
+
+# name -> (synth flags, error spec or None, tree SHA-256)
+SHAPES = {
+    "many-queries": (
+        ["--views", 3, "--ids", 2, "--frames", 100, "--descriptions", 8, "--jitter", 0.2,
+         "--seed", 1],
+        {},
+        "968bf49481278f9d916e86aa8ae953c9345297d96e19fa4bcb6084a98b196242",
+    ),
+    "ledger-sparse": (
+        ["--views", 4, "--ids", 60, "--frames", 10, "--seed", 1],
+        LEDGER_SPARSE_ERRORS,
+        "1d1385469cb94a5ac44d2469d55e86ce2baab2fdd12d679ab22ab69cf30ae6f8",
+    ),
+    # One identity: every description refers to it, so only the hi level is drawn.
+    "one-identity": (
+        ["--views", 2, "--ids", 1, "--frames", 6, "--descriptions", 3, "--jitter", 0.3,
+         "--seed", 4],
+        None,
+        "2354c243d973d803142c0f5e6b7f2d0efc94677ec32f3bc992661367389aa9b8",
+    ),
+    "hi-equals-lo": (
+        ["--views", 2, "--ids", 4, "--frames", 8, "--descriptions", 4, "--jitter", 0.1,
+         "--hi", 0.5, "--lo", 0.5, "--seed", 5],
+        None,
+        "db39fdfcebcda0ace453f3c34e6986d33315c29d4e1143352fcc735331184c45",
+    ),
+    # Offsets of up to 0.9 push scores past 0 and 1, so both clamps fire.
+    "clamped": (
+        ["--views", 3, "--ids", 5, "--frames", 10, "--descriptions", 5, "--jitter", 0.9,
+         "--hi", 0.97, "--lo", 0.02, "--seed", 6],
+        None,
+        "ad98cb7fa4331ec6f0cd5ffa93c74af163fb8b959aca30d7dd52a9c9e72f25e7",
+    ),
+}
+
+
+def tree_sha256(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_synth_tree_is_byte_identical(tmp_path, capsys, name):
+    flags, errors, want = SHAPES[name]
+    out = tmp_path / "scene"
+    argv = ["synth", *flags, "--out", out]
+    if errors is not None:
+        spec = tmp_path / "errors.json"
+        spec.write_text(json.dumps(errors))
+        argv += ["--errors", spec]
+    assert main([str(a) for a in argv]) == 0
+    capsys.readouterr()
+    assert tree_sha256(out) == want
