@@ -21,8 +21,10 @@ so ``filter`` loads neither.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import math
+import os
 import random
 import sys
 from importlib import import_module
@@ -444,9 +446,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
+    """Run ``main`` as a process: no cyclic collections, no interpreter teardown.
+
+    A run makes few reference cycles, so the collector stays off until
+    ``main`` returns. Then the ``atexit`` handlers run, stdout and stderr are
+    flushed, and the process ends at once with ``main``'s status. If a flush
+    fails (say, stdout is a closed pipe), ``sys.exit`` ends it the normal way,
+    which reports that failure as it always has.
+    """
+    gc.disable()
     status = main()
-    gc.freeze()  # the interpreter's final collections then skip every live object
-    sys.exit(status)
+    gc.freeze()  # a handler's or the fallback's collections then skip every live object
+    gc.enable()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a write error, or a closed stream
+        sys.exit(status)
+    os._exit(status)
 
 
 if __name__ == "__main__":

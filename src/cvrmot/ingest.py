@@ -656,7 +656,48 @@ def write_json(value: object, path: Path | str) -> None:
     path.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-write_report = write_json
+# Where an emptied frame list sits in json.dumps text. No encoded string can
+# hold it: a quote inside one is escaped, and only keys are followed by ": ".
+_EMPTY_FRAMES = '"frames": []'
+# One per-frame row of build_report as json.dumps(indent=2, sort_keys=True) lays it out.
+_FRAME_ROW = (
+    '          {\n            "fp": %(fp)d,\n            "frame": %(frame)d,\n'
+    '            "gt": %(gt)d,\n            "m": %(m)d,\n            "mme": %(mme)d\n          }'
+)
+
+
+def write_report(report: Mapping[str, Any], path: Path | str) -> None:
+    """Write a :func:`build_report` report byte for byte as :func:`write_json` would.
+
+    ``json.dumps`` encodes the report with every frame list emptied; each
+    description's rows, whose values are ints, then take the place of its
+    ``"frames": []`` with one ``%``-template per row. If the text does not
+    hold exactly one such place per description, ``json.dumps`` encodes the
+    whole report instead.
+    """
+    import json
+
+    descriptions = report["descriptions"]
+    frame_lists = [d["counts"]["frames"] for d in descriptions]
+    shell = {
+        **report,
+        "descriptions": [{**d, "counts": {**d["counts"], "frames": []}} for d in descriptions],
+    }
+    pieces = json.dumps(shell, indent=2, sort_keys=True).split(_EMPTY_FRAMES)
+    if len(pieces) != len(frame_lists) + 1:
+        write_json(report, path)
+        return
+    out = [pieces[0]]
+    for piece, rows in zip(pieces[1:], frame_lists):
+        if rows:
+            out.append('"frames": [\n' + ",\n".join(map(_FRAME_ROW.__mod__, rows)) + "\n        ]")
+        else:
+            out.append(_EMPTY_FRAMES)
+        out.append(piece)
+    out.append("\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(out), "utf-8")
 
 
 def read_report(path: Path | str) -> dict:

@@ -157,10 +157,13 @@ def _sweep(entries: list[tuple], iou_threshold: float) -> list[tuple]:
         y2 = y + h
         others = open_boxes[1 - side]
         if others:
-            # A box whose right edge is at or left of x overlaps nothing from here on.
-            others = open_boxes[1 - side] = [o for o in others if o[0] > x]
-            for _, top, bottom, other, other_box in others:
-                if bottom <= y or y2 <= top:
+            # A box whose right edge is at or left of x overlaps nothing from
+            # here on. The list is rebuilt only when an end entry has expired;
+            # the loop skips expired entries in between.
+            if others[0][0] <= x or others[-1][0] <= x:
+                others = open_boxes[1 - side] = [o for o in others if o[0] > x]
+            for right, top, bottom, other, other_box in others:
+                if right <= x or bottom <= y or y2 <= top:
                     continue
                 g, p = (key, other) if side == 0 else (other, key)
                 gt_box, pred_box = (box, other_box) if side == 0 else (other_box, box)

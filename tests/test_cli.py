@@ -718,14 +718,23 @@ def test_main_parses_like_the_full_parser(argv, capsys):
         assert full[0] == 2 and "invalid choice: 'no-such-command'" in full[2]
 
 
-def _console(*argv):
-    """``python -m cvrmot.cli argv`` in a new interpreter."""
+def _console_env():
+    """This environment with ``src`` first on the path and ``PYTHONUNBUFFERED`` removed.
+
+    Without that variable a child's piped stdout is block-buffered, as in a
+    shell pipeline, so output that is never flushed would go missing.
+    """
     src = str(Path(cvrmot.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "cvrmot.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def _console(*argv, script=None):
+    """``python -m cvrmot.cli argv``, or ``python -c script``, in a new interpreter."""
+    args = ["-c", script] if script else ["-m", "cvrmot.cli", *map(str, argv)]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_console_env(), timeout=120)
 
 
 def test_console_entry_runs_the_pipeline_like_main(tmp_path, capsys):
@@ -772,10 +781,7 @@ def test_console_entry_freezes_the_collector_only_at_exit(tmp_path):
         "sys.argv = ['cvrmot', 'fuse-check', '--trials', '3']\n"
         "console_main()\n"
     )
-    src = str(Path(cvrmot.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+    done = _console(script=script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "frozen True True"
 
@@ -786,3 +792,77 @@ def test_main_leaves_the_collector_alone(workspace, capsys):
     assert run(["fuse-check", "--trials", 3]) == 0
     assert gc.get_freeze_count() == 0
     assert gc.isenabled()
+
+
+def test_console_entry_pipes_the_whole_output_of_filter_and_evaluate(workspace, tmp_path, capsys):
+    filter_argv = ["filter", "--tracks", workspace / "tracks" / "d00", "--out", tmp_path / "f"]
+    evaluate_argv = _evaluate_argv(workspace, workspace / "tracks")
+    for argv in (filter_argv, evaluate_argv):
+        done = _console(*argv)
+        assert done.returncode == 0, done.stderr
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert done.stdout == capsys.readouterr().out != ""
+
+
+FAILING_FUSE_CHECK = (
+    "import sys\n"
+    "from cvrmot import cli\n"
+    "cli.fuse_scores = lambda *args: 0.0\n"
+    "sys.argv = ['cvrmot', 'fuse-check', '--trials', '3']\n"
+    "cli.console_main()\n"
+)
+
+
+@pytest.mark.parametrize("script, status", [(None, 0), (FAILING_FUSE_CHECK, 1)])
+def test_console_entry_exits_with_the_fuse_check_status(script, status):
+    """Statuses 0 and 1; ``test_console_entry_errors_exit_2_without_a_traceback`` checks 2."""
+    done = _console("fuse-check", "--trials", 3, script=script)
+    assert done.returncode == status, done.stderr
+    assert done.stdout.splitlines()[-1] == "PASS argmax invariance under common shifts over 3 samples"
+    assert ("FAIL fuse_scores worked example" in done.stdout) == bool(status)
+
+
+def test_console_entry_on_a_closed_stdout_pipe_exits_120(workspace, tmp_path):
+    """The failed flush falls back to the interpreter's own exit and its message."""
+    argv = [*_evaluate_argv(workspace, workspace / "tracks"), "--out", tmp_path / "r.json"]
+    env = {**_console_env(), "PYTHONIOENCODING": "utf-8"}
+    child = subprocess.Popen([sys.executable, "-m", "cvrmot.cli", *map(str, argv)], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()  # before the child prints anything: nothing reads its stdout
+    stderr = child.stderr.read().decode()
+    assert child.wait(timeout=120) == 120
+    assert stderr == (
+        "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+        "BrokenPipeError: [Errno 32] Broken pipe\n"
+    )
+    assert read_report(tmp_path / "r.json")["aggregate"]["n_l"] == 2
+
+
+def _cycles_left(argv):
+    """Unreachable objects ``gc.collect`` finds after ``main(argv)`` ran with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+    finally:
+        gc.enable()
+    return gc.collect()
+
+
+def test_a_run_with_the_collector_off_leaves_the_same_few_cycles_at_any_size(tmp_path, capsys):
+    """``console_main`` keeps the collector off; what that leaves must not grow with the input."""
+    left = []
+    for ids in (4, 16):  # the second scene has 4x the boxes
+        work = tmp_path / f"ids{ids}"
+        assert run(["synth", "--views", 3, "--ids", ids, "--frames", 10, "--descriptions", 2,
+                    "--seed", 5, "--jitter", 0.2, "--out", work]) == 0
+        left.append([
+            _cycles_left(["filter", "--tracks", work / "tracks" / desc_id,
+                          "--out", work / "filtered" / desc_id])
+            for desc_id in ("d00", "d01")
+        ])
+        left[-1].append(_cycles_left([*_evaluate_argv(work, work / "filtered"),
+                                      "--out", work / "report.json"]))
+    assert left[0] == left[1]
+    assert max(left[0]) < 1000

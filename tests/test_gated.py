@@ -437,3 +437,24 @@ def test_equal_iou_ties_follow_identity_order_not_input_order():
     # The tie goes 3 -> 201 and 9 -> 205, so frame 2 keeps both: no switch.
     assert results[0].counts.mismatches == (0, 0)
     assert [t.identity for t in gt] == [9, 3] and [t.identity for t in pred] == [205, 201]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_expired_boxes_inside_an_open_list_are_skipped(monkeypatch, mirror):
+    """Box 2 (right edge 50) expires between two live boxes; 101 starts exactly at 50.
+
+    The open list is rebuilt only when an end entry has expired (103 starts at
+    box 1's right edge, 200); until then the expired middle entry is skipped.
+    """
+    left = [(1, BBox(0, 0, 200, 10)), (2, BBox(10, 0, 40, 10)), (3, BBox(20, 0, 200, 10))]
+    right = [(101, BBox(50, 0, 170, 10)), (102, BBox(60, 0, 10, 10)), (103, BBox(200, 0, 10, 10))]
+    if mirror:
+        left, right = [(i + 100, b) for i, b in left], [(i - 100, b) for i, b in right]
+    gt, pred = (right, left) if mirror else (left, right)
+    gt_tracks = tuple(Track(i, (Detection(0, 1, i, b),)) for i, b in gt)
+    pred_tracks = tuple(Track(i, (Detection(0, 1, i, b),)) for i, b in pred)
+    calls = []
+    monkeypatch.setattr("cvrmot.metrics.iou", lambda a, b: calls.append(1) or cvrmot.iou(a, b))
+    shared = _check_against_dense(gt_tracks, pred_tracks)
+    assert len(calls) == 5  # 101 and 102 with boxes 1 and 3, 103 with box 3
+    assert shared.counts.misses == (2,) and shared.counts.false_positives == (2,)  # 3 -> 101 only

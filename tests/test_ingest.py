@@ -1,7 +1,9 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cvrmot import (
     AttributeSet,
@@ -22,7 +24,14 @@ from cvrmot import (
     write_scene,
     write_scores,
 )
-from cvrmot.metrics import aggregate, evaluate_description
+from cvrmot.metrics import (
+    AggregateResult,
+    DescriptionResult,
+    IdMeasures,
+    MetricCounts,
+    aggregate,
+    evaluate_description,
+)
 from cvrmot.synth import generate_scene, predictions_from_gt
 
 from helpers import desc_for, lane_scene, tracks_copy
@@ -229,6 +238,52 @@ def test_report_empty_results_marks_aggregate_undefined(tmp_path):
     assert report["aggregate"] == {"n_l": 0, "cvridf1": None, "cvrma": None}
     write_report(report, tmp_path / "r.json")
     assert read_report(tmp_path / "r.json") == report
+
+
+# Text built from JSON escapes, non-ASCII characters and the writer's marker.
+TEXT = st.one_of(
+    st.text(max_size=8),
+    st.lists(
+        st.sampled_from(['"', "\\", "\n", "\x00", "é", "雪", "\U0001f600", "d00", "frames",
+                         '"frames": []', "[]", ": "]),
+        max_size=6,
+    ).map("".join),
+)
+COUNT = st.integers(0, 10**12)
+RATIO = st.floats(allow_nan=False)
+
+
+@st.composite
+def description_results(draw):
+    rows = draw(st.lists(st.tuples(COUNT, COUNT, COUNT, COUNT, COUNT), max_size=4))
+    counts = MetricCounts(*(tuple(column) for column in zip(*rows))) if rows else MetricCounts(
+        (), (), (), (), ())
+    return DescriptionResult(
+        draw(TEXT), draw(RATIO), draw(RATIO), counts,
+        IdMeasures(draw(COUNT), draw(COUNT), draw(COUNT)), Fraction(0), Fraction(0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(description_results(), max_size=4),
+    st.none() | st.builds(AggregateResult, COUNT, RATIO, RATIO, st.just(Fraction(0)),
+                          st.just(Fraction(0))),
+    st.dictionaries(TEXT, st.one_of(COUNT, RATIO, st.booleans(), TEXT, st.just([])), max_size=3),
+)
+@example(  # a config key gives json.dumps a "frames": [] the writer must not fill
+    [DescriptionResult('"frames": []', 0.5, 0.5, MetricCounts((1,), (2,), (3,), (4,), (5,)),
+                       IdMeasures(1, 2, 3), Fraction(0), Fraction(0))],
+    None,
+    {"frames": []},
+)
+def test_write_report_equals_json_dumps(tmp_path_factory, results, aggregate_result, config):
+    report = build_report(results, aggregate_result, config)
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    write_report(report, path)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == expected  # report left as it was
 
 
 def test_predictions_from_gt_matches_scene():
