@@ -227,7 +227,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _sample_description(
-    rng: random.Random, scene: Scene, index: int, referred: frozenset[int]
+    rng: random.Random, index: int, referred: frozenset[int]
 ) -> LanguageDescription:
     values = {}
     for category, words in DEFAULT_VOCABULARY.words.items():
@@ -244,10 +244,17 @@ def _sample_description(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    """Compute the scene, descriptions, scores and perturbation, then write them all.
+
+    Every input error is raised before the first write, so a rejected run
+    leaves no output behind. Each step draws from its own ``random.Random``.
+    """
     if args.descriptions < 1:
         raise ValueError("--descriptions must be at least 1")
     for flag in ("hi", "lo", "jitter"):
         check_type(f"--{flag}", getattr(args, flag), float)
+    if args.jitter < 0:
+        raise ValueError(f"--jitter must be non-negative, got {args.jitter}")
     seed = _effective_config(args)[-1].seed
     cli = sys.modules[__name__]
     scene = cli.generate_scene(
@@ -257,16 +264,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         image_size=(args.image_width, args.image_height),
         seed=seed,
     )
-    out = Path(args.out)
-    write_scene(scene, out / "manifest.json", out / "gt")
     identities = sorted(scene.identities())
     rng = random.Random(seed + 1)
-    descriptions = [_sample_description(rng, scene, 0, frozenset(identities))]
+    descriptions = [_sample_description(rng, 0, frozenset(identities))]
     for index in range(1, args.descriptions):
         size = rng.randint(1, max(1, len(identities) - 1))
         referred = frozenset(rng.sample(identities, size))
-        descriptions.append(_sample_description(rng, scene, index, referred))
-    write_descriptions(descriptions, out / "descriptions.json")
+        descriptions.append(_sample_description(rng, index, referred))
     base = cli.predictions_from_gt(scene)
     everyone = frozenset(identities)
     # score_tracks draws one jitter stream whatever is referred, so a detection's
@@ -283,6 +287,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
         scored = PredictionSet(base.description_id, base.tracks, scores)
         lines.append(prediction_lines(scored, scene.num_views))
+    if args.errors:
+        spec = cli.ErrorSpec(**_read_keys(args.errors, field_types(cli.ErrorSpec), "error spec"))
+        first = descriptions[0].id
+        perturbed, ledger = cli.perturb(scene, spec, seed=seed + 3, description_id=first)
+
+    out = Path(args.out)
+    write_scene(scene, out / "manifest.json", out / "gt")
+    write_descriptions(descriptions, out / "descriptions.json")
     if len(lines) == 2:
         choices = [list(zip(lo, hi)) for hi, lo in zip(*lines)]  # indexed by "is referred"
         row_ids = line_identities(base.tracks, scene.num_views)
@@ -296,9 +308,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
             ]
         write_lines(out / "tracks" / desc.id, desc_lines)
     if args.errors:
-        spec = cli.ErrorSpec(**_read_keys(args.errors, field_types(cli.ErrorSpec), "error spec"))
-        first = descriptions[0].id
-        perturbed, ledger = cli.perturb(scene, spec, seed=seed + 3, description_id=first)
         write_predictions(perturbed, out / "predictions" / first, scene.num_views)
         write_json(cli.ledger_to_dict(ledger), out / "ledger.json")
     print(f"wrote synthetic scene {scene.name!r} to {out}")

@@ -202,31 +202,27 @@ def _components(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[list[int], l
         yield sorted(rows), sorted(cols)
 
 
-def _component_pairs(edges: Sequence[tuple[int, int, float]]) -> list[tuple[int, int]]:
-    """Minimum-cost matching on cost 1 - IoU over one slot's gated (gt, pred, IoU) edges.
+def _component_pairs(
+    costs: Mapping[tuple[int, int], float], missing: float = FORBIDDEN
+) -> list[tuple[int, int]]:
+    """Minimum-cost matching of a bipartite graph, one connected component at a time.
 
-    The gated graph is split into connected components. A component with one
-    GT box and one prediction is matched directly; any larger one is solved
-    by ``solve_lap`` with its rows and columns in the sort order of their
-    keys. Cardinality and cost add up over components and the lexicographic
+    ``costs`` maps each (row key, column key) edge to its cost; inside a
+    component, a pair with no edge costs ``missing``. A component with one
+    row and one column is matched directly; any larger one is solved by
+    ``solve_lap`` with its rows and columns in the sort order of their keys.
+    Cardinality and cost add up over components and the lexicographic
     tie-break decides each component independently, so the union is the
     optimum ``solve_lap`` returns for the whole dense matrix (ties closer
     than the solver's tolerance are decided within their component).
-    When no two gated pairs share a GT box or a prediction, every component
-    is 1 x 1 and the gated pairs are the matching, so they are returned
-    without the walk. Returns the matched (gt key, pred key) pairs, sorted.
+    Returns the matched (row key, column key) pairs, sorted.
     """
-    pairs = [(gi, pj) for gi, pj, _ in edges]
-    if len({gi for gi, _ in pairs}) == len(pairs) == len({pj for _, pj in pairs}):
-        pairs.sort()
-        return pairs
-    costs = {(gi, pj): 1.0 - overlap for gi, pj, overlap in edges}
     pairs = []
     for rows, cols in _components(costs):
         if len(rows) == 1 and len(cols) == 1:
             pairs.append((rows[0], cols[0]))
             continue
-        matrix = [[costs.get((r, c), FORBIDDEN) for c in cols] for r in rows]
+        matrix = [[costs.get((r, c), missing) for c in cols] for r in rows]
         solved = solve_lap(CostMatrix.from_rows(matrix))
         pairs.extend((rows[a], cols[b]) for a, b in solved.pairs)
     pairs.sort()
@@ -238,7 +234,8 @@ def _view_pairs(edges: Sequence[tuple[int, int, int, float]]) -> list[tuple[int,
 
     An edge whose (frame, gt key) and (frame, pred key) both occur once is a
     1 x 1 component and is matched directly; the other, contested edges are
-    matched frame by frame by :func:`_component_pairs`.
+    matched frame by frame by :func:`_component_pairs` on cost 1 - IoU, with
+    pairs below the gate forbidden.
     """
     gts, preds = Counter(map(itemgetter(0, 1), edges)), Counter(map(itemgetter(0, 2), edges))
     if len(gts) == len(edges) == len(preds):
@@ -253,23 +250,9 @@ def _view_pairs(edges: Sequence[tuple[int, int, int, float]]) -> list[tuple[int,
     pairs += [
         (frame, g, p)
         for frame, slot in groupby(contested, itemgetter(0))
-        for g, p in _component_pairs([edge[1:] for edge in slot])
+        for g, p in _component_pairs({edge[1:3]: 1.0 - edge[3] for edge in slot})
     ]
     return pairs
-
-
-def _match_components(
-    n_gt: int, n_pred: int, edges: Sequence[tuple[int, int, float]]
-) -> FrameMatch:
-    """:func:`_component_pairs` with the unmatched GT and predicted indices."""
-    pairs = _component_pairs(edges)
-    matched_gt = {g for g, _ in pairs}
-    matched_pred = {p for _, p in pairs}
-    return FrameMatch(
-        tuple(pairs),
-        tuple(i for i in range(n_gt) if i not in matched_gt),
-        tuple(j for j in range(n_pred) if j not in matched_pred),
-    )
 
 
 def match_frame(
@@ -281,13 +264,20 @@ def match_frame(
 
     Pairs below the IoU threshold are forbidden; the matching maximizes the
     number of matches first, then total IoU, with the lexicographic tie-break
-    of ``solve_lap``. Indices refer to the input sequences as given.
+    of ``solve_lap``. Indices refer to the input sequences as given. This is
+    the one-view, one-frame case of :func:`gated_pass`'s matching.
     """
     check_iou_threshold(iou_threshold)
     sides = enumerate((gt_dets, pred_dets))
     entries = [(d.bbox.x, side, k, 0, d.bbox) for side, dets in sides for k, d in enumerate(dets)]
-    edges = [(g, p, overlap) for _, g, p, overlap in _sweep(entries, iou_threshold)]
-    return _match_components(len(gt_dets), len(pred_dets), edges)
+    pairs = sorted(pair[1:] for pair in _view_pairs(_sweep(entries, iou_threshold)))
+    matched_gt = {g for g, _ in pairs}
+    matched_pred = {p for _, p in pairs}
+    return FrameMatch(
+        tuple(pairs),
+        tuple(i for i in range(len(gt_dets)) if i not in matched_gt),
+        tuple(j for j in range(len(pred_dets)) if j not in matched_pred),
+    )
 
 
 def _view_entries(tracks: Sequence[Track], side: int, name: str) -> dict[int, list[tuple]]:
@@ -433,22 +423,15 @@ def _identity_bijection(
 ) -> IdMeasures:
     """Solve the identity bijection from a gated pass's overlap counts.
 
-    Zero-overlap pairs add nothing, so the maximum total overlap is the sum
-    over the connected components of the positive pairs. A 1 x 1 component
-    gives its count; a larger one is solved on cost -overlap with its zero
-    pairs feasible at cost 0, where maximum cardinality is maximum overlap.
+    Zero-overlap pairs add nothing, so the maximum total overlap is found by
+    :func:`_component_pairs` over the positive pairs on cost -overlap, with
+    the zero pairs of a component feasible at cost 0: there, maximum
+    cardinality is maximum overlap.
     """
     total_gt = sum(len(t.detections) for t in referred_gt)
     total_pred = sum(len(t.detections) for t in predictions)
-    idtp = 0
-    for gt_ids, pred_ids in _components(pair for pair, n in overlap.items() if n > 0):
-        if len(gt_ids) == 1 and len(pred_ids) == 1:
-            idtp += overlap[(gt_ids[0], pred_ids[0])]
-            continue
-        table = [[overlap.get((g, p), 0) for p in pred_ids] for g in gt_ids]
-        costs = [[-float(v) for v in row] for row in table]
-        assignment = solve_lap(CostMatrix.from_rows(costs))
-        idtp += sum(table[r][c] for r, c in assignment.pairs)
+    costs = {pair: -float(n) for pair, n in overlap.items() if n > 0}
+    idtp = sum(overlap.get(pair, 0) for pair in _component_pairs(costs, 0.0))
     return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)
 
 

@@ -19,6 +19,8 @@ from .fusion_losses import FusionWeights, ScoreRecord, fuse_scores
 class MissingScoreError(KeyError):
     """A detection to be filtered has no score record."""
 
+    __str__ = Exception.__str__  # the plain message: KeyError's quotes it
+
 
 class _PredictorConfig(NamedTuple):
     t_as: float = 0.5

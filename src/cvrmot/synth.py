@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .datamodel import BBox, Checked, Detection, Scene, Track, check_fields, iou
 from .fusion_losses import ScoreRecord
-from .ingest import PredictionSet
+from .ingest import PredictionSet, _tracks_from_detections
 from .metrics import IdMeasures
 
 
@@ -399,10 +399,7 @@ def perturb(
         new_identity = relabels.get(key, det.identity)
         pred_detections.append(Detection(det.view_id, det.frame, new_identity, det.bbox))
     pred_detections.extend(fp_detections)
-    by_new_id: dict[int, list[Detection]] = {}
-    for det in pred_detections:
-        by_new_id.setdefault(det.identity, []).append(det)
-    tracks = tuple(Track(i, tuple(dets)) for i, dets in sorted(by_new_id.items()))
+    tracks = _tracks_from_detections(pred_detections)
     predictions = PredictionSet(description_id, tracks, {})
 
     per_frame = {
@@ -418,7 +415,7 @@ def perturb(
     mme_total = sum(e.temporal + e.crossview for e in per_frame.values())
     expected = Fraction(1) - Fraction(miss_total + fp_total + 2 * mme_total, gt_total)
     expected_id = None
-    if len(by_identity) <= 6 and len(by_new_id) <= 6:
+    if len(by_identity) <= 6 and len(tracks) <= 6:
         expected_id = oracle_id_measures(scene, predictions)
     return predictions, Ledger(ledger_frames, gt_total, expected, expected_id)
 
@@ -497,10 +494,12 @@ def score_tracks(
     """Per-detection scores: referred identities near ``hi``, others near ``lo``.
 
     With ``jitter`` 0 the scores are exact; otherwise each score is displaced
-    by a seeded uniform offset and clamped into [0, 1].
+    by a seeded uniform offset in [-jitter, jitter] and clamped into [0, 1].
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"need 0 <= lo <= hi <= 1, got lo={lo}, hi={hi}")
+    if not jitter >= 0.0:
+        raise ValueError(f"need jitter >= 0, got jitter={jitter}")
     referred = frozenset(referred_identities)
     unknown = referred - scene.identities()
     if unknown:

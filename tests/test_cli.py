@@ -439,6 +439,43 @@ def test_synth_rejects_non_finite_score_flags(tmp_path, capsys, flag, value):
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("jitter", "--jitter must be non-negative, got -0.2"),
+        ("levels", "need 0 <= lo <= hi <= 1, got lo=0.9, hi=0.1"),
+        ("errors", "requested 999 misses but only 12 slots are free"),
+    ],
+    ids=["jitter", "levels", "errors"],
+)
+def test_synth_writes_nothing_when_it_fails(tmp_path, capsys, case, message):
+    """Every input error is found before the first write: no output directory is made."""
+    extra = {"jitter": ["--jitter", "-0.2"], "levels": ["--hi", "0.1", "--lo", "0.9"]}.get(case)
+    if case == "errors":
+        spec = tmp_path / "errors.json"
+        spec.write_text(json.dumps({"miss_count": 999}))
+        extra = ["--errors", spec]
+    argv = ["synth", "--views", 2, "--ids", 3, "--frames", 2, *extra, "--out", tmp_path / "w"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "w").exists()
+
+
+def test_filter_missing_score_message_is_unquoted(workspace, tmp_path, capsys):
+    """The score of view 1's first row (frame 1, identity 1) is left out."""
+    tracks_dir = workspace / "tracks" / "d00"
+    scores_dir = tmp_path / "scores"
+    scores_dir.mkdir()
+    for view in range(3):
+        name = f"view_{view:02d}.csv"
+        rows = [row.split(",") for row in (tracks_dir / name).read_text().splitlines()]
+        kept = rows[1:] if view == 1 else rows
+        (scores_dir / name).write_text("".join(",".join(r[:2] + r[6:]) + "\n" for r in kept))
+    argv = ["filter", "--tracks", tracks_dir, "--scores", scores_dir, "--out", tmp_path / "out"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: no score for detection (view=1, frame=1, identity=1)\n"
+
+
 def test_filter_reads_views_after_a_gap(workspace, tmp_path):
     tracks = tmp_path / "gap"
     tracks.mkdir()
@@ -475,6 +512,7 @@ def test_synth_rejects_mistyped_error_spec(tmp_path, capsys, spec, named):
             "--out", tmp_path / "work"]
     assert run(argv) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
 
 
 def _config_argv(command, workspace, tmp_path, *extra):

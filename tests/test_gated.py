@@ -30,7 +30,6 @@ from cvrmot import metrics
 from cvrmot.metrics import (
     _component_pairs,
     _identity_bijection,
-    _match_components,
     gated_pass,
 )
 
@@ -139,7 +138,7 @@ def _components(rows):
     return [(sorted(rs), sorted(cs)) for rs, cs in groups.values()]
 
 
-# Dyadic costs, so 1 - (1 - cost) is exact and ties stay exact.
+# Dyadic costs, so ties stay exact.
 CELLS = st.sampled_from([FORBIDDEN, FORBIDDEN, FORBIDDEN, 0.0, 0.25, 0.5, 0.75])
 
 
@@ -158,13 +157,9 @@ def test_component_optima_combine_to_global_lexicographic_optimum(rows):
         sub = brute_force_lap(CostMatrix.from_rows([[rows[r][c] for c in cs] for r in rs]))
         combined.extend((rs[a], cs[b]) for a, b in sub.pairs)
     assert tuple(sorted(combined)) == expected
-    edges = [
-        (r, c, 1.0 - cost)
-        for r, row in enumerate(rows)
-        for c, cost in enumerate(row)
-        if math.isfinite(cost)
-    ]
-    assert _match_components(len(rows), len(rows[0]), edges).pairs == expected
+    cells = ((r, c, cost) for r, row in enumerate(rows) for c, cost in enumerate(row))
+    costs = {(r, c): cost for r, c, cost in cells if math.isfinite(cost)}
+    assert tuple(_component_pairs(costs)) == expected
 
 
 def test_duplicate_identity_in_a_slot_is_rejected():
@@ -240,6 +235,19 @@ def test_bijection_maximizes_overlap_not_pair_count():
     gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
     measures = _identity_bijection(gt_tracks, pred_tracks, overlap)
     assert measures.idtp == 10
+    assert measures == dense_id_measures(gt_tracks, pred_tracks)
+
+
+def test_only_components_larger_than_one_by_one_reach_the_solver(monkeypatch):
+    """A lone (gt, pred) pair gives its count without a ``solve_lap`` call."""
+    overlap = {(1, 101): 10, (1, 102): 1, (2, 101): 1, (3, 103): 4, (4, 104): 2}
+    gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
+    sides = []
+    original = metrics.solve_lap
+    monkeypatch.setattr(metrics, "solve_lap", lambda m: sides.append((m.rows, m.cols)) or original(m))
+    measures = _identity_bijection(gt_tracks, pred_tracks, overlap)
+    assert sides == [(2, 2)]
+    assert measures.idtp == 16
     assert measures == dense_id_measures(gt_tracks, pred_tracks)
 
 
@@ -337,7 +345,8 @@ def test_direct_one_by_one_pairs_equal_the_component_path(drawn):
     for r, c, overlap in edges:
         dense[r][c] = 1.0 - overlap
     solved = sorted(cvrmot.solve_lap(CostMatrix.from_rows(dense)).pairs)
-    assert _component_pairs(edges) == walked == solved == sorted(zip(rows, cols))
+    costs = {(r, c): 1.0 - overlap for r, c, overlap in edges}
+    assert _component_pairs(costs) == walked == solved == sorted(zip(rows, cols))
 
 
 @settings(max_examples=300, deadline=None)
@@ -354,7 +363,7 @@ def test_view_pairs_equal_per_frame_component_pairs(drawn):
     per_frame = [
         (frame, g, p)
         for frame in sorted({e[0] for e in edges})
-        for g, p in _component_pairs([e[1:] for e in edges if e[0] == frame])
+        for g, p in _component_pairs({(g, p): 1 - iou for f, g, p, iou in edges if f == frame})
     ]
     assert sorted(metrics._view_pairs(edges)) == per_frame
 
@@ -379,7 +388,11 @@ def _check_against_dense(gt_tracks, pred_tracks, threshold=0.5):
 
 
 def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
-    """Only the contested edges, those of the 2 x 2 component, reach ``_component_pairs``."""
+    """Only the contested edges, those of the 2 x 2 component, reach the slot matcher.
+
+    The slot calls of ``_component_pairs`` forbid missing pairs; the identity
+    bijection's call makes them feasible at cost 0.
+    """
     gt, pred = defaultdict(list), defaultdict(list)
     for view in (0, 1):
         for frame in range(1, 6):
@@ -395,9 +408,16 @@ def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
     pred_tracks = tuple(Track(i, tuple(ds)) for i, ds in pred.items())
     calls = []
     original = metrics._component_pairs
-    monkeypatch.setattr(metrics, "_component_pairs", lambda e: calls.append(len(e)) or original(e))
+
+    def recording(costs, missing=FORBIDDEN):
+        calls.append((len(costs), missing))
+        return original(costs, missing)
+
+    monkeypatch.setattr(metrics, "_component_pairs", recording)
     shared = _check_against_dense(gt_tracks, pred_tracks)
-    assert calls == [4]  # view 0, frame 6 only: the 1 x 1 pairs are matched directly
+    slot_calls = [n for n, missing in calls if missing == FORBIDDEN]
+    assert slot_calls == [4]  # view 0, frame 6 only: the 1 x 1 pairs are matched directly
+    assert calls == [(4, FORBIDDEN), (4, 0.0)]  # then the bijection over the 4 positive pairs
     assert shared.counts.mismatches[-1] == 2  # 1 -> 102 and 2 -> 101 at frame 6
     assert dict(shared.overlap) == {(1, 101): 11, (2, 102): 11, (1, 102): 1, (2, 101): 1}
 

@@ -153,8 +153,10 @@ def test_filter_missing_score_raises():
     tracks = tracks_copy(scene)
     scores = _uniform_scores(tracks, 0.9)
     scores.pop((1, 2, 1))
-    with pytest.raises(MissingScoreError):
+    with pytest.raises(MissingScoreError) as raised:
         filter_tracks(tracks, scores)
+    assert isinstance(raised.value, KeyError)
+    assert str(raised.value) == "no score for detection (view=1, frame=2, identity=1)"
 
 
 def test_filter_idempotent_on_average_branch_inputs():

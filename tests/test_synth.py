@@ -248,6 +248,9 @@ def test_score_tracks_validation():
         score_tracks(scene, base, {1}, hi=0.2, lo=0.5)
     with pytest.raises(ValueError):
         score_tracks(scene, base, {42}, hi=0.9, lo=0.1)
+    for jitter in (-0.2, -1e-300, float("nan")):
+        with pytest.raises(ValueError, match="jitter"):
+            score_tracks(scene, base, {1}, hi=0.9, lo=0.1, jitter=jitter)
 
 
 def test_generate_score_filter_evaluate_pipeline():
