@@ -10,9 +10,8 @@ from importlib import import_module
 _EXPORTS = {  # module -> the names it defines
     "assignment": "Assignment CostMatrix FORBIDDEN brute_force_lap solve_lap",
     "datamodel": (
-        "ATTRIBUTE_CATEGORIES AttributeSet AttributeVocabulary BBox DEFAULT_VOCABULARY "
-        "Detection EvalConfig LanguageDescription Scene Track ValidationReport Violation "
-        "iou validate_attributes validate_scene"
+        "ATTRIBUTE_CATEGORIES AttributeSet BBox DEFAULT_VOCABULARY Detection EvalConfig "
+        "LanguageDescription Scene Track iou validate_attributes validate_scene"
     ),
     "fusion_losses": (
         "FusionWeights LossInputs ScoreRecord fuse_features fuse_scores grad_loss_cmot "

@@ -3,8 +3,7 @@
 Subcommands: ``evaluate`` (score predictions against ground truth and write a
 report), ``filter`` (run the score-driven track filter), ``synth`` (generate
 a synthetic scene, scored tracks, and optionally perturbed predictions with
-their ledger), ``validate`` (check files), and ``fuse-check`` (numeric
-self-tests of the fusion and loss formulas).
+their ledger), and ``validate`` (check files).
 
 The configuration keys are the fields of ``EvalConfig``, ``FusionWeights``,
 ``PredictorConfig`` and ``RunConfig``, whose defaults and checks are the only
@@ -23,7 +22,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import math
 import os
 import random
 import sys
@@ -42,15 +40,7 @@ from .datamodel import (
     check_type,
     field_types,
 )
-from .fusion_losses import (
-    FusionWeights,
-    LossInputs,
-    fuse_features,
-    fuse_scores,
-    grad_loss_cmot,
-    loss_cmot,
-    loss_referring,
-)
+from .fusion_losses import FusionWeights
 from .ingest import (
     PredictionSet,
     build_report,
@@ -230,7 +220,7 @@ def _sample_description(
     rng: random.Random, index: int, referred: frozenset[int]
 ) -> LanguageDescription:
     values = {}
-    for category, words in DEFAULT_VOCABULARY.words.items():
+    for category, words in DEFAULT_VOCABULARY.items():
         real_words = [w for w in words if w != "null"]
         if rng.random() < 0.5:
             values[category] = rng.choice(real_words)
@@ -323,72 +313,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fuse_check(args: argparse.Namespace) -> int:
-    trials = args.trials
-    if trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {trials}")
-    rng = random.Random(args.seed if args.seed is not None else 0)
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name}: {detail}")
-
-    check(
-        "fuse_scores worked example",
-        abs(fuse_scores(0.42, 0.9, 0.1) - (0.42 + 0.1 * math.exp(0.9))) < 1e-12,
-    )
-    check("fuse_scores beta=0 identity", fuse_scores(0.37, 0.8, 0.0) == 0.37)
-    check(
-        "fuse_features worked example",
-        fuse_features([1.0, 2.0], [100.0, -100.0], 0.01) == [2.0, 1.0],
-    )
-    inputs = LossInputs(l_d=1.0, l_s=0.5, l_c=0.5, w1=0.0, w2=0.0)
-    check("loss_cmot worked example", abs(loss_cmot(inputs) - 1.0) < 1e-12)
-    check(
-        "loss_referring worked example",
-        abs(loss_referring(((0.5, 0.5),), ((1, 0),)) - 0.6931471805599453) < 1e-9,
-    )
-    worst = 0.0
-    for _ in range(trials):
-        candidate = LossInputs(
-            l_d=rng.uniform(0.0, 5.0),
-            l_s=rng.uniform(0.0, 5.0),
-            l_c=rng.uniform(0.0, 5.0),
-            w1=rng.uniform(-3.0, 3.0),
-            w2=rng.uniform(-3.0, 3.0),
-        )
-        h = 1e-5
-        analytic = grad_loss_cmot(candidate)
-        for axis in (0, 1):
-            def shifted(delta: float) -> float:
-                w = [candidate.w1, candidate.w2]
-                w[axis] += delta
-                return loss_cmot(LossInputs(candidate.l_d, candidate.l_s, candidate.l_c, *w))
-
-            fd = (shifted(h) - shifted(-h)) / (2 * h)
-            rel = abs(analytic[axis] - fd) / max(1.0, abs(analytic[axis]))
-            worst = max(worst, rel)
-    check(f"gradient vs finite differences over {trials} samples", worst < 1e-6, f"worst {worst:.3e}")
-    argmax_ok = True
-    for _ in range(trials):
-        n = rng.randint(2, 12)
-        s_t = [round(rng.random(), 6) for _ in range(n)]
-        s_a = [round(rng.random(), 6) for _ in range(n)]
-        shift = round(rng.uniform(-5.0, 5.0), 3)
-        fused = [fuse_scores(t, a, 0.1) for t, a in zip(s_t, s_a)]
-        fused_shifted = [fuse_scores(t + shift, a, 0.1) for t, a in zip(s_t, s_a)]
-        if max(range(n), key=fused.__getitem__) != max(range(n), key=fused_shifted.__getitem__):
-            argmax_ok = False
-            break
-    check(f"argmax invariance under common shifts over {trials} samples", argmax_ok)
-    return 1 if failures else 0
-
-
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The ``cvrmot`` parser; given a ``command``, only that subcommand gets its flags.
 
@@ -437,9 +361,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True)
         p.add_argument("--gt-dir", dest="gt_dir", required=True)
         p.add_argument("--descriptions")
-    if p := add("fuse-check", "numeric self-tests of fusion and losses", cmd_fuse_check):
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--seed", type=int)
     return parser
 
 

@@ -12,6 +12,7 @@ import functools
 import math
 import sys
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping, NamedTuple, Optional, get_type_hints
 
 _EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false",
@@ -183,137 +184,74 @@ class Scene(NamedTuple):
         return sum(len(t.detections) for t in self.gt_tracks)
 
 
-class Violation(NamedTuple):
-    """A single validation finding; violations are data, not faults."""
+def validate_scene(scene: Scene) -> None:
+    """Raise ``ValueError("[kind] message")`` at a scene's first structural violation.
 
-    kind: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.message}"
-
-
-class ValidationReport(tuple):
-    """The violations found, in order; iterating or ``len`` goes over them."""
-
-    __slots__ = ()
-
-    def __new__(cls, violations: tuple[Violation, ...] = ()) -> ValidationReport:
-        return tuple.__new__(cls, violations)
-
-    @property
-    def violations(self) -> tuple[Violation, ...]:
-        return tuple(self)
-
-    @property
-    def ok(self) -> bool:
-        return not self
-
-
-def validate_scene(scene: Scene) -> ValidationReport:
-    """Check every structural invariant of a scene.
-
-    An empty report means all downstream operations on the scene are total.
-    Each violation names the offending track or detection.
+    The scene-level fields are checked first, then the tracks in order, and
+    each track's detections in (frame, view) order; a message names the
+    offending track or detection. A scene that passes makes every downstream
+    operation total.
     """
-    found: list[Violation] = []
     if scene.num_views < 2:
-        found.append(Violation("scene", f"num_views must be >= 2, got {scene.num_views}"))
+        raise ValueError(f"[scene] num_views must be >= 2, got {scene.num_views}")
     if scene.frames_per_view < 1:
-        found.append(
-            Violation("scene", f"frames_per_view must be >= 1, got {scene.frames_per_view}")
-        )
+        raise ValueError(f"[scene] frames_per_view must be >= 1, got {scene.frames_per_view}")
     for name, size in zip(("image_width", "image_height"), scene.image_size):
         if size < 1:
-            found.append(Violation("scene", f"{name} must be >= 1, got {size}"))
+            raise ValueError(f"[scene] {name} must be >= 1, got {size}")
     seen_identities: set[int] = set()
     seen_slots: set[tuple[int, int, int]] = set()
     for track in scene.gt_tracks:
         if track.identity in seen_identities:
-            found.append(
-                Violation("duplicate-track", f"identity {track.identity} appears in two tracks")
-            )
+            raise ValueError(f"[duplicate-track] identity {track.identity} appears in two tracks")
         seen_identities.add(track.identity)
         for view, frame, identity, _ in track.detections:
             slot = (view, frame, identity)
             if identity != track.identity:
-                found.append(
-                    Violation(
-                        "track-identity",
-                        f"detection {_where(slot)} stored under track identity {track.identity}",
-                    )
-                )
+                raise ValueError(f"[track-identity] detection {_where(slot)} "
+                                 f"stored under track identity {track.identity}")
             if not 0 <= view < scene.num_views:
-                found.append(Violation("range", f"detection {_where(slot)} has out-of-range view"))
+                raise ValueError(f"[range] detection {_where(slot)} has out-of-range view")
             if not 1 <= frame <= scene.frames_per_view:
-                found.append(Violation("range", f"detection {_where(slot)} has out-of-range frame"))
+                raise ValueError(f"[range] detection {_where(slot)} has out-of-range frame")
             if slot in seen_slots:
-                found.append(Violation("duplicate", f"duplicate detection at {_where(slot)}"))
+                raise ValueError(f"[duplicate] duplicate detection at {_where(slot)}")
             seen_slots.add(slot)
-    return ValidationReport(tuple(found))
 
 
 def _where(slot: tuple[int, int, int]) -> str:
     return "(view={}, frame={}, identity={})".format(*slot)
 
 
-# Attribute vocabulary: 8 categories, 74 words in total counting the "null"
-# entry once per category.
-
-ATTRIBUTE_CATEGORIES: tuple[str, ...] = (
-    "headwear_color",
-    "headwear_style",
-    "coat",
-    "trousers",
-    "shoes",
-    "held_item_color",
-    "held_item_style",
-    "transportation",
-)
-
 _COLORS = ("white", "black", "gray", "green", "pink", "red", "yellow", "blue", "orange", "purple")
 
+# Attribute category -> its words: 8 categories, 74 words in total counting the
+# "null" entry once per category.
+DEFAULT_VOCABULARY: Mapping[str, tuple[str, ...]] = MappingProxyType({
+    "headwear_color": _COLORS + ("null",),
+    "headwear_style": ("with cap", "with helmet", "null"),
+    "coat": tuple(f"{c} coat" for c in _COLORS) + ("null",),
+    "trousers": tuple(f"{c} trousers" for c in _COLORS) + ("null",),
+    "shoes": tuple(f"{c} shoes" for c in _COLORS) + ("null",),
+    "held_item_color": _COLORS + ("null",),
+    "held_item_style": (
+        "a bag",
+        "a plastic bag",
+        "a handbag",
+        "a schoolbag",
+        "a cart",
+        "a box",
+        "a child",
+        "a stick",
+        "a book",
+        "a mobile phone",
+        "a can",
+        "null",
+    ),
+    "transportation": ("a bicycle", "an electric bike", "a tricycle", "null"),
+})
 
-class AttributeVocabulary(NamedTuple):
-    """Per-category word lists for attribute validation."""
-
-    words: Mapping[str, tuple[str, ...]]
-
-    def categories(self) -> tuple[str, ...]:
-        return tuple(self.words)
-
-    def words_for(self, category: str) -> tuple[str, ...]:
-        return self.words[category]
-
-    def total_words(self) -> int:
-        return sum(len(v) for v in self.words.values())
-
-
-DEFAULT_VOCABULARY = AttributeVocabulary(
-    words={
-        "headwear_color": _COLORS + ("null",),
-        "headwear_style": ("with cap", "with helmet", "null"),
-        "coat": tuple(f"{c} coat" for c in _COLORS) + ("null",),
-        "trousers": tuple(f"{c} trousers" for c in _COLORS) + ("null",),
-        "shoes": tuple(f"{c} shoes" for c in _COLORS) + ("null",),
-        "held_item_color": _COLORS + ("null",),
-        "held_item_style": (
-            "a bag",
-            "a plastic bag",
-            "a handbag",
-            "a schoolbag",
-            "a cart",
-            "a box",
-            "a child",
-            "a stick",
-            "a book",
-            "a mobile phone",
-            "a can",
-            "null",
-        ),
-        "transportation": ("a bicycle", "an electric bike", "a tricycle", "null"),
-    }
-)
+ATTRIBUTE_CATEGORIES: tuple[str, ...] = tuple(DEFAULT_VOCABULARY)
 
 
 class AttributeSet(NamedTuple):
@@ -332,22 +270,11 @@ class AttributeSet(NamedTuple):
         return zip(self._fields, self)
 
 
-def validate_attributes(
-    attrs: AttributeSet, vocab: AttributeVocabulary = DEFAULT_VOCABULARY
-) -> ValidationReport:
-    """Check each attribute value against its category's word list."""
-    found: list[Violation] = []
+def validate_attributes(attrs: AttributeSet) -> None:
+    """Raise ``ValueError`` at the first attribute value not listed for its category."""
     for category, value in attrs.items():
-        if value is None:
-            continue
-        if category not in vocab.words:
-            found.append(Violation("unknown-category", f"no vocabulary for category {category!r}"))
-            continue
-        if value not in vocab.words_for(category):
-            found.append(
-                Violation("vocabulary", f"{value!r} is not a listed {category} word")
-            )
-    return ValidationReport(tuple(found))
+        if value is not None and value not in DEFAULT_VOCABULARY[category]:
+            raise ValueError(f"[vocabulary] {value!r} is not a listed {category} word")
 
 
 class LanguageDescription(NamedTuple):
@@ -363,21 +290,15 @@ class LanguageDescription(NamedTuple):
     referred_identities: frozenset[int]
 
 
-def validate_description(
-    desc: LanguageDescription,
-    scene: Optional[Scene] = None,
-    vocab: AttributeVocabulary = DEFAULT_VOCABULARY,
-) -> ValidationReport:
-    """Validate a description's attributes and (optionally) its referred set."""
-    found = list(validate_attributes(desc.attributes, vocab).violations)
+def validate_description(desc: LanguageDescription, scene: Optional[Scene] = None) -> None:
+    """Raise ``ValueError`` at a description's first unlisted attribute word.
+
+    With a scene, then also at its smallest referred identity that the
+    scene's ground truth lacks.
+    """
+    validate_attributes(desc.attributes)
     if scene is not None:
-        known = scene.identities()
-        for identity in sorted(desc.referred_identities):
-            if identity not in known:
-                found.append(
-                    Violation(
-                        "referred-identity",
-                        f"description {desc.id!r} refers to unknown identity {identity}",
-                    )
-                )
-    return ValidationReport(tuple(found))
+        unknown = min(desc.referred_identities - scene.identities(), default=None)
+        if unknown is not None:
+            raise ValueError(f"[referred-identity] description {desc.id!r} "
+                             f"refers to unknown identity {unknown}")

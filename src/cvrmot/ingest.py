@@ -41,10 +41,8 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Optional, 
 from .datamodel import (
     ATTRIBUTE_CATEGORIES,
     AttributeSet,
-    AttributeVocabulary,
     BBox,
     Checked,
-    DEFAULT_VOCABULARY,
     Detection,
     LanguageDescription,
     Scene,
@@ -196,7 +194,7 @@ def _layout(unique: bool, *rows: tuple[type, ...]) -> _Layout:
     return _Layout(spans, unique)
 
 
-# Ground-truth duplicates are reported by validate_scene.
+# Ground-truth duplicates are rejected by validate_scene.
 _GT_ROWS = _layout(False, (BBox,))
 _PREDICTION_ROWS = _layout(True, (BBox,), (BBox, ScoreRecord))
 _SCORE_ROWS = _layout(True, (ScoreRecord,))
@@ -381,10 +379,10 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
         image_size=(manifest["image_width"], manifest["image_height"]),
         gt_tracks=_tracks_from_detections(detections),
     )
-    report = validate_scene(scene)
-    if not report.ok:
-        first = report.violations[0]
-        raise ParseError(manifest_path, f"invalid scene: {first}")
+    try:
+        validate_scene(scene)
+    except ValueError as exc:
+        raise ParseError(manifest_path, f"invalid scene: {exc}") from None
     return scene
 
 
@@ -410,9 +408,7 @@ _DESCRIPTION_FIELDS = {"id": str, "text": str, "attributes": dict, "referred_ide
 
 
 def parse_descriptions(
-    path: Path | str,
-    scene: Optional[Scene] = None,
-    vocab: AttributeVocabulary = DEFAULT_VOCABULARY,
+    path: Path | str, scene: Optional[Scene] = None
 ) -> list[LanguageDescription]:
     """Parse and validate the description list.
 
@@ -447,10 +443,10 @@ def parse_descriptions(
             attributes=_attributes_from_json(entry["attributes"], path),
             referred_identities=frozenset(referred),
         )
-        report = validate_description(desc, scene, vocab)
-        if not report.ok:
-            first = report.violations[0]
-            raise ParseError(path, f"invalid description {desc.id!r}: {first}")
+        try:
+            validate_description(desc, scene)
+        except ValueError as exc:
+            raise ParseError(path, f"invalid description {desc.id!r}: {exc}") from None
         out.append(desc)
     return out
 
@@ -548,14 +544,12 @@ def _join_and(parts: Sequence[str]) -> str:
     return ", ".join(parts[:-1]) + " and " + parts[-1]
 
 
-def render_description(attrs: AttributeSet, template_id: str = "default") -> str:
+def render_description(attrs: AttributeSet) -> str:
     """Render deterministic description text from attributes.
 
     Absent (None) fields are omitted; identical inputs produce byte-identical
     text. With every field absent the result is "A person.".
     """
-    if template_id != "default":
-        raise ValueError(f"unknown template {template_id!r}")
     parts: list[str] = []
     if attrs.headwear_style or attrs.headwear_color:
         word = _HEADWEAR_WORDS.get(attrs.headwear_style or "", "headwear")

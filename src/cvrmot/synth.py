@@ -235,6 +235,14 @@ def _place_far_box(
     return None
 
 
+def _view_frames(detections: Sequence[Detection]) -> dict[int, set[int]]:
+    """One identity's view -> the frames it is seen in, views in detection order."""
+    views: dict[int, set[int]] = {}
+    for det in detections:
+        views.setdefault(det.view_id, set()).add(det.frame)
+    return views
+
+
 def perturb(
     scene: Scene,
     spec: ErrorSpec,
@@ -280,9 +288,7 @@ def perturb(
             break
         if identity in used_ids:
             continue
-        views: dict[int, set[int]] = {}
-        for det in by_identity[identity]:
-            views.setdefault(det.view_id, set()).add(det.frame)
+        views = _view_frames(by_identity[identity])
         if len(views) < 2:
             continue
         relabel_view = rng.choice(sorted(views))
@@ -324,9 +330,7 @@ def perturb(
         for identity in event_order:
             if identity in used_ids:
                 continue
-            views = {}
-            for det in by_identity[identity]:
-                views.setdefault(det.view_id, set()).add(det.frame)
+            views = _view_frames(by_identity[identity])
             all_frames = sorted({f for frames in views.values() for f in frames})
             candidates = [
                 f
@@ -402,22 +406,13 @@ def perturb(
     tracks = _tracks_from_detections(pred_detections)
     predictions = PredictionSet(description_id, tracks, {})
 
-    per_frame = {
-        frame: FrameErrors(
-            counts["misses"], counts["false_positives"], counts["temporal"], counts["crossview"]
-        )
-        for frame, counts in sorted(errors.items())
-    }
-    gt_total = scene.detection_count()
-    ledger_frames = per_frame
-    miss_total = sum(e.misses for e in per_frame.values())
-    fp_total = sum(e.false_positives for e in per_frame.values())
-    mme_total = sum(e.temporal + e.crossview for e in per_frame.values())
-    expected = Fraction(1) - Fraction(miss_total + fp_total + 2 * mme_total, gt_total)
+    per_frame = {frame: FrameErrors(**counts) for frame, counts in sorted(errors.items())}
     expected_id = None
     if len(by_identity) <= 6 and len(tracks) <= 6:
         expected_id = oracle_id_measures(scene, predictions)
-    return predictions, Ledger(ledger_frames, gt_total, expected, expected_id)
+    ledger = Ledger(per_frame, scene.detection_count(), None, expected_id)  # CVMA from its totals
+    errors_total = ledger.miss_total + ledger.fp_total + 2 * ledger.mismatch_total
+    return predictions, ledger._replace(expected_cvma=1 - Fraction(errors_total, ledger.gt_total))
 
 
 def oracle_id_measures(

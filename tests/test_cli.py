@@ -11,12 +11,12 @@ import pytest
 import cvrmot
 from cvrmot.cli import RunConfig, build_parser, main
 from cvrmot.fusion_losses import FusionWeights
-from cvrmot.ingest import read_report, write_scene
+from cvrmot.ingest import read_report, write_descriptions, write_scene
 from cvrmot.metrics import EvalConfig
 from cvrmot.predictor import PredictorConfig
 from cvrmot.synth import generate_scene
 
-from helpers import lane_scene
+from helpers import desc_for, lane_scene
 
 
 def run(argv):
@@ -260,6 +260,69 @@ def test_validate_names_only_the_first_bad_attribute_word(workspace, capsys):
     assert "flippers" not in captured.err
 
 
+def _break_duplicate(root):
+    with open(root / "gt" / "view_00.csv", "a") as gt:
+        gt.write("1,1,204.0,0.0,10.0,20.0\n")  # the first row of view 0 again
+
+
+def _break_manifest(**changes):
+    def apply(root):
+        manifest = json.loads((root / "manifest.json").read_text())
+        (root / "manifest.json").write_text(json.dumps({**manifest, **changes}))
+        if changes.get("views") == 1:
+            (root / "gt" / "view_01.csv").unlink()
+    return apply
+
+
+def _break_description(attributes=(), **changes):
+    def apply(root):
+        entry = json.loads((root / "descriptions.json").read_text())[0]
+        entry["attributes"].update(attributes)
+        (root / "descriptions.json").write_text(json.dumps([{**entry, **changes}]))
+    return apply
+
+
+# Each input violation a file can produce, and the one stderr line that names it.
+VIOLATIONS = {
+    "duplicate": (_break_duplicate, "manifest.json", "invalid scene: [duplicate] "
+                  "duplicate detection at (view=0, frame=1, identity=1)"),
+    "frame-past-end": (_break_manifest(frames_per_view=2), "manifest.json", "invalid scene: "
+                       "[range] detection (view=0, frame=3, identity=1) has out-of-range frame"),
+    "one-view": (_break_manifest(views=1), "manifest.json",
+                 "invalid scene: [scene] num_views must be >= 2, got 1"),
+    "no-frames": (_break_manifest(frames_per_view=0), "manifest.json",
+                  "invalid scene: [scene] frames_per_view must be >= 1, got 0"),
+    "unlisted-word": (_break_description(attributes={"coat": "plaid cape"}), "descriptions.json",
+                      "invalid description 'd00': [vocabulary] "
+                      "'plaid cape' is not a listed coat word"),
+    "unknown-identity": (_break_description(referred_identities=[1, 99, 98]), "descriptions.json",
+                         "invalid description 'd00': [referred-identity] "
+                         "description 'd00' refers to unknown identity 98"),
+    "word-then-identity": (_break_description(attributes={"shoes": "flippers"},
+                                              referred_identities=[99]), "descriptions.json",
+                           "invalid description 'd00': [vocabulary] "
+                           "'flippers' is not a listed shoes word"),
+}
+
+
+@pytest.mark.parametrize("case", VIOLATIONS)
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_each_input_violation_is_one_exact_error_line(tmp_path, capsys, command, case):
+    scene = lane_scene(num_views=2, num_ids=2, num_frames=3)
+    write_scene(scene, tmp_path / "manifest.json", tmp_path / "gt")
+    write_descriptions([desc_for(scene, desc_id="d00")], tmp_path / "descriptions.json")
+    argv = ["--manifest", tmp_path / "manifest.json", "--gt-dir", tmp_path / "gt",
+            "--descriptions", tmp_path / "descriptions.json"]
+    if command == "evaluate":
+        argv += ["--predictions-root", tmp_path / "predictions"]
+    assert run([command, *argv]) == 0
+    breaks, named, message = VIOLATIONS[case]
+    breaks(tmp_path)
+    capsys.readouterr()
+    assert run([command, *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {tmp_path / named}: {message}\n")
+
+
 def test_evaluate_parse_failure_exits_nonzero(tmp_path, capsys):
     rc = run(
         [
@@ -272,13 +335,6 @@ def test_evaluate_parse_failure_exits_nonzero(tmp_path, capsys):
     )
     assert rc == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_fuse_check_passes(capsys):
-    assert run(["fuse-check", "--trials", 200]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") == 7
 
 
 def test_config_file_overrides_flags(workspace, tmp_path, capsys):
@@ -720,14 +776,6 @@ def test_manifest_image_size_below_one_is_rejected(workspace, capsys, side, valu
         assert "OK" not in out.out
 
 
-@pytest.mark.parametrize("trials", [0, -5])
-def test_fuse_check_rejects_trials_below_one(capsys, trials):
-    assert run(["fuse-check", "--trials", trials]) == 2
-    out = capsys.readouterr()
-    assert f"error: --trials must be at least 1, got {trials}" in out.err
-    assert "PASS" not in out.out
-
-
 def _argparse_exit(parse, argv, capsys):
     """(exit code, stdout, stderr) of a parse that ends in ``SystemExit``."""
     capsys.readouterr()
@@ -737,13 +785,13 @@ def _argparse_exit(parse, argv, capsys):
     return stop.value.code, out.out, out.err
 
 
-COMMANDS = ["evaluate", "filter", "synth", "validate", "fuse-check"]
+COMMANDS = ["evaluate", "filter", "synth", "validate"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [[command, "--help"] for command in COMMANDS]
-    + [[command] for command in COMMANDS[:3]]
+    + [[command] for command in COMMANDS]
     + [["--help"], ["no-such-command"], ["evaluate", "--no-such-flag"]],
 )
 def test_main_parses_like_the_full_parser(argv, capsys):
@@ -751,7 +799,7 @@ def test_main_parses_like_the_full_parser(argv, capsys):
     full = _argparse_exit(build_parser().parse_args, argv, capsys)
     assert _argparse_exit(main, argv, capsys) == full
     if argv == ["--help"]:
-        assert "{evaluate,filter,synth,validate,fuse-check}" in full[1]
+        assert "{evaluate,filter,synth,validate}" in full[1]
     if argv == ["no-such-command"]:
         assert full[0] == 2 and "invalid choice: 'no-such-command'" in full[2]
 
@@ -810,24 +858,30 @@ def test_console_entry_errors_exit_2_without_a_traceback(tmp_path):
     assert "the following arguments are required: --gt-dir" in usage_error.stderr
 
 
+def _validate_argv(tmp_path):
+    """``validate`` argv for a small lane scene written under ``tmp_path``."""
+    write_scene(lane_scene(), tmp_path / "manifest.json", tmp_path / "gt")
+    return ["validate", "--manifest", tmp_path / "manifest.json", "--gt-dir", tmp_path / "gt"]
+
+
 def test_console_entry_freezes_the_collector_only_at_exit(tmp_path):
     """``console_main`` freezes the heap after ``main`` returns; ``atexit`` still runs."""
     script = (
         "import atexit, gc, sys\n"
         "from cvrmot.cli import console_main\n"
         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, gc.isenabled()))\n"
-        "sys.argv = ['cvrmot', 'fuse-check', '--trials', '3']\n"
+        f"sys.argv = {['cvrmot', *map(str, _validate_argv(tmp_path))]!r}\n"
         "console_main()\n"
     )
     done = _console(script=script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "frozen True True"
+    assert done.stdout.splitlines() == ["OK", "frozen True True"]
 
 
-def test_main_leaves_the_collector_alone(workspace, capsys):
+def test_main_leaves_the_collector_alone(workspace, tmp_path, capsys):
     assert gc.get_freeze_count() == 0 and gc.isenabled()
     assert run(_evaluate_argv(workspace, workspace / "tracks")) == 0
-    assert run(["fuse-check", "--trials", 3]) == 0
+    assert run(_validate_argv(tmp_path)) == 0
     assert gc.get_freeze_count() == 0
     assert gc.isenabled()
 
@@ -843,22 +897,24 @@ def test_console_entry_pipes_the_whole_output_of_filter_and_evaluate(workspace, 
         assert done.stdout == capsys.readouterr().out != ""
 
 
-FAILING_FUSE_CHECK = (
-    "import sys\n"
+MAIN_RETURNS_3 = (
     "from cvrmot import cli\n"
-    "cli.fuse_scores = lambda *args: 0.0\n"
-    "sys.argv = ['cvrmot', 'fuse-check', '--trials', '3']\n"
+    "def main():\n"
+    "    print('OK')\n"
+    "    return 3\n"
+    "cli.main = main\n"
     "cli.console_main()\n"
 )
 
 
-@pytest.mark.parametrize("script, status", [(None, 0), (FAILING_FUSE_CHECK, 1)])
-def test_console_entry_exits_with_the_fuse_check_status(script, status):
-    """Statuses 0 and 1; ``test_console_entry_errors_exit_2_without_a_traceback`` checks 2."""
-    done = _console("fuse-check", "--trials", 3, script=script)
+@pytest.mark.parametrize(
+    "script, status", [(None, 0), (MAIN_RETURNS_3, 3)], ids=["validate", "main-3"]
+)
+def test_console_entry_exits_with_mains_status(tmp_path, script, status):
+    """Statuses 0 and 3; ``test_console_entry_errors_exit_2_without_a_traceback`` checks 2."""
+    done = _console(*_validate_argv(tmp_path), script=script)
     assert done.returncode == status, done.stderr
-    assert done.stdout.splitlines()[-1] == "PASS argmax invariance under common shifts over 3 samples"
-    assert ("FAIL fuse_scores worked example" in done.stdout) == bool(status)
+    assert done.stdout == "OK\n"
 
 
 def test_console_entry_on_a_closed_stdout_pipe_exits_120(workspace, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, strategies as st
 from cvrmot import (
     ATTRIBUTE_CATEGORIES,
     AttributeSet,
-    AttributeVocabulary,
     BBox,
     DEFAULT_VOCABULARY,
     Detection,
@@ -16,8 +16,9 @@ from cvrmot import (
     validate_attributes,
     validate_scene,
 )
+from cvrmot.datamodel import validate_description
 
-from helpers import box, lane_scene
+from helpers import box, desc_for, lane_scene
 
 
 def test_bbox_rejects_bad_sides():
@@ -81,61 +82,102 @@ def test_track_sorts_detections():
 
 
 def test_validate_scene_clean():
-    assert validate_scene(lane_scene()).ok
+    assert validate_scene(lane_scene()) is None
+
+
+def _scene_with(*tracks):
+    return Scene("bad", 2, 3, (4000, 2000), tracks)
+
+
+def _raises(scene, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_scene(scene)
+
+
+def test_validate_scene_too_few_views():
+    _raises(Scene("one", 1, 3, (4000, 2000), ()), "[scene] num_views must be >= 2, got 1")
 
 
 def test_validate_scene_out_of_range_view():
     scene = lane_scene(num_views=2)
-    bad = Detection(2, 1, 99, box(900.0))
-    tracks = scene.gt_tracks + (Track(99, (bad,)),)
-    report = validate_scene(Scene("bad", 2, 3, (4000, 2000), tracks))
-    assert len(report) == 1
-    assert report.violations[0].kind == "range"
-    assert "view" in report.violations[0].message
+    tracks = scene.gt_tracks + (Track(99, (Detection(2, 1, 99, box(900.0)),)),)
+    _raises(Scene("bad", 2, 3, (4000, 2000), tracks),
+            "[range] detection (view=2, frame=1, identity=99) has out-of-range view")
 
 
 def test_validate_scene_duplicate_slot():
     d1 = Detection(0, 1, 5, box(0.0))
     d2 = Detection(0, 1, 5, box(40.0))
-    scene = Scene("dup", 2, 3, (4000, 2000), (Track(5, (d1, d2)),))
-    report = validate_scene(scene)
-    kinds = [v.kind for v in report]
-    assert kinds == ["duplicate"]
+    _raises(Scene("dup", 2, 3, (4000, 2000), (Track(5, (d1, d2)),)),
+            "[duplicate] duplicate detection at (view=0, frame=1, identity=5)")
+
+
+# One scene for each other violation kind, and the exact error it raises.
+BAD_SCENES = {
+    "no-frames": (  # the scene's fields are checked before its detections
+        lane_scene()._replace(frames_per_view=0), "[scene] frames_per_view must be >= 1, got 0"
+    ),
+    "image-width": (Scene("w", 2, 3, (0, 2000), ()), "[scene] image_width must be >= 1, got 0"),
+    "image-height": (Scene("h", 2, 3, (4000, -1), ()), "[scene] image_height must be >= 1, got -1"),
+    "duplicate-track": (
+        _scene_with(Track(5, (Detection(0, 1, 5, box(0.0)),)),
+                    Track(5, (Detection(0, 2, 5, box(50.0)),))),
+        "[duplicate-track] identity 5 appears in two tracks",
+    ),
+    "track-identity": (
+        _scene_with(Track(5, (Detection(0, 1, 9, box(0.0)),))),
+        "[track-identity] detection (view=0, frame=1, identity=9) stored under track identity 5",
+    ),
+    "frame-out-of-range": (
+        _scene_with(Track(4, (Detection(1, 4, 4, box(0.0)),))),
+        "[range] detection (view=1, frame=4, identity=4) has out-of-range frame",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCENES)
+def test_validate_scene_raises_each_violation_kind(case):
+    _raises(*BAD_SCENES[case])
 
 
 def test_validate_scene_identity_mismatch_and_duplicate_track():
-    stray = Detection(0, 1, 9, box(0.0))
-    t1 = Track(5, (stray,))
+    """Of two violations, the one met first in the walk is raised."""
+    t1 = Track(5, (Detection(0, 1, 9, box(0.0)),))
     t2 = Track(5, (Detection(0, 2, 5, box(50.0)),))
-    report = validate_scene(Scene("mix", 2, 3, (4000, 2000), (t1, t2)))
-    kinds = {v.kind for v in report}
-    assert "track-identity" in kinds
-    assert "duplicate-track" in kinds
-
-
-def test_validate_scene_too_few_views():
-    report = validate_scene(Scene("one", 1, 3, (4000, 2000), ()))
-    assert any(v.kind == "scene" for v in report)
+    _raises(Scene("mix", 2, 3, (4000, 2000), (t1, t2)), BAD_SCENES["track-identity"][1])
 
 
 def test_vocabulary_has_74_words_in_8_categories():
-    assert DEFAULT_VOCABULARY.categories() == ATTRIBUTE_CATEGORIES
-    assert DEFAULT_VOCABULARY.total_words() == 74
+    assert ATTRIBUTE_CATEGORIES == AttributeSet._fields == (
+        "headwear_color", "headwear_style", "coat", "trousers",
+        "shoes", "held_item_color", "held_item_style", "transportation",
+    )
+    assert tuple(DEFAULT_VOCABULARY) == ATTRIBUTE_CATEGORIES
+    assert sum(len(words) for words in DEFAULT_VOCABULARY.values()) == 74
+    with pytest.raises(TypeError):
+        DEFAULT_VOCABULARY["coat"] = ("brown coat",)
 
 
 def test_validate_attributes_listed_words():
     attrs = AttributeSet(coat="black coat")
-    assert validate_attributes(attrs).ok
-    assert validate_attributes(AttributeSet(transportation="a bicycle")).ok
+    assert validate_attributes(attrs) is None
+    assert validate_attributes(AttributeSet(transportation="a bicycle")) is None
 
 
 def test_validate_attributes_unlisted_word():
-    report = validate_attributes(AttributeSet(coat="brown coat"))
-    assert len(report) == 1
-    assert report.violations[0].kind == "vocabulary"
+    message = "[vocabulary] 'brown coat' is not a listed coat word"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_attributes(AttributeSet(coat="brown coat", shoes="flippers"))
 
 
-def test_validate_attributes_unknown_category():
-    vocab = AttributeVocabulary(words={"coat": ("black coat", "null")})
-    report = validate_attributes(AttributeSet(coat="black coat", shoes="red shoes"), vocab)
-    assert [v.kind for v in report] == ["unknown-category"]
+def test_validate_description_raises_the_word_then_the_smallest_unknown_identity():
+    scene = lane_scene(num_ids=2)
+    assert validate_description(desc_for(scene, desc_id="d")) is None
+    unknown = desc_for(scene, [1, 9, 7], desc_id="d")
+    message = "[referred-identity] description 'd' refers to unknown identity 7"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_description(unknown, scene)
+    assert validate_description(unknown) is None  # no scene: only the words are checked
+    worded = unknown._replace(attributes=AttributeSet(shoes="flippers"))
+    with pytest.raises(ValueError, match=r"^\[vocabulary\] 'flippers' is not a listed shoes word$"):
+        validate_description(worded, scene)

@@ -213,11 +213,6 @@ def test_render_description_empty_and_deterministic():
     )
 
 
-def test_render_description_unknown_template():
-    with pytest.raises(ValueError):
-        render_description(AttributeSet(), template_id="v2")
-
-
 def test_report_round_trip(tmp_path):
     scene = lane_scene(num_views=2, num_ids=2, num_frames=3)
     descs = [desc_for(scene, {1}, "a"), desc_for(scene, {2}, "b")]

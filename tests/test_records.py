@@ -18,8 +18,6 @@ from cvrmot import (
     ScoreRecord,
     Track,
     TrackState,
-    ValidationReport,
-    Violation,
 )
 from cvrmot.cli import RunConfig
 from cvrmot.datamodel import field_types
@@ -140,7 +138,6 @@ def test_records_are_immutable_tuples():
         RunConfig(7),
         ErrorSpec(1, 2, 3, 4),
         PredictionSet("d", lane_scene().gt_tracks, {(0, 1, 1): ScoreRecord(0.5, 0.25)}),
-        ValidationReport((Violation("scene", "x"),)),
     ],
     ids=lambda value: type(value).__name__,
 )
@@ -159,17 +156,6 @@ def test_prediction_set_default_scores_are_an_immutable_empty_mapping():
     assert second.scores == {}
 
 
-def test_validation_report_iterates_its_violations():
-    found = (Violation("range", "a"), Violation("duplicate", "b"))
-    report = ValidationReport(found)
-    assert list(report) == list(found)
-    assert len(report) == 2 and not report.ok
-    assert report.violations == found
-    assert ValidationReport(violations=found) == report
-    empty = ValidationReport()
-    assert empty.ok and len(empty) == 0 and list(empty) == [] and empty.violations == ()
-
-
 def test_config_field_types_and_echo():
     assert field_types(PredictorConfig) == {
         "t_as": float, "t_ss": float, "t_hs": float,
@@ -185,6 +171,6 @@ def test_no_record_has_an_instance_dict():
 
     records = [getattr(cvrmot, name) for name in cvrmot.__all__]
     records = [obj for obj in records if isinstance(obj, type) and issubclass(obj, tuple)]
-    assert len(records) >= 25
+    assert len(records) == 23
     for cls in records + [RunConfig]:
         assert cls.__dictoffset__ == 0, cls.__name__

@@ -14,9 +14,8 @@ import cvrmot
 # Every name ``cvrmot`` exported when its ``__init__`` imported them all eagerly.
 EAGER_EXPORTS = {
     "assignment": "Assignment CostMatrix FORBIDDEN brute_force_lap solve_lap",
-    "datamodel": "ATTRIBUTE_CATEGORIES AttributeSet AttributeVocabulary BBox DEFAULT_VOCABULARY "
-    "Detection LanguageDescription Scene Track ValidationReport Violation iou "
-    "validate_attributes validate_scene",
+    "datamodel": "ATTRIBUTE_CATEGORIES AttributeSet BBox DEFAULT_VOCABULARY "
+    "Detection LanguageDescription Scene Track iou validate_attributes validate_scene",
     "fusion_losses": "FusionWeights LossInputs ScoreRecord fuse_features fuse_scores "
     "grad_loss_cmot loss_cmot loss_referring loss_total",
     "ingest": "ParseError PredictionSet build_report parse_descriptions parse_predictions "

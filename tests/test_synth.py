@@ -58,7 +58,7 @@ def ledger_matches_counts(ledger, counts):
 def test_generate_scene_counts_and_determinism():
     scene = generate_scene(2, 1, 5, seed=7)
     assert scene.detection_count() == 10
-    assert validate_scene(scene).ok
+    assert validate_scene(scene) is None
     assert generate_scene(2, 1, 5, seed=7) == scene
     assert generate_scene(2, 1, 5, seed=8) != scene
 
