@@ -28,7 +28,7 @@ import sys
 from importlib import import_module
 from operator import getitem
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, NamedTuple, Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .datamodel import (
     AttributeSet,
@@ -36,12 +36,12 @@ from .datamodel import (
     DEFAULT_VOCABULARY,
     EvalConfig,
     LanguageDescription,
-    Scene,
     check_type,
     field_types,
 )
 from .fusion_losses import FusionWeights
 from .ingest import (
+    ParseError,
     PredictionSet,
     build_report,
     line_identities,
@@ -62,13 +62,10 @@ from .ingest import (
 )
 from .predictor import MissingScoreError, PredictorConfig, filter_tracks
 
-if TYPE_CHECKING:
-    from .metrics import DescriptionResult
-
 _LAZY_NAMES = {
     "synth": {"ErrorSpec", "generate_scene", "ledger_to_dict", "perturb",
               "predictions_from_gt", "score_tracks"},
-    "metrics": {"DescriptionResult", "aggregate", "evaluate_description"},
+    "metrics": {"aggregate", "evaluate_description"},
 }
 
 
@@ -83,11 +80,7 @@ class RunConfig(Checked, _RunConfig):
 
 
 def __getattr__(name: str) -> object:
-    """The pool, ``synth`` and ``metrics`` are imported on first use: only their users load them."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
+    """``synth`` and ``metrics`` are imported on first use: only their users load them."""
     for module, names in _LAZY_NAMES.items():
         if name in names:
             return getattr(import_module(f"{__package__}.{module}"), name)
@@ -142,36 +135,29 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                 parser.add_argument(flag, dest=name, type=kind)
 
 
-def _eval_one(payload: tuple[Scene, LanguageDescription, tuple, EvalConfig]) -> DescriptionResult:
-    scene, desc, tracks, config = payload
-    return sys.modules[__name__].evaluate_description(scene, desc, tracks, config)
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    """Parse and score one description at a time; only its ``DescriptionResult`` is kept."""
     cli = sys.modules[__name__]
     configs = _effective_config(args)
     scene = parse_scene(args.manifest, args.gt_dir)
     descriptions = parse_descriptions(args.descriptions, scene)
     root = Path(args.predictions_root)
-    payloads = []
+    if root.exists() and not root.is_dir():
+        raise ParseError(root, "not a directory")
+    results = []
     for desc in descriptions:
         pred_dir = root / desc.id
-        if not pred_dir.is_dir():
+        if pred_dir.is_dir():
+            tracks = parse_predictions(pred_dir, desc.id, scene.num_views).tracks
+        elif pred_dir.exists():
+            raise ParseError(pred_dir, "not a directory")
+        else:
             print(
                 f"warning: no predictions for description {desc.id!r}; scoring as empty",
                 file=sys.stderr,
             )
-            predictions = PredictionSet(desc.id, (), {})
-        else:
-            predictions = parse_predictions(pred_dir, desc.id, scene.num_views)
-        payloads.append((scene, desc, predictions.tracks, configs[0]))
-    if args.jobs > 1 and len(payloads) > 1:
-        with cli.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_eval_one, payloads))
-    else:
-        results = [_eval_one(p) for p in payloads]
+            tracks = ()
+        results.append(cli.evaluate_description(scene, desc, tracks, configs[0]))
     aggregate_result = cli.aggregate(results) if results else None
     echo = {key: value for config in configs for key, value in config._asdict().items()}
     report = build_report(results, aggregate_result, echo)
@@ -335,9 +321,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--descriptions", required=True)
         p.add_argument("--predictions-root", dest="predictions_root", required=True)
         p.add_argument("--out", help="report JSON path")
-        p.add_argument(
-            "--jobs", type=int, default=1, help="worker processes (default: 1, in this process)"
-        )
         _add_config_flags(p)
     if p := add("filter", "filter tracks by fused scores", cmd_filter):
         p.add_argument("--tracks", required=True, help="directory of per-view track CSVs")

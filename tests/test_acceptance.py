@@ -299,7 +299,6 @@ def _run_pipeline(root) -> bytes:
             "--gt-dir", str(work / "gt"),
             "--descriptions", str(work / "descriptions.json"),
             "--predictions-root", str(root / "filtered"),
-            "--jobs", "1",
             "--out", str(report_path),
         ]
     )

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,7 +67,6 @@ def test_filter_then_evaluate_pipeline(workspace, tmp_path, capsys):
             "--gt-dir", workspace / "gt",
             "--descriptions", workspace / "descriptions.json",
             "--predictions-root", tmp_path / "filtered",
-            "--jobs", 1,
             "--out", tmp_path / "report.json",
         ]
     )
@@ -110,7 +110,6 @@ def test_synth_errors_then_evaluate_reproduces_ledger(tmp_path, capsys):
             "--gt-dir", tmp_path / "work" / "gt",
             "--descriptions", tmp_path / "work" / "descriptions.json",
             "--predictions-root", tmp_path / "work" / "predictions",
-            "--jobs", 1,
             "--out", tmp_path / "report.json",
         ]
     )
@@ -150,7 +149,6 @@ def test_evaluate_table_shows_ledger_value_as_percent(tmp_path, capsys):
             "--gt-dir", tmp_path / "work" / "gt",
             "--descriptions", tmp_path / "work" / "descriptions.json",
             "--predictions-root", tmp_path / "work" / "predictions",
-            "--jobs", 1,
         ]
     )
     assert rc == 0
@@ -170,7 +168,6 @@ def test_evaluate_zero_descriptions_marks_aggregate_undefined(tmp_path, capsys):
             "--gt-dir", tmp_path / "gt",
             "--descriptions", tmp_path / "descriptions.json",
             "--predictions-root", tmp_path,
-            "--jobs", 1,
             "--out", tmp_path / "report.json",
         ]
     )
@@ -188,7 +185,6 @@ def test_evaluate_missing_predictions_warns_and_scores_empty(workspace, tmp_path
             "--gt-dir", workspace / "gt",
             "--descriptions", workspace / "descriptions.json",
             "--predictions-root", tmp_path / "nothing-here",
-            "--jobs", 1,
         ]
     )
     assert rc == 0
@@ -197,26 +193,77 @@ def test_evaluate_missing_predictions_warns_and_scores_empty(workspace, tmp_path
     assert "scoring as empty" in captured.err
 
 
-def test_evaluate_reports_are_byte_identical(workspace, tmp_path):
-    for desc_id in ("d00", "d01"):
-        run(
-            [
-                "filter",
-                "--tracks", workspace / "tracks" / desc_id,
-                "--out", tmp_path / "filtered" / desc_id,
-            ]
-        )
-    argv = [
-        "evaluate",
-        "--manifest", workspace / "manifest.json",
-        "--gt-dir", workspace / "gt",
-        "--descriptions", workspace / "descriptions.json",
-        "--predictions-root", tmp_path / "filtered",
-        "--seed", 0,
+def test_evaluate_missing_root_warns_for_each_description_in_order(workspace, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(_evaluate_argv(workspace, tmp_path / "nothing-here", "--out", tmp_path / "r.json")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "".join(
+        f"warning: no predictions for description {d!r}; scoring as empty\n" for d in ("d00", "d01")
+    )
+    assert captured.out.splitlines()[1:] == [
+        "d00              0.00      0.00",
+        "d01              0.00      0.00",
+        "aggregate        0.00      0.00  (n_l=2)",
     ]
-    assert run(argv + ["--jobs", 1, "--out", tmp_path / "r1.json"]) == 0
-    assert run(argv + ["--jobs", 2, "--out", tmp_path / "r2.json"]) == 0
-    assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+
+@pytest.mark.parametrize("where", ["root", "d01"])
+def test_evaluate_rejects_a_predictions_path_that_is_a_file(workspace, tmp_path, capsys, where):
+    """A file where a predictions directory belongs is a ParseError naming it; no report is written."""
+    root = workspace / "tracks"
+    named = root if where == "root" else root / "d01"
+    shutil.rmtree(named)
+    named.write_text("1,1,0.0,0.0,10.0,20.0\n")
+    capsys.readouterr()
+    assert run(_evaluate_argv(workspace, root, "--out", tmp_path / "report.json")) == 2
+    assert capsys.readouterr() == ("", f"error: {named}: not a directory\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_parses_and_scores_one_description_at_a_time(tmp_path, capsys, monkeypatch):
+    """Each description is parsed, warned about and scored before the next one is read."""
+    import cvrmot.cli as cli
+
+    work = tmp_path / "work"
+    assert run(["synth", "--views", 2, "--ids", 3, "--frames", 4, "--descriptions", 3, "--out", work]) == 0
+    shutil.rmtree(work / "tracks" / "d01")
+    capsys.readouterr()
+    events = []
+
+    def note(event):
+        err = capsys.readouterr().err  # what was written to stderr since the last call
+        if err:
+            events.append(err)
+        events.append(event)
+
+    parse, evaluate = cli.parse_predictions, cli.evaluate_description
+
+    def parse_stand_in(directory, description_id, num_views):
+        note(("parse", description_id))
+        return parse(directory, description_id, num_views)
+
+    def evaluate_stand_in(scene, desc, tracks, config):
+        note(("evaluate", desc.id))
+        return evaluate(scene, desc, tracks, config)
+
+    monkeypatch.setattr(cli, "parse_predictions", parse_stand_in)
+    monkeypatch.setattr(cli, "evaluate_description", evaluate_stand_in)
+    assert run(_evaluate_argv(work, work / "tracks")) == 0
+    assert events == [
+        ("parse", "d00"),
+        ("evaluate", "d00"),
+        "warning: no predictions for description 'd01'; scoring as empty\n",
+        ("evaluate", "d01"),
+        ("parse", "d02"),
+        ("evaluate", "d02"),
+    ]
+
+
+def test_evaluate_has_no_jobs_flag(workspace, capsys):
+    with pytest.raises(SystemExit) as exited:
+        run(_evaluate_argv(workspace, workspace / "tracks", "--jobs", 2))
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_validate_clean_and_corrupt(tmp_path, capsys):
@@ -360,7 +407,6 @@ def test_config_file_overrides_flags(workspace, tmp_path, capsys):
             "--gt-dir", workspace / "gt",
             "--descriptions", workspace / "descriptions.json",
             "--predictions-root", tmp_path / "nothing",
-            "--jobs", 1,
             "--t-hs", 5.0,
             "--config", config,
             "--out", tmp_path / "echo.json",
@@ -449,41 +495,6 @@ def test_evaluate_rejects_iou_threshold_flag(workspace, capsys, flag):
     argv = _evaluate_argv(workspace, workspace / "tracks", "--iou-threshold", flag)
     assert run(argv) == 2
     assert "iou_threshold" in capsys.readouterr().err
-
-
-class _RecordingPool:
-    created: list = []
-
-    def __init__(self, max_workers=None):
-        _RecordingPool.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-    def map(self, fn, *iterables):
-        return list(map(fn, *iterables))
-
-
-def test_evaluate_is_serial_unless_jobs_given(workspace, tmp_path, monkeypatch):
-    import cvrmot.cli
-
-    monkeypatch.setattr(cvrmot.cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "created", [])
-    root = workspace / "tracks"
-    assert run(_evaluate_argv(workspace, root, "--out", tmp_path / "serial.json")) == 0
-    assert _RecordingPool.created == []
-    assert run(_evaluate_argv(workspace, root, "--jobs", 2, "--out", tmp_path / "pool.json")) == 0
-    assert _RecordingPool.created == [2]
-    assert (tmp_path / "serial.json").read_bytes() == (tmp_path / "pool.json").read_bytes()
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_evaluate_rejects_jobs_below_one(workspace, capsys, jobs):
-    assert run(_evaluate_argv(workspace, workspace / "tracks", "--jobs", jobs)) == 2
-    assert "--jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--jitter", "--hi", "--lo"])

@@ -1,12 +1,8 @@
 """The gated per-slot pass against the dense oracles and brute force."""
 
 import math
-import os
-import subprocess
-import sys
 from collections import defaultdict
 from itertools import count, product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -249,33 +245,6 @@ def test_only_components_larger_than_one_by_one_reach_the_solver(monkeypatch):
     assert sides == [(2, 2)]
     assert measures.idtp == 16
     assert measures == dense_id_measures(gt_tracks, pred_tracks)
-
-
-def test_serial_runs_never_import_the_process_pool(tmp_path):
-    script = """
-import sys
-from cvrmot import cli
-
-work = sys.argv[1]
-steps = [
-    ["synth", "--views", "2", "--ids", "2", "--frames", "3", "--out", work],
-    ["filter", "--tracks", work + "/tracks/d00", "--out", work + "/filtered/d00"],
-    ["evaluate", "--manifest", work + "/manifest.json", "--gt-dir", work + "/gt",
-     "--descriptions", work + "/descriptions.json", "--predictions-root", work + "/filtered"],
-]
-loaded = []
-for argv in steps:
-    assert cli.main(argv) == 0, argv
-    loaded.append("concurrent.futures" in sys.modules)
-print(loaded, cli.ProcessPoolExecutor.__module__)
-"""
-    src = str(Path(cvrmot.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "work")],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
-    )
-    assert done.stdout.splitlines()[-1] == "[False, False, False] concurrent.futures.process"
 
 
 # (other box, threshold, gated): the GT box is (0, 0, 10, 10) and every other

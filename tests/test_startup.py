@@ -55,7 +55,7 @@ SCRIPT = """
 import sys
 
 before = set(sys.modules)  # what the interpreter and site load is not counted
-watched = {"cvrmot.metrics", "cvrmot.assignment", "fractions", "json"}
+watched = {"cvrmot.metrics", "cvrmot.assignment", "fractions", "json", "concurrent.futures"}
 mode, work = sys.argv[1:]
 if mode == "bare":
     import cvrmot
