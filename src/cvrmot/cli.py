@@ -26,7 +26,7 @@ import os
 import random
 import sys
 from importlib import import_module
-from operator import getitem
+from operator import getitem, itemgetter
 from pathlib import Path
 from typing import Collection, NamedTuple, Optional, Sequence
 
@@ -44,21 +44,22 @@ from .ingest import (
     ParseError,
     PredictionSet,
     build_report,
-    line_identities,
+    line_keys,
     parse_descriptions,
     parse_predictions,
     parse_scene,
     parse_scores,
-    prediction_lines,
     read_json,
+    record_text,
     render_description,
     view_count,
+    view_lines,
     write_descriptions,
     write_json,
     write_lines,
+    write_manifest,
     write_predictions,
     write_report,
-    write_scene,
 )
 from .predictor import MissingScoreError, PredictorConfig, filter_tracks
 
@@ -249,6 +250,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         descriptions.append(_sample_description(rng, index, referred))
     base = cli.predictions_from_gt(scene)
     everyone = frozenset(identities)
+    # Each box and score record is printed once: the gt/ lines make every box's
+    # text, a tracks/ line is the gt/ line of its detection plus its scores, and a
+    # predictions/ row copies a ground-truth box object, whose text it reuses.
+    texts: dict = {}
+    gt_lines = view_lines(scene.all_detections(), scene.num_views, texts)
+    keys = line_keys(scene.gt_tracks, scene.num_views)
     # score_tracks draws one jitter stream whatever is referred, so a detection's
     # record is one of two: its hi-level one when its identity is referred and its
     # lo-level one when not. Each level a description needs is scored and formatted
@@ -261,19 +268,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
         scores = cli.score_tracks(
             scene, base, referred, hi=args.hi, lo=args.lo, seed=seed + 2, jitter=args.jitter
         )
-        scored = PredictionSet(base.description_id, base.tracks, scores)
-        lines.append(prediction_lines(scored, scene.num_views))
+        lines.append([
+            [f"{line},{record_text(scores[key], texts)}" for line, key in zip(*view)]
+            for view in zip(gt_lines, keys)
+        ])
     if args.errors:
         spec = cli.ErrorSpec(**_read_keys(args.errors, field_types(cli.ErrorSpec), "error spec"))
         first = descriptions[0].id
         perturbed, ledger = cli.perturb(scene, spec, seed=seed + 3, description_id=first)
 
     out = Path(args.out)
-    write_scene(scene, out / "manifest.json", out / "gt")
+    write_manifest(scene, out / "manifest.json")
+    write_lines(out / "gt", gt_lines)
     write_descriptions(descriptions, out / "descriptions.json")
     if len(lines) == 2:
         choices = [list(zip(lo, hi)) for hi, lo in zip(*lines)]  # indexed by "is referred"
-        row_ids = line_identities(base.tracks, scene.num_views)
+        row_ids = [list(map(itemgetter(2), view_keys)) for view_keys in keys]
     for desc in descriptions:
         desc_lines = lines[0]
         if desc.referred_identities != everyone:
@@ -284,7 +294,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             ]
         write_lines(out / "tracks" / desc.id, desc_lines)
     if args.errors:
-        write_predictions(perturbed, out / "predictions" / first, scene.num_views)
+        write_predictions(perturbed, out / "predictions" / first, scene.num_views, texts)
         write_json(cli.ledger_to_dict(ledger), out / "ledger.json")
     print(f"wrote synthetic scene {scene.name!r} to {out}")
     return 0

@@ -122,13 +122,15 @@ def iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union of two boxes on the closed real plane.
 
     Symmetric, bounded in [0, 1]; 0 for disjoint boxes and exactly 1 for
-    identical boxes. Same float operations as ``BBox.x2`` and ``y2``.
+    identical boxes. Same float operations as ``BBox.x2`` and ``y2``. The
+    conditional expressions return exactly what ``min(ax2, bx2) - max(ax, bx)``
+    would (ints and signed zeros included), without the builtin calls.
     """
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     ax2, ay2, bx2, by2 = ax + aw, ay + ah, bx + bw, by + bh
-    ix = min(ax2, bx2) - max(ax, bx)
-    iy = min(ay2, by2) - max(ay, by)
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx if bx > ax else ax)
+    iy = (by2 if by2 < ay2 else ay2) - (by if by > ay else ay)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy

@@ -24,9 +24,12 @@ coerced. All CSVs share one row reader (integer frame >= 1 and id, no repeated
 ``_``), which converts a file of plain lines whole, column by column, and any
 other file line by line, field by field; and one row formatter,
 :func:`view_lines` (``repr`` floats, so a re-parse is exact), whose per-view
-lines :func:`write_lines` writes. One helper decides which ``view_NN.csv`` files a
-directory holds. JSON values must have exactly their type (a count is an
-``int``), and no object may repeat a key.
+lines :func:`write_lines` writes. Given a ``texts`` map, it prints each box or
+score record once per object (:func:`record_text`, never keyed by value):
+``synth`` shares one map across ``gt/``, ``tracks/`` and ``predictions/``, so
+a copied box or a shared score record reuses its text. One helper decides which
+``view_NN.csv`` files a directory holds. JSON values must have exactly their
+type (a count is an ``int``), and no object may repeat a key.
 """
 
 from __future__ import annotations
@@ -310,14 +313,38 @@ def _view_rows(rows: Iterable[Sequence], num_views: int) -> list[list[Sequence]]
     return list(by_view.values())
 
 
-def view_lines(rows: Iterable[Sequence], num_views: int) -> list[list[str]]:
+def record_text(record: Sequence, texts: dict[int, tuple[Sequence, str]]) -> str:
+    """The CSV text of ``record``, a tuple of numbers such as a BBox, made once per object.
+
+    ``texts`` maps ``id(record)`` to the record and its text; holding the
+    record keeps its id from passing to another object while ``texts`` lives.
+    Records are never matched by value, so equal ones that print differently
+    (``10`` and ``10.0``, ``0.0`` and ``-0.0``) each get their own text.
+    """
+    entry = texts.get(id(record))
+    if entry is None:
+        entry = texts[id(record)] = record, ",".join(map(repr, record))
+    return entry[1]
+
+
+def view_lines(
+    rows: Iterable[Sequence], num_views: int, texts: Optional[dict] = None
+) -> list[list[str]]:
     """Per view, the CSV lines of its ``(view, frame, id, ...)`` rows, ordered by (frame, id).
 
-    A line drops the view column; ``repr`` keeps every float exact.
+    A line drops the view column; ``repr`` keeps every float exact. Given
+    ``texts``, each field after the id is a record, printed by :func:`record_text`.
     """
+    grouped = _view_rows(rows, num_views)
+    if texts is None:
+        return [
+            list(map(",".join, map(map, repeat(repr), map(itemgetter(slice(1, None)), view_rows))))
+            for view_rows in grouped
+        ]
     return [
-        list(map(",".join, map(map, repeat(repr), map(itemgetter(slice(1, None)), view_rows))))
-        for view_rows in _view_rows(rows, num_views)
+        [f"{frame!r},{identity!r}," + ",".join([record_text(r, texts) for r in records])
+         for _, frame, identity, *records in view_rows]
+        for view_rows in grouped
     ]
 
 
@@ -386,9 +413,13 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
     return scene
 
 
-def write_scene(scene: Scene, manifest_path: Path | str, gt_dir: Path | str) -> None:
+def write_manifest(scene: Scene, path: Path | str) -> None:
     values = (scene.name, scene.num_views, scene.frames_per_view, *scene.image_size)
-    write_json(dict(zip(_MANIFEST_FIELDS, values)), manifest_path)
+    write_json(dict(zip(_MANIFEST_FIELDS, values)), path)
+
+
+def write_scene(scene: Scene, manifest_path: Path | str, gt_dir: Path | str) -> None:
+    write_manifest(scene, manifest_path)
     rows = [(*d[:3], *d.bbox) for d in scene.all_detections()]
     write_lines(gt_dir, view_lines(rows, scene.num_views))
 
@@ -484,9 +515,21 @@ def parse_predictions(
     return PredictionSet(description_id, _tracks_from_detections(detections), scores)
 
 
-def prediction_lines(pred: PredictionSet, num_views: int) -> list[list[str]]:
-    """Per view, the lines of ``pred``'s detections as :func:`write_predictions` writes them."""
+def prediction_lines(
+    pred: PredictionSet, num_views: int, texts: Optional[dict] = None
+) -> list[list[str]]:
+    """Per view, the lines of ``pred``'s detections as :func:`write_predictions` writes them.
+
+    Given ``texts``, each box and score record is printed by :func:`record_text`.
+    """
     scores = pred.scores
+    if texts is not None:
+        rows = [
+            det if (record := scores.get(det[:3])) is None else (*det, record)
+            for track in pred.tracks
+            for det in track.detections
+        ]
+        return view_lines(rows, num_views, texts)
     rows = [
         (view, frame, identity, *box, *scores.get((view, frame, identity), ()))  # (s_t, s_a)
         for track in pred.tracks
@@ -495,14 +538,15 @@ def prediction_lines(pred: PredictionSet, num_views: int) -> list[list[str]]:
     return view_lines(rows, num_views)
 
 
-def line_identities(tracks: Sequence[Track], num_views: int) -> list[list[int]]:
-    """Per view, the identity of each line :func:`prediction_lines` gives for ``tracks``."""
-    rows = (d[:3] for track in tracks for d in track.detections)
-    return [list(map(itemgetter(2), view_rows)) for view_rows in _view_rows(rows, num_views)]
+def line_keys(tracks: Sequence[Track], num_views: int) -> list[list[tuple[int, int, int]]]:
+    """Per view, the (view, frame, identity) of each line :func:`prediction_lines` gives."""
+    return _view_rows((d[:3] for track in tracks for d in track.detections), num_views)
 
 
-def write_predictions(pred: PredictionSet, directory: Path | str, num_views: int) -> None:
-    write_lines(directory, prediction_lines(pred, num_views))
+def write_predictions(
+    pred: PredictionSet, directory: Path | str, num_views: int, texts: Optional[dict] = None
+) -> None:
+    write_lines(directory, prediction_lines(pred, num_views, texts))
 
 
 def parse_scores(

@@ -165,6 +165,7 @@ def generate_scene(
             if (box_w, box_h) not in used_sizes:
                 used_sizes.add((box_w, box_h))
                 break
+        right, bottom = width - box_w - 2.0, height - box_h - 2.0
         x0 = rng.uniform(120.0, width - 200.0 - box_w)
         y0 = rng.uniform(80.0, height - 140.0 - box_h)
         vx = rng.uniform(-3.0, 3.0)
@@ -177,11 +178,16 @@ def generate_scene(
             base_y = y0 + vy * (frame - 1) + jy
             for view in range(num_views):
                 off_x, off_y = offsets[view]
-                x = min(max(base_x + off_x, 2.0), width - box_w - 2.0)
-                y = min(max(base_y + off_y, 2.0), height - box_h - 2.0)
-                detections.append(
-                    Detection(view, frame, identity, BBox(round(x, 2), round(y, 2), box_w, box_h))
-                )
+                # min(max(x, 2.0), right) without builtin calls, returning what they return.
+                # Detection checks nothing, so its tuple is built without a Python call.
+                x = base_x + off_x
+                x = 2.0 if 2.0 > x else x
+                x = right if right < x else x
+                y = base_y + off_y
+                y = 2.0 if 2.0 > y else y
+                y = bottom if bottom < y else y
+                box = BBox(round(x, 2), round(y, 2), box_w, box_h)
+                detections.append(tuple.__new__(Detection, (view, frame, identity, box)))
         tracks.append(Track(identity, tuple(detections)))
     return Scene(
         name=f"synthetic-s{seed}",
@@ -396,12 +402,13 @@ def perturb(
             raise InfeasibleSpecError("could not place a false positive away from all GT boxes")
 
     pred_detections: list[Detection] = []
-    for det in scene.all_detections():
-        key = (det.view_id, det.frame, det.identity)
+    for view, frame, identity, box in scene.all_detections():
+        key = (view, frame, identity)
         if key in deletions:
             continue
-        new_identity = relabels.get(key, det.identity)
-        pred_detections.append(Detection(det.view_id, det.frame, new_identity, det.bbox))
+        # The box object is kept, so synth reuses its ground-truth text; Detection checks nothing.
+        row = (view, frame, relabels.get(key, identity), box)
+        pred_detections.append(tuple.__new__(Detection, row))
     pred_detections.extend(fp_detections)
     tracks = _tracks_from_detections(pred_detections)
     predictions = PredictionSet(description_id, tracks, {})
@@ -488,8 +495,9 @@ def score_tracks(
 ) -> dict[tuple[int, int, int], ScoreRecord]:
     """Per-detection scores: referred identities near ``hi``, others near ``lo``.
 
-    With ``jitter`` 0 the scores are exact; otherwise each score is displaced
-    by a seeded uniform offset in [-jitter, jitter] and clamped into [0, 1].
+    With ``jitter`` 0 the scores are exact, and each level's detections share
+    one ``ScoreRecord``; otherwise each score is displaced by a seeded uniform
+    offset in [-jitter, jitter] and clamped into [0, 1].
     """
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"need 0 <= lo <= hi <= 1, got lo={lo}, hi={hi}")
@@ -505,12 +513,18 @@ def score_tracks(
 
     def sample(base: float) -> float:
         value = base + rng.uniform(-jitter, jitter)
-        return min(max(value, 0.0), 1.0)
+        value = 0.0 if 0.0 > value else value  # max(value, 0.0)
+        return 1.0 if 1.0 < value else value  # min(value, 1.0)
 
+    # Without jitter every offset is exactly 0.0 (uniform(-0.0, 0.0) is -0.0 + 0.0 * r),
+    # so one record per level, indexed by "is referred", is what every draw would give.
+    shared = None
+    if not jitter:
+        shared = [ScoreRecord(sample(base), sample(base)) for base in (lo, hi)]
     for track in sorted(tracks, key=lambda t: t.identity):
-        base = hi if track.identity in referred else lo
+        is_referred = track.identity in referred
+        base = hi if is_referred else lo
         for det in track.detections:
-            s_t = sample(base)
-            s_a = sample(base)
-            scores[(det.view_id, det.frame, det.identity)] = ScoreRecord(s_t, s_a)
+            record = shared[is_referred] if shared else ScoreRecord(sample(base), sample(base))
+            scores[det[:3]] = record
     return scores

@@ -13,6 +13,8 @@
 * The per-description loop ``cvrmot synth`` had before it scored each score
   level once: every description's tracks scored by their own
   ``score_tracks`` call and written by ``write_predictions``.
+* The ``iou`` ``cvrmot.datamodel`` had before it dropped the builtin calls:
+  the intersection's sides are ``min(...) - max(...)``.
 
 Tests compare the current code against them.
 """
@@ -45,6 +47,19 @@ from cvrmot import (
     solve_lap,
     write_predictions,
 )
+
+
+def oracle_iou(a: BBox, b: BBox) -> float:
+    """Intersection-over-union with the intersection's sides taken by ``min`` and ``max``."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ax2, ay2, bx2, by2 = ax + aw, ay + ah, bx + bw, by + bh
+    ix = min(ax2, bx2) - max(ax, bx)
+    iy = min(ay2, by2) - max(ay, by)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    return inter / ((ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter)
 
 
 def dense_match_frame(

@@ -21,7 +21,7 @@ from cvrmot import (
     write_scene,
     write_scores,
 )
-from cvrmot.ingest import _read_box_rows, _read_score_rows
+from cvrmot.ingest import _read_box_rows, _read_score_rows, record_text, view_lines, write_lines
 
 from oracles import (
     oracle_box_row,
@@ -123,6 +123,44 @@ def test_writers_match_the_per_row_oracle(rows):
             lambda out: write_scores(scores, out, NUM_VIEWS),
             lambda out: oracle_write_views(out, NUM_VIEWS, score_rows),
         )
+
+
+def test_shared_text_keeps_equal_records_that_print_differently_apart(tmp_path):
+    """Text reused by object never merges ``10`` with ``10.0`` or ``0.0`` with ``-0.0``."""
+    by_key = {
+        (0, 1, 1): BBox(10, 0, 10, 10),
+        (0, 1, 2): BBox(10.0, 0.0, 10.0, 10.0),
+        (1, 1, 1): BBox(10.0, -0.0, 10.0, 10.0),
+    }
+    scores = {
+        (0, 1, 1): ScoreRecord(0, 1),
+        (0, 1, 2): ScoreRecord(0.0, 1.0),
+        (1, 1, 1): ScoreRecord(-0.0, 1.0),
+    }
+    tracks = _tracks(by_key)
+    scene = Scene("s", NUM_VIEWS, NUM_FRAMES, (640, 480), tracks)
+    texts = {}  # shared by every file, as synth shares it
+    box_rows = [oracle_box_row(d) for d in scene.all_detections()]
+    _same_files(
+        tmp_path / "gt",
+        lambda out: write_lines(out, view_lines(scene.all_detections(), NUM_VIEWS, texts)),
+        lambda out: oracle_write_views(out, NUM_VIEWS, box_rows),
+    )
+    for name, pred_scores in (("boxes", {}), ("scored", scores)):
+        _same_files(
+            tmp_path / name,
+            lambda out: write_predictions(
+                PredictionSet("d", tracks, pred_scores), out, NUM_VIEWS, texts
+            ),
+            lambda out: oracle_write_views(
+                out, NUM_VIEWS, oracle_prediction_rows(tracks, pred_scores)
+            ),
+        )
+    # A record is held by its entry, so a new equal record cannot take its id.
+    texts = {}
+    assert record_text(BBox(1, 2, 3, 4), texts) == "1,2,3,4"
+    for _ in range(3):
+        assert record_text(BBox(1.0, 2.0, 3.0, 4.0), texts) == "1.0,2.0,3.0,4.0"
 
 
 numberish = st.text(alphabet="0123456789-+.,eEinfa _", max_size=40)

@@ -1,8 +1,9 @@
 import math
 import re
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cvrmot import (
     ATTRIBUTE_CATEGORIES,
@@ -19,6 +20,7 @@ from cvrmot import (
 from cvrmot.datamodel import validate_description
 
 from helpers import box, desc_for, lane_scene
+from oracles import oracle_iou
 
 
 def test_bbox_rejects_bad_sides():
@@ -56,6 +58,35 @@ _sides = st.integers(min_value=1, max_value=500)
 @st.composite
 def int_boxes(draw):
     return BBox(draw(_coords), draw(_coords), draw(_sides), draw(_sides))
+
+
+# Ints, signed zeros, the smallest subnormal and huge values, where min/max pick an operand.
+_iou_numbers = st.one_of(
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+    st.integers(-10**6, 10**6),
+    st.floats(-1e300, 1e300),
+)
+_iou_sides = st.one_of(
+    st.sampled_from([1, 5e-324, 1e300]),
+    st.integers(1, 10**6),
+    st.floats(0.0, 1e300, exclude_min=True),
+)
+_iou_boxes = st.builds(BBox, _iou_numbers, _iou_numbers, _iou_sides, _iou_sides)
+
+
+def _iou_outcome(fn, a, b):
+    """The bits of ``fn(a, b)``, or the type of what it raised (a subnormal area is 0)."""
+    try:
+        return struct.pack("d", fn(a, b))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=500)
+@given(_iou_boxes, _iou_boxes)
+def test_iou_matches_the_min_max_oracle_bit_for_bit(a, b):
+    for pair in ((a, b), (b, a), (a, a)):
+        assert _iou_outcome(iou, *pair) == _iou_outcome(oracle_iou, *pair)
 
 
 @given(int_boxes(), int_boxes())

@@ -3,7 +3,9 @@
 The digests were computed before synth drew each score level once and
 picked every description's rows from shared lines; any change to a file's
 bytes or to the set of files fails here. A tree's digest covers each file's
-relative name and contents, in sorted name order.
+relative name and contents, in sorted name order. The "border-clamps" shape
+was added when synth began printing each box and score record once; its
+digest was computed on the code before that change, with no source edited.
 """
 
 import hashlib
@@ -50,6 +52,14 @@ SHAPES = {
          "--hi", 0.97, "--lo", 0.02, "--seed", 6],
         None,
         "ad98cb7fa4331ec6f0cd5ffa93c74af163fb8b959aca30d7dd52a9c9e72f25e7",
+    ),
+    # A small image and 200 frames: all four border clamps of generate_scene fire
+    # (1,599 / 426 / 1,220 / 290 boxes), and the lo level prints 0.0 scores.
+    "border-clamps": (
+        ["--views", 3, "--ids", 6, "--frames", 200, "--image-width", 400,
+         "--image-height", 300, "--descriptions", 3, "--jitter", 0.0, "--lo", 0.0, "--seed", 7],
+        None,
+        "4ad5e1a3c000712e8c378728fd7c7d3ba8a2979b348d75cd8208186a4312aa6d",
     ),
 }
 
