@@ -28,7 +28,7 @@ import sys
 from importlib import import_module
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Collection, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .datamodel import (
     AttributeSet,
@@ -64,8 +64,7 @@ from .ingest import (
 from .predictor import MissingScoreError, PredictorConfig, filter_tracks
 
 _LAZY_NAMES = {
-    "synth": {"ErrorSpec", "generate_scene", "ledger_to_dict", "perturb",
-              "predictions_from_gt", "score_tracks"},
+    "synth": {"ErrorSpec", "generate_scene", "ledger_to_dict", "perturb", "score_tracks"},
     "metrics": {"aggregate", "evaluate_description"},
 }
 
@@ -149,7 +148,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for desc in descriptions:
         pred_dir = root / desc.id
         if pred_dir.is_dir():
-            tracks = parse_predictions(pred_dir, desc.id, scene.num_views).tracks
+            tracks = parse_predictions(pred_dir, scene.num_views).tracks
         elif pred_dir.exists():
             raise ParseError(pred_dir, "not a directory")
         else:
@@ -188,15 +187,15 @@ def cmd_filter(args: argparse.Namespace) -> int:
     _, weights, predictor_config, _ = _effective_config(args)
     tracks_dir = Path(args.tracks)
     num_views = view_count(tracks_dir)
-    predictions = parse_predictions(tracks_dir, "input", num_views)
-    scores = dict(predictions.scores)
-    if args.scores:
-        scores = parse_scores(args.scores, num_views)
+    predictions = parse_predictions(tracks_dir, num_views)
+    if args.scores:  # PredictionSet rejects a score row without a detection
+        predictions = PredictionSet(predictions.tracks, parse_scores(args.scores, num_views))
+    scores = predictions.scores
     kept = filter_tracks(predictions.tracks, scores, predictor_config, weights)
     kept_scores = {  # a detection's key is its (view, frame, identity)
         key: scores[key] for t in kept for d in t.detections if (key := d[:3]) in scores
     }
-    out = PredictionSet(predictions.description_id, kept, kept_scores)
+    out = PredictionSet(kept, kept_scores)
     write_predictions(out, args.out, num_views)
     total = sum(len(t.detections) for t in kept)
     print(f"kept {len(kept)} tracks / {total} detections -> {args.out}")
@@ -218,6 +217,14 @@ def _sample_description(
         attributes=attrs,
         referred_identities=referred,
     )
+
+
+def _text_rows(detections: Iterable[Sequence], texts: dict) -> list[tuple]:
+    """Each detection as ``(view, frame, identity, text of its box)``."""
+    return [
+        (view, frame, identity, record_text(box, texts))
+        for view, frame, identity, box in detections
+    ]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -248,13 +255,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         size = rng.randint(1, max(1, len(identities) - 1))
         referred = frozenset(rng.sample(identities, size))
         descriptions.append(_sample_description(rng, index, referred))
-    base = cli.predictions_from_gt(scene)
     everyone = frozenset(identities)
-    # Each box and score record is printed once: the gt/ lines make every box's
-    # text, a tracks/ line is the gt/ line of its detection plus its scores, and a
+    # Each box and score record is printed once: a gt/ row holds its box's text,
+    # a tracks/ line is the gt/ line of its detection plus its scores' text, and a
     # predictions/ row copies a ground-truth box object, whose text it reuses.
     texts: dict = {}
-    gt_lines = view_lines(scene.all_detections(), scene.num_views, texts)
+    gt_lines = view_lines(_text_rows(scene.all_detections(), texts), scene.num_views)
     keys = line_keys(scene.gt_tracks, scene.num_views)
     # score_tracks draws one jitter stream whatever is referred, so a detection's
     # record is one of two: its hi-level one when its identity is referred and its
@@ -266,7 +272,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     lines = []
     for referred in levels:
         scores = cli.score_tracks(
-            scene, base, referred, hi=args.hi, lo=args.lo, seed=seed + 2, jitter=args.jitter
+            scene, scene.gt_tracks, referred,
+            hi=args.hi, lo=args.lo, seed=seed + 2, jitter=args.jitter,
         )
         lines.append([
             [f"{line},{record_text(scores[key], texts)}" for line, key in zip(*view)]
@@ -274,8 +281,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ])
     if args.errors:
         spec = cli.ErrorSpec(**_read_keys(args.errors, field_types(cli.ErrorSpec), "error spec"))
-        first = descriptions[0].id
-        perturbed, ledger = cli.perturb(scene, spec, seed=seed + 3, description_id=first)
+        perturbed, ledger = cli.perturb(scene, spec, seed=seed + 3)
+        detections = (d for track in perturbed.tracks for d in track.detections)
+        pred_lines = view_lines(_text_rows(detections, texts), scene.num_views)
 
     out = Path(args.out)
     write_manifest(scene, out / "manifest.json")
@@ -294,7 +302,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             ]
         write_lines(out / "tracks" / desc.id, desc_lines)
     if args.errors:
-        write_predictions(perturbed, out / "predictions" / first, scene.num_views, texts)
+        write_lines(out / "predictions" / descriptions[0].id, pred_lines)
         write_json(cli.ledger_to_dict(ledger), out / "ledger.json")
     print(f"wrote synthetic scene {scene.name!r} to {out}")
     return 0

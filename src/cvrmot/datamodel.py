@@ -124,7 +124,9 @@ def iou(a: BBox, b: BBox) -> float:
     Symmetric, bounded in [0, 1]; 0 for disjoint boxes and exactly 1 for
     identical boxes. Same float operations as ``BBox.x2`` and ``y2``. The
     conditional expressions return exactly what ``min(ax2, bx2) - max(ax, bx)``
-    would (ints and signed zeros included), without the builtin calls.
+    would (ints and signed zeros included), without the builtin calls. When
+    the areas underflow to a union of 0, the IoU of the stored values is
+    computed exactly and rounded.
     """
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
@@ -134,7 +136,12 @@ def iou(a: BBox, b: BBox) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / ((ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter)
+    try:
+        return inter / ((ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter)
+    except ZeroDivisionError:  # the areas underflowed; exactly, the union is positive
+        from fractions import Fraction
+
+        return float(iou(*(tuple(map(Fraction, box)) for box in (a, b))))
 
 
 class Detection(NamedTuple):

@@ -23,12 +23,13 @@ coerced. All CSVs share one row reader (integer frame >= 1 and id, no repeated
 ``(frame, id)`` outside ground truth, numbers without non-ASCII digits or
 ``_``), which converts a file of plain lines whole, column by column, and any
 other file line by line, field by field; and one row formatter,
-:func:`view_lines` (``repr`` floats, so a re-parse is exact), whose per-view
-lines :func:`write_lines` writes. Given a ``texts`` map, it prints each box or
-score record once per object (:func:`record_text`, never keyed by value):
-``synth`` shares one map across ``gt/``, ``tracks/`` and ``predictions/``, so
-a copied box or a shared score record reuses its text. One helper decides which
-``view_NN.csv`` files a directory holds. JSON values must have exactly their
+:func:`view_lines` (``str`` of each field, which for a number is its ``repr``,
+so a re-parse is exact), whose per-view lines :func:`write_lines` writes. A
+field may be text: ``synth`` puts the :func:`record_text` of each box or score
+record (made once per object, never keyed by value, from one map shared across
+``gt/``, ``tracks/`` and ``predictions/``) into its rows, so a copied box or a
+shared score record reuses its text. One helper decides which ``view_NN.csv``
+files a directory holds. JSON values must have exactly their
 type (a count is an ``int``), and no object may repeat a key.
 """
 
@@ -71,7 +72,6 @@ class ParseError(ValueError):
 
 
 class _PredictionSet(NamedTuple):
-    description_id: str
     tracks: tuple[Track, ...]
     scores: Mapping[tuple[int, int, int], ScoreRecord] = MappingProxyType({})
 
@@ -327,24 +327,16 @@ def record_text(record: Sequence, texts: dict[int, tuple[Sequence, str]]) -> str
     return entry[1]
 
 
-def view_lines(
-    rows: Iterable[Sequence], num_views: int, texts: Optional[dict] = None
-) -> list[list[str]]:
+def view_lines(rows: Iterable[Sequence], num_views: int) -> list[list[str]]:
     """Per view, the CSV lines of its ``(view, frame, id, ...)`` rows, ordered by (frame, id).
 
-    A line drops the view column; ``repr`` keeps every float exact. Given
-    ``texts``, each field after the id is a record, printed by :func:`record_text`.
+    A line drops the view column and joins ``str`` of every other field. For an
+    int or a float that is its ``repr``, which keeps every float exact; a text
+    field, such as a :func:`record_text`, is written as it is.
     """
-    grouped = _view_rows(rows, num_views)
-    if texts is None:
-        return [
-            list(map(",".join, map(map, repeat(repr), map(itemgetter(slice(1, None)), view_rows))))
-            for view_rows in grouped
-        ]
     return [
-        [f"{frame!r},{identity!r}," + ",".join([record_text(r, texts) for r in records])
-         for _, frame, identity, *records in view_rows]
-        for view_rows in grouped
+        list(map(",".join, map(map, repeat(str), map(itemgetter(slice(1, None)), view_rows))))
+        for view_rows in _view_rows(rows, num_views)
     ]
 
 
@@ -497,9 +489,7 @@ def write_descriptions(descriptions: Sequence[LanguageDescription], path: Path |
     write_json(payload, path)
 
 
-def parse_predictions(
-    directory: Path | str, description_id: str, num_views: int
-) -> PredictionSet:
+def parse_predictions(directory: Path | str, num_views: int) -> PredictionSet:
     """Parse one description's per-view prediction CSVs.
 
     Missing or empty view files are treated as the tracker finding nothing in
@@ -512,24 +502,12 @@ def parse_predictions(
         view_dets, view_scores = _read_box_rows(path, view, allow_scores=True)
         detections.extend(view_dets)
         scores.update(view_scores)
-    return PredictionSet(description_id, _tracks_from_detections(detections), scores)
+    return PredictionSet(_tracks_from_detections(detections), scores)
 
 
-def prediction_lines(
-    pred: PredictionSet, num_views: int, texts: Optional[dict] = None
-) -> list[list[str]]:
-    """Per view, the lines of ``pred``'s detections as :func:`write_predictions` writes them.
-
-    Given ``texts``, each box and score record is printed by :func:`record_text`.
-    """
+def prediction_lines(pred: PredictionSet, num_views: int) -> list[list[str]]:
+    """Per view, the lines of ``pred``'s detections as :func:`write_predictions` writes them."""
     scores = pred.scores
-    if texts is not None:
-        rows = [
-            det if (record := scores.get(det[:3])) is None else (*det, record)
-            for track in pred.tracks
-            for det in track.detections
-        ]
-        return view_lines(rows, num_views, texts)
     rows = [
         (view, frame, identity, *box, *scores.get((view, frame, identity), ()))  # (s_t, s_a)
         for track in pred.tracks
@@ -543,10 +521,8 @@ def line_keys(tracks: Sequence[Track], num_views: int) -> list[list[tuple[int, i
     return _view_rows((d[:3] for track in tracks for d in track.detections), num_views)
 
 
-def write_predictions(
-    pred: PredictionSet, directory: Path | str, num_views: int, texts: Optional[dict] = None
-) -> None:
-    write_lines(directory, prediction_lines(pred, num_views, texts))
+def write_predictions(pred: PredictionSet, directory: Path | str, num_views: int) -> None:
+    write_lines(directory, prediction_lines(pred, num_views))
 
 
 def parse_scores(

@@ -198,15 +198,9 @@ def generate_scene(
     )
 
 
-def predictions_from_gt(
-    scene: Scene,
-    description_id: str = "all",
-    identities: Optional[Iterable[int]] = None,
-) -> PredictionSet:
+def predictions_from_gt(scene: Scene) -> PredictionSet:
     """Ground truth re-packaged as a (perfect) tracker output."""
-    keep = scene.identities() if identities is None else frozenset(identities)
-    tracks = tuple(t for t in scene.gt_tracks if t.identity in keep)
-    return PredictionSet(description_id, tracks, {})
+    return PredictionSet(scene.gt_tracks, {})
 
 
 def _disjoint_with_margin(box: BBox, others: Sequence[BBox], margin: float) -> bool:
@@ -222,14 +216,11 @@ def _disjoint_with_margin(box: BBox, others: Sequence[BBox], margin: float) -> b
 
 
 def _place_far_box(
-    rng: random.Random,
-    image_size: tuple[int, int],
-    gt_boxes: Sequence[BBox],
-    box_w: float = 60.0,
-    box_h: float = 120.0,
+    rng: random.Random, image_size: tuple[int, int], gt_boxes: Sequence[BBox]
 ) -> Optional[BBox]:
-    """A box at least one box-width clear of every ground-truth box."""
+    """A 60 x 120 box at least one box-width clear of every ground-truth box."""
     width, height = image_size
+    box_w, box_h = 60.0, 120.0
     xs = [4.0 + k * (width - box_w - 8.0) / 7.0 for k in range(8)]
     ys = [4.0 + k * (height - box_h - 8.0) / 4.0 for k in range(5)]
     candidates = [(x, y) for x in xs for y in ys]
@@ -249,12 +240,7 @@ def _view_frames(detections: Sequence[Detection]) -> dict[int, set[int]]:
     return views
 
 
-def perturb(
-    scene: Scene,
-    spec: ErrorSpec,
-    seed: int = 0,
-    description_id: str = "all",
-) -> tuple[PredictionSet, Ledger]:
+def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet, Ledger]:
     """Realize an error spec on top of the scene's ground truth.
 
     The result is the ground truth minus deleted slots, plus far-away false
@@ -273,9 +259,9 @@ def perturb(
     rng = random.Random(seed)
     errors: dict[int, dict[str, int]] = {}
 
-    def bump(frame: int, kind: str, amount: int = 1) -> None:
+    def bump(frame: int, kind: str) -> None:
         errors.setdefault(frame, {"misses": 0, "false_positives": 0, "temporal": 0, "crossview": 0})
-        errors[frame][kind] += amount
+        errors[frame][kind] += 1
 
     next_alias = max(by_identity, default=0) + 1
     relabels: dict[tuple[int, int, int], int] = {}
@@ -411,7 +397,7 @@ def perturb(
         pred_detections.append(tuple.__new__(Detection, row))
     pred_detections.extend(fp_detections)
     tracks = _tracks_from_detections(pred_detections)
-    predictions = PredictionSet(description_id, tracks, {})
+    predictions = PredictionSet(tracks, {})
 
     per_frame = {frame: FrameErrors(**counts) for frame, counts in sorted(errors.items())}
     expected_id = None

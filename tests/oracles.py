@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -50,7 +51,10 @@ from cvrmot import (
 
 
 def oracle_iou(a: BBox, b: BBox) -> float:
-    """Intersection-over-union with the intersection's sides taken by ``min`` and ``max``."""
+    """Intersection-over-union with the intersection's sides taken by ``min`` and ``max``.
+
+    A union that underflows to 0 gives the exact IoU of the stored values, rounded.
+    """
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     ax2, ay2, bx2, by2 = ax + aw, ay + ah, bx + bw, by + bh
@@ -59,7 +63,10 @@ def oracle_iou(a: BBox, b: BBox) -> float:
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
-    return inter / ((ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter)
+    union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
+    if union == 0:
+        return float(oracle_iou(*(tuple(map(Fraction, box)) for box in (a, b))))
+    return inter / union
 
 
 def dense_match_frame(
@@ -321,5 +328,5 @@ def oracle_synth_tracks(
         scores = score_tracks(
             scene, base, desc.referred_identities, hi=hi, lo=lo, seed=seed, jitter=jitter
         )
-        write_predictions(PredictionSet(desc.id, base.tracks, scores), directory / desc.id,
+        write_predictions(PredictionSet(base.tracks, scores), directory / desc.id,
                           scene.num_views)

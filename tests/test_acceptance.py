@@ -306,7 +306,7 @@ def _run_pipeline(root) -> bytes:
     # the filter recovered exactly the referred tracks for every description
     scene = parse_scene(work / "manifest.json", work / "gt")
     for desc in descriptions:
-        predicted = parse_predictions(root / "filtered" / desc["id"], desc["id"], scene.num_views)
+        predicted = parse_predictions(root / "filtered" / desc["id"], scene.num_views)
         got = {
             (d.view_id, d.frame, d.identity)
             for t in predicted.tracks

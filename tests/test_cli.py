@@ -238,9 +238,9 @@ def test_evaluate_parses_and_scores_one_description_at_a_time(tmp_path, capsys, 
 
     parse, evaluate = cli.parse_predictions, cli.evaluate_description
 
-    def parse_stand_in(directory, description_id, num_views):
-        note(("parse", description_id))
-        return parse(directory, description_id, num_views)
+    def parse_stand_in(directory, num_views):
+        note(("parse", Path(directory).name))
+        return parse(directory, num_views)
 
     def evaluate_stand_in(scene, desc, tracks, config):
         note(("evaluate", desc.id))
@@ -458,6 +458,38 @@ def test_filter_with_separate_scores_dir(workspace, tmp_path):
     for view in range(3):
         name = f"view_{view:02d}.csv"
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+
+
+def test_filter_rejects_a_score_row_without_a_detection(workspace, tmp_path, capsys):
+    tracks_dir = workspace / "tracks" / "d01"
+    scores_dir = tmp_path / "scores"
+    scores_dir.mkdir()
+    for view in range(3):
+        name = f"view_{view:02d}.csv"
+        rows = [row.split(",") for row in (tracks_dir / name).read_text().splitlines()]
+        extra = ["999,1,0.5,0.5\n"] if view == 0 else []
+        (scores_dir / name).write_text("".join([",".join(r[:2] + r[6:]) + "\n" for r in rows] + extra))
+    argv = ["filter", "--tracks", tracks_dir, "--scores", scores_dir, "--out", tmp_path / "out"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: score key (0, 999, 1) has no matching detection\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_scores_boxes_whose_areas_underflow(tmp_path, capsys):
+    """Both areas of two 1e-200 boxes round to 0; their IoU is still exactly 1."""
+    row = "1,1,0,0,1e-200,1e-200\n"
+    manifest = dict(name="tiny", views=2, frames_per_view=1, image_width=640, image_height=480)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    for directory, views in ((tmp_path / "gt", (0, 1)), (tmp_path / "preds" / "d", (0,))):
+        directory.mkdir(parents=True)
+        for view in views:
+            (directory / f"view_{view:02d}.csv").write_text(row)
+    scene = lane_scene(num_views=2, num_ids=1, num_frames=1)
+    write_descriptions([desc_for(scene)], tmp_path / "descriptions.json")
+    capsys.readouterr()
+    assert run(_evaluate_argv(tmp_path, tmp_path / "preds")) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["d", "66.67", "50.00"]
 
 
 def _evaluate_argv(workspace, root, *extra):
@@ -935,7 +967,8 @@ def test_console_entry_on_a_closed_stdout_pipe_exits_120(workspace, tmp_path):
     child = subprocess.Popen([sys.executable, "-m", "cvrmot.cli", *map(str, argv)], env=env,
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     child.stdout.close()  # before the child prints anything: nothing reads its stdout
-    stderr = child.stderr.read().decode()
+    with child.stderr:
+        stderr = child.stderr.read().decode()
     assert child.wait(timeout=120) == 120
     assert stderr == (
         "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"

@@ -63,10 +63,10 @@ def test_scene_round_trip(by_key, name):
 @given(st.dictionaries(keys, st.tuples(boxes, st.none() | st.tuples(unit, unit)), max_size=20))
 def test_predictions_round_trip_with_and_without_scores(rows):
     scores = {key: ScoreRecord(*score) for key, (_, score) in rows.items() if score is not None}
-    pred = PredictionSet("d", _tracks({key: bbox for key, (bbox, _) in rows.items()}), scores)
+    pred = PredictionSet(_tracks({key: bbox for key, (bbox, _) in rows.items()}), scores)
     with tempfile.TemporaryDirectory() as tmp:
         write_predictions(pred, tmp, NUM_VIEWS)
-        assert parse_predictions(tmp, "d", NUM_VIEWS) == pred
+        assert parse_predictions(tmp, NUM_VIEWS) == pred
 
 
 @settings(max_examples=100, deadline=None)
@@ -115,7 +115,7 @@ def test_writers_match_the_per_row_oracle(rows):
         )
         _same_files(
             Path(tmp) / "predictions",
-            lambda out: write_predictions(PredictionSet("d", tracks, scores), out, NUM_VIEWS),
+            lambda out: write_predictions(PredictionSet(tracks, scores), out, NUM_VIEWS),
             lambda out: oracle_write_views(out, NUM_VIEWS, oracle_prediction_rows(tracks, scores)),
         )
         _same_files(
@@ -140,18 +140,25 @@ def test_shared_text_keeps_equal_records_that_print_differently_apart(tmp_path):
     tracks = _tracks(by_key)
     scene = Scene("s", NUM_VIEWS, NUM_FRAMES, (640, 480), tracks)
     texts = {}  # shared by every file, as synth shares it
+
+    def text_rows(pred_scores):
+        """Each detection's key, then the text of its box and of its scores, if any."""
+        rows = []
+        for d in scene.all_detections():
+            records = (d.bbox, pred_scores[d[:3]]) if d[:3] in pred_scores else (d.bbox,)
+            rows.append((*d[:3], *(record_text(record, texts) for record in records)))
+        return rows
+
     box_rows = [oracle_box_row(d) for d in scene.all_detections()]
     _same_files(
         tmp_path / "gt",
-        lambda out: write_lines(out, view_lines(scene.all_detections(), NUM_VIEWS, texts)),
+        lambda out: write_lines(out, view_lines(text_rows({}), NUM_VIEWS)),
         lambda out: oracle_write_views(out, NUM_VIEWS, box_rows),
     )
     for name, pred_scores in (("boxes", {}), ("scored", scores)):
         _same_files(
             tmp_path / name,
-            lambda out: write_predictions(
-                PredictionSet("d", tracks, pred_scores), out, NUM_VIEWS, texts
-            ),
+            lambda out: write_lines(out, view_lines(text_rows(pred_scores), NUM_VIEWS)),
             lambda out: oracle_write_views(
                 out, NUM_VIEWS, oracle_prediction_rows(tracks, pred_scores)
             ),
@@ -161,6 +168,23 @@ def test_shared_text_keeps_equal_records_that_print_differently_apart(tmp_path):
     assert record_text(BBox(1, 2, 3, 4), texts) == "1,2,3,4"
     for _ in range(3):
         assert record_text(BBox(1.0, 2.0, 3.0, 4.0), texts) == "1.0,2.0,3.0,4.0"
+
+
+def test_view_lines_prints_numbers_as_their_repr_and_text_unchanged():
+    """One path for every row: ``str`` of each field after the view column."""
+    text = "1.0,2,-0.0,4e-05"
+    rows = [
+        (1, 3, 9, 7, -0.0, 5e-324, 1e300, 0.30000000000000004, text),
+        (0, 2, 4, text),
+        (1, 1, 9, 10, 2.5),
+    ]
+    assert view_lines(rows, 3) == [
+        ["2,4,1.0,2,-0.0,4e-05"],
+        ["1,9,10,2.5", "3,9,7,-0.0,5e-324,1e+300,0.30000000000000004,1.0,2,-0.0,4e-05"],
+        [],
+    ]
+    numbers = rows[0][3:-1]
+    assert view_lines([rows[0]], 3)[1] == [",".join(map(repr, (3, 9, *numbers))) + "," + text]
 
 
 numberish = st.text(alphabet="0123456789-+.,eEinfa _", max_size=40)
@@ -183,7 +207,7 @@ def test_garbage_rows_parse_or_raise_parse_error(lines):
             (root / sub / "view_01.csv").write_text("")
         for parse in (
             lambda: parse_scene(root / "manifest.json", root / "gt"),
-            lambda: parse_predictions(root / "csv", "d", 2),
+            lambda: parse_predictions(root / "csv", 2),
             lambda: parse_scores(root / "csv", 2),
         ):
             try:

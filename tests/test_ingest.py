@@ -126,7 +126,7 @@ def test_descriptions_unknown_attribute_category(tmp_path):
 def test_predictions_group_rows_into_tracks(tmp_path):
     (tmp_path / "view_00.csv").write_text("1,1,0.0,0.0,10.0,20.0\n2,1,1.0,0.0,10.0,20.0\n1,2,50.0,0.0,10.0,20.0\n")
     (tmp_path / "view_01.csv").write_text("")
-    preds = parse_predictions(tmp_path, "d", 2)
+    preds = parse_predictions(tmp_path, 2)
     assert len(preds.tracks) == 2
     assert preds.detection_count() == 3
     assert preds.scores == {}
@@ -138,13 +138,13 @@ def test_predictions_with_scores(tmp_path):
         "2,1,1.0,0.0,10.0,20.0,0.7,0.6\n"
         "1,2,50.0,0.0,10.0,20.0,0.1,0.2\n"
     )
-    preds = parse_predictions(tmp_path, "d", 1)
+    preds = parse_predictions(tmp_path, 1)
     assert len(preds.scores) == 3
     assert preds.scores[(0, 1, 1)] == ScoreRecord(0.9, 0.8)
 
 
 def test_predictions_empty_directory_is_empty_set(tmp_path):
-    preds = parse_predictions(tmp_path, "d", 2)
+    preds = parse_predictions(tmp_path, 2)
     assert preds.tracks == ()
     assert preds.detection_count() == 0
 
@@ -152,7 +152,7 @@ def test_predictions_empty_directory_is_empty_set(tmp_path):
 def test_predictions_score_out_of_range(tmp_path):
     (tmp_path / "view_00.csv").write_text("1,1,0.0,0.0,10.0,20.0,1.5,0.5\n")
     with pytest.raises(ParseError) as err:
-        parse_predictions(tmp_path, "d", 1)
+        parse_predictions(tmp_path, 1)
     assert err.value.line == 1
 
 
@@ -164,16 +164,16 @@ def test_predictions_round_trip_with_scores(tmp_path):
         for t in tracks
         for d in t.detections
     }
-    original = PredictionSet("d", tracks, scores)
+    original = PredictionSet(tracks, scores)
     write_predictions(original, tmp_path / "preds", 2)
-    again = parse_predictions(tmp_path / "preds", "d", 2)
+    again = parse_predictions(tmp_path / "preds", 2)
     assert again == original
 
 
 def test_prediction_set_rejects_orphan_scores():
     scene = lane_scene(num_views=2, num_ids=1, num_frames=1)
     with pytest.raises(ValueError):
-        PredictionSet("d", tracks_copy(scene), {(5, 5, 5): ScoreRecord(0.5, 0.5)})
+        PredictionSet(tracks_copy(scene), {(5, 5, 5): ScoreRecord(0.5, 0.5)})
 
 
 def test_scores_round_trip(tmp_path):
@@ -283,18 +283,18 @@ def test_write_report_equals_json_dumps(tmp_path_factory, results, aggregate_res
 
 def test_predictions_from_gt_matches_scene():
     scene = lane_scene(num_views=2, num_ids=2, num_frames=2)
-    preds = predictions_from_gt(scene, "all")
+    preds = predictions_from_gt(scene)
     assert preds.tracks == scene.gt_tracks
 
 
 def test_parse_predictions_rejects_duplicate_row(tmp_path):
     scene = lane_scene(num_views=2, num_ids=2, num_frames=2)
-    write_predictions(PredictionSet("d", tracks_copy(scene)), tmp_path, 2)
+    write_predictions(PredictionSet(tracks_copy(scene)), tmp_path, 2)
     view = tmp_path / "view_01.csv"
     lines = view.read_text().splitlines()
     view.write_text("\n".join(lines[:2] + [lines[1]] + lines[2:]) + "\n")
     with pytest.raises(ParseError, match="duplicate row for frame 1, id 2") as info:
-        parse_predictions(tmp_path, "d", 2)
+        parse_predictions(tmp_path, 2)
     assert info.value.path == str(view)
     assert info.value.line == 3
 
@@ -417,7 +417,7 @@ def _parse_kind(kind, tmp_path, text):
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         return parse_scene(tmp_path / "manifest.json", path.parent).gt_tracks
     if kind == "predictions":
-        return parse_predictions(path.parent, "d", 2)
+        return parse_predictions(path.parent, 2)
     return parse_scores(path.parent, 2)
 
 

@@ -44,7 +44,7 @@ BAD = [
     (ScoreRecord, {"s_t": 2.0, "s_a": math.nan}, "s_t must lie in [0, 1], got 2.0"),
     (
         PredictionSet,
-        {"description_id": "d", "tracks": (), "scores": {(5, 5, 5): ScoreRecord(0.5, 0.5)}},
+        {"tracks": (), "scores": {(5, 5, 5): ScoreRecord(0.5, 0.5)}},
         "score key (5, 5, 5) has no matching detection",
     ),
     (TrackState, {"track_id": 1, "hit_score": -0.5}, "hit score is never negative"),
@@ -137,7 +137,7 @@ def test_records_are_immutable_tuples():
         PredictorConfig(t_hs=12.0, whole_track=True),
         RunConfig(7),
         ErrorSpec(1, 2, 3, 4),
-        PredictionSet("d", lane_scene().gt_tracks, {(0, 1, 1): ScoreRecord(0.5, 0.25)}),
+        PredictionSet(lane_scene().gt_tracks, {(0, 1, 1): ScoreRecord(0.5, 0.25)}),
     ],
     ids=lambda value: type(value).__name__,
 )
@@ -148,8 +148,8 @@ def test_pickle_round_trip_is_equal(value):
 
 
 def test_prediction_set_default_scores_are_an_immutable_empty_mapping():
-    first = PredictionSet("a", ())
-    second = PredictionSet("b", ())
+    first = PredictionSet(())
+    second = PredictionSet(())
     assert first.scores == {} and len(first.scores) == 0
     with pytest.raises(TypeError):
         first.scores[(0, 1, 1)] = ScoreRecord(0.5, 0.5)
