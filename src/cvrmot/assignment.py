@@ -227,8 +227,6 @@ def solve_lap(matrix: CostMatrix) -> Assignment:
                 chosen = c
                 witness = dict(candidate)
                 break
-        if chosen == -1 and witness_col is not None:
-            chosen = witness_col
         if chosen != -1:
             fixed.append((r, chosen))
             used_cols.add(chosen)

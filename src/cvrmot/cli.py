@@ -286,8 +286,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         pred_lines = view_lines(_text_rows(detections, texts), scene.num_views)
 
     out = Path(args.out)
+    write_lines(out / "gt", gt_lines)  # first: it refuses a gt/ holding a view past these
     write_manifest(scene, out / "manifest.json")
-    write_lines(out / "gt", gt_lines)
     write_descriptions(descriptions, out / "descriptions.json")
     if len(lines) == 2:
         choices = [list(zip(lo, hi)) for hi, lo in zip(*lines)]  # indexed by "is referred"

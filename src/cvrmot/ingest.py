@@ -143,7 +143,7 @@ def _view_files(directory: Path | str, num_views: Optional[int] = None) -> dict[
     """The ``view_NN.csv`` files a directory holds, by ascending view index.
 
     A misnamed ``view_*.csv`` is a ParseError, and so, when ``num_views`` is
-    given, is a file for a view index at or past it.
+    given, is a file for a view index at or past it (the lowest such one).
     """
     files: dict[int, Path] = {}
     for path in Path(directory).glob("view_*.csv"):
@@ -151,11 +151,12 @@ def _view_files(directory: Path | str, num_views: Optional[int] = None) -> dict[
         valid = digits.isascii() and digits.isdigit()
         if not valid or _view_file(directory, int(digits)).name != path.name:
             raise ParseError(path, "expected a name of the form view_NN.csv")
-        view = int(digits)
+        files[int(digits)] = path
+    files = dict(sorted(files.items()))
+    for view, path in files.items():
         if num_views is not None and view >= num_views:
             raise ParseError(path, f"view {view} is outside the {num_views} views")
-        files[view] = path
-    return dict(sorted(files.items()))
+    return files
 
 
 def view_count(directory: Path | str) -> int:
@@ -341,8 +342,13 @@ def view_lines(rows: Iterable[Sequence], num_views: int) -> list[list[str]]:
 
 
 def write_lines(directory: Path | str, lines: Sequence[Sequence[str]]) -> None:
-    """Write each ``lines[view]`` to ``view_NN.csv``; a view without lines is an empty file."""
+    """Write each ``lines[view]`` to ``view_NN.csv``; a view without lines is an empty file.
+
+    A ``view_NN.csv`` already there for a view past the written ones is a
+    ParseError, raised before any file is written: it would be read with them.
+    """
     directory = Path(directory)
+    _view_files(directory, len(lines))
     directory.mkdir(parents=True, exist_ok=True)
     for view, file_lines in enumerate(lines):
         text = "\n".join(file_lines) + ("\n" if file_lines else "")
@@ -602,6 +608,9 @@ def render_description(attrs: AttributeSet) -> str:
     return "A person " + parts[0] + "".join(", " + p for p in parts[1:]) + "."
 
 
+_FRAME_KEYS = ("frame", "m", "fp", "mme", "gt")  # a frame row's keys, in MetricCounts order
+
+
 def build_report(
     results: Sequence[DescriptionResult],
     aggregate_result: Optional[AggregateResult],
@@ -615,6 +624,7 @@ def build_report(
     descriptions = []
     for result in results:
         counts = result.counts
+        measures = result.id_measures
         descriptions.append(
             {
                 "id": result.description_id,
@@ -626,34 +636,17 @@ def build_report(
                     "false_positives": counts.fp_total,
                     "mismatches": counts.mismatch_total,
                     "gt_total": counts.gt_total,
-                    "frames": [
-                        {
-                            "frame": counts.frames[i],
-                            "m": counts.misses[i],
-                            "fp": counts.false_positives[i],
-                            "mme": counts.mismatches[i],
-                            "gt": counts.gt_totals[i],
-                        }
-                        for i in range(len(counts.frames))
-                    ],
+                    "frames": [dict(zip(_FRAME_KEYS, row)) for row in zip(*counts)],
                 },
                 "id_measures": {
-                    "idtp": result.id_measures.idtp,
-                    "idfp": result.id_measures.idfp,
-                    "idfn": result.id_measures.idfn,
-                    "cvidp": result.id_measures.cvidp,
-                    "cvidr": result.id_measures.cvidr,
+                    **measures._asdict(), "cvidp": measures.cvidp, "cvidr": measures.cvidr
                 },
             }
         )
     if aggregate_result is None:
         aggregate_block: dict[str, object] = {"n_l": 0, "cvridf1": None, "cvrma": None}
     else:
-        aggregate_block = {
-            "n_l": aggregate_result.n_l,
-            "cvridf1": aggregate_result.cvridf1,
-            "cvrma": aggregate_result.cvrma,
-        }
+        aggregate_block = aggregate_result._asdict()
     return {
         "config": dict(config),
         "descriptions": descriptions,

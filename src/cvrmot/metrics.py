@@ -64,31 +64,14 @@ class IdMeasures(NamedTuple):
     idfp: int
     idfn: int
 
-    @property
-    def total_predicted(self) -> int:
-        return self.idtp + self.idfp
-
-    @property
-    def total_gt(self) -> int:
-        return self.idtp + self.idfn
-
-    def cvidp_exact(self) -> Fraction:
-        if self.total_predicted == 0:
-            return Fraction(0)
-        return Fraction(self.idtp, self.total_predicted)
-
-    def cvidr_exact(self) -> Fraction:
-        if self.total_gt == 0:
-            return Fraction(0)
-        return Fraction(self.idtp, self.total_gt)
-
+    # An int division is correctly rounded: these are float(Fraction(idtp, idtp + ...)).
     @property
     def cvidp(self) -> float:
-        return float(self.cvidp_exact())
+        return self.idtp / (self.idtp + self.idfp) if self.idtp else 0.0
 
     @property
     def cvidr(self) -> float:
-        return float(self.cvidr_exact())
+        return self.idtp / (self.idtp + self.idfn) if self.idtp else 0.0
 
 
 class FrameMatch(NamedTuple):
@@ -117,8 +100,6 @@ class AggregateResult(NamedTuple):
     n_l: int
     cvridf1: float
     cvrma: float
-    cvridf1_exact: Fraction
-    cvrma_exact: Fraction
 
 
 def restrict_gt(scene: Scene, desc: LanguageDescription) -> tuple[Track, ...]:
@@ -436,12 +417,9 @@ def _identity_bijection(
 
 
 def cvidf1_exact(measures: IdMeasures) -> Fraction:
-    """Harmonic mean of identity precision and recall; 0 when both are 0."""
-    p = measures.cvidp_exact()
-    r = measures.cvidr_exact()
-    if p + r == 0:
-        return Fraction(0)
-    return 2 * p * r / (p + r)
+    """Identity F1, 2 IDTP / (2 IDTP + IDFP + IDFN); 0 when IDTP is 0."""
+    idtp, idfp, idfn = measures
+    return Fraction(2 * idtp, 2 * idtp + idfp + idfn) if idtp else Fraction(0)
 
 
 def cvidf1(measures: IdMeasures) -> float:
@@ -458,19 +436,10 @@ def evaluate_description(
     referred = restrict_gt(scene, desc)
     shared = gated_pass(referred, predictions, config.iou_threshold)
     counts = shared.counts
-    total_pred = sum(len(t.detections) for t in predictions)
-    if counts.gt_total > 0:
-        raw = cvma_exact(counts)
-    elif total_pred == 0:
-        # Empty referred set and an empty tracker output is a success.
-        raw = Fraction(1)
-    else:
-        raw = Fraction(1 - counts.fp_total)
+    # With no referred GT every prediction is a false positive, and none is a success.
+    raw = cvma_exact(counts) if counts.gt_total else Fraction(1 - counts.fp_total)
     measures = _identity_bijection(referred, predictions, shared.overlap)
-    if counts.gt_total == 0 and total_pred == 0:
-        f1 = Fraction(1)
-    else:
-        f1 = cvidf1_exact(measures)
+    f1 = Fraction(1) if counts.gt_total == 0 == counts.fp_total else cvidf1_exact(measures)
     return DescriptionResult(
         description_id=desc.id,
         cvidf1=float(f1),
@@ -486,15 +455,7 @@ def aggregate(results: Sequence[DescriptionResult]) -> AggregateResult:
     """Means over descriptions; negative matching accuracy clamps to zero."""
     if not results:
         raise UndefinedAggregateError("aggregation over zero descriptions is undefined")
-    n = len(results)
-    f1_sum = sum((r.cvidf1_exact for r in results), Fraction(0))
-    ma_sum = sum((max(r.cvma_exact, Fraction(0)) for r in results), Fraction(0))
-    cvridf1_frac = f1_sum / n
-    cvrma_frac = ma_sum / n
-    return AggregateResult(
-        n_l=n,
-        cvridf1=float(cvridf1_frac),
-        cvrma=float(cvrma_frac),
-        cvridf1_exact=cvridf1_frac,
-        cvrma_exact=cvrma_frac,
-    )
+    zero, n = Fraction(0), len(results)
+    f1_sum = sum((r.cvidf1_exact for r in results), zero)
+    ma_sum = sum((max(r.cvma_exact, zero) for r in results), zero)
+    return AggregateResult(n, float(f1_sum / n), float(ma_sum / n))

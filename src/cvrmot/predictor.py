@@ -10,6 +10,8 @@ frames and never drops below zero.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .datamodel import Checked, Track, check_fields
@@ -112,17 +114,12 @@ def filter_tracks(
     """
     kept: list[Track] = []
     for track in sorted(t_input, key=lambda t: t.identity):
-        by_frame: dict[int, list] = {}
-        for det in track.detections:
-            by_frame.setdefault(det.frame, []).append(det)
         state = TrackState(track.identity)
         emitted: set[int] = set()
-        for frame in sorted(by_frame):
-            dets = sorted(by_frame[frame], key=lambda d: d.view_id)
+        for frame, dets in groupby(track.detections, itemgetter(1)):  # in (frame, view) order
             view_scores = []
             for det in dets:
-                key = (det.view_id, det.frame, det.identity)
-                record = scores.get(key)
+                record = scores.get(det[:3])  # keyed by (view, frame, identity)
                 if record is None:
                     raise MissingScoreError(
                         f"no score for detection (view={det.view_id}, "

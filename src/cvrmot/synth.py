@@ -11,6 +11,7 @@ therefore exact by construction.
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -95,37 +96,18 @@ class Ledger(NamedTuple):
 
 def ledger_to_dict(ledger: Ledger) -> dict:
     """JSON-friendly view of a ledger."""
-    frames = {
-        str(frame): {
-            "misses": e.misses,
-            "false_positives": e.false_positives,
-            "temporal": e.temporal,
-            "crossview": e.crossview,
-        }
-        for frame, e in sorted(ledger.per_frame.items())
-    }
-    expected_id = None
-    if ledger.expected_id is not None:
-        expected_id = {
-            "idtp": ledger.expected_id.idtp,
-            "idfp": ledger.expected_id.idfp,
-            "idfn": ledger.expected_id.idfn,
-        }
+    totals = FrameErrors(*map(sum, zip(*ledger.per_frame.values())))
+    expected_id = ledger.expected_id
     return {
-        "per_frame": frames,
+        "per_frame": {str(frame): e._asdict() for frame, e in sorted(ledger.per_frame.items())},
         "gt_total": ledger.gt_total,
-        "totals": {
-            "misses": ledger.miss_total,
-            "false_positives": ledger.fp_total,
-            "temporal": ledger.temporal_total,
-            "crossview": ledger.crossview_total,
-        },
+        "totals": totals._asdict(),
         "expected_cvma": {
             "numerator": ledger.expected_cvma.numerator,
             "denominator": ledger.expected_cvma.denominator,
             "value": float(ledger.expected_cvma),
         },
-        "expected_id": expected_id,
+        "expected_id": None if expected_id is None else expected_id._asdict(),
     }
 
 
@@ -257,12 +239,7 @@ def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet
     ):
         raise InfeasibleSpecError("scene has no ground truth to perturb")
     rng = random.Random(seed)
-    errors: dict[int, dict[str, int]] = {}
-
-    def bump(frame: int, kind: str) -> None:
-        errors.setdefault(frame, {"misses": 0, "false_positives": 0, "temporal": 0, "crossview": 0})
-        errors[frame][kind] += 1
-
+    errors: defaultdict[int, Counter[str]] = defaultdict(Counter)  # frame -> FrameErrors field
     next_alias = max(by_identity, default=0) + 1
     relabels: dict[tuple[int, int, int], int] = {}
     deletions: set[tuple[int, int, int]] = set()
@@ -301,10 +278,10 @@ def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet
             relabels[(relabel_view, frame, identity)] = alias
         for view, frame in shared:
             if (view, frame) in kept:
-                bump(frame, "crossview")
+                errors[frame]["crossview"] += 1
             else:
                 deletions.add((view, frame, identity))
-                bump(frame, "misses")
+                errors[frame]["misses"] += 1
         used_ids.add(identity)
         remaining_pairs -= take
     if remaining_pairs > 0:
@@ -345,7 +322,7 @@ def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet
             post = sorted(f for f in frames if f >= switch_frame)
             pre = [f for f in frames if f < switch_frame]
             if post and pre:
-                bump(post[0], "temporal")
+                errors[post[0]]["temporal"] += 1
         used_ids.add(identity)
 
     # Standalone misses on identities untouched by any relabel event.
@@ -361,7 +338,7 @@ def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet
         )
     for slot in rng.sample(pool, spec.miss_count):
         deletions.add(slot)
-        bump(slot[1], "misses")
+        errors[slot[1]]["misses"] += 1
 
     # False positives: fresh identities, boxes far from every GT box.
     gt_by_slot: dict[tuple[int, int], list[BBox]] = {}
@@ -381,7 +358,7 @@ def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet
             if box is not None:
                 fp_detections.append(Detection(view, frame, next_alias, box))
                 next_alias += 1
-                bump(frame, "false_positives")
+                errors[frame]["false_positives"] += 1
                 placed = True
                 break
         if not placed:

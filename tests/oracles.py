@@ -15,6 +15,9 @@
   ``score_tracks`` call and written by ``write_predictions``.
 * The ``iou`` ``cvrmot.datamodel`` had before it dropped the builtin calls:
   the intersection's sides are ``min(...) - max(...)``.
+* The identity ratios ``cvrmot.metrics`` had before CVIDF1 took the closed
+  form 2 IDTP / (2 IDTP + IDFP + IDFN): precision and recall as exact
+  ``Fraction`` values, and F1 as their harmonic mean.
 
 Tests compare the current code against them.
 """
@@ -53,7 +56,8 @@ from cvrmot import (
 def oracle_iou(a: BBox, b: BBox) -> float:
     """Intersection-over-union with the intersection's sides taken by ``min`` and ``max``.
 
-    A union that underflows to 0 gives the exact IoU of the stored values, rounded.
+    A union that underflows to 0 or overflows to ``inf`` or ``nan`` gives the
+    exact IoU of the stored values, rounded.
     """
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
@@ -64,7 +68,7 @@ def oracle_iou(a: BBox, b: BBox) -> float:
         return 0.0
     inter = ix * iy
     union = (ax2 - ax) * (ay2 - ay) + (bx2 - bx) * (by2 - by) - inter
-    if union == 0:
+    if not 0 < union < math.inf:
         return float(oracle_iou(*(tuple(map(Fraction, box)) for box in (a, b))))
     return inter / union
 
@@ -189,6 +193,22 @@ def dense_id_measures(
     assignment = solve_lap(CostMatrix.from_rows(costs))
     idtp = sum(overlap[r][c] for r, c in assignment.pairs)
     return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)
+
+
+def oracle_id_ratios(measures: IdMeasures) -> tuple[Fraction, Fraction]:
+    """Exact identity precision and recall, each 0 when its denominator is 0."""
+    idtp, idfp, idfn = measures
+    predicted, gt = idtp + idfp, idtp + idfn
+    return (
+        Fraction(idtp, predicted) if predicted else Fraction(0),
+        Fraction(idtp, gt) if gt else Fraction(0),
+    )
+
+
+def oracle_cvidf1_exact(measures: IdMeasures) -> Fraction:
+    """Harmonic mean of the exact identity precision and recall; 0 when both are 0."""
+    p, r = oracle_id_ratios(measures)
+    return 2 * p * r / (p + r) if p + r else Fraction(0)
 
 
 @dataclass(slots=True)

@@ -492,6 +492,23 @@ def test_evaluate_scores_boxes_whose_areas_underflow(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].split() == ["d", "66.67", "50.00"]
 
 
+@pytest.mark.parametrize("side", ["1e154", "1e200"])
+def test_evaluate_scores_identical_boxes_whose_areas_overflow(tmp_path, capsys, side):
+    """A 1e154 box's float union is inf and a 1e200 box's is nan; equal boxes still match."""
+    row = f"1,1,0,0,{side},{side}\n"
+    manifest = dict(name="huge", views=2, frames_per_view=1, image_width=640, image_height=480)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    for directory in (tmp_path / "gt", tmp_path / "preds" / "d"):
+        directory.mkdir(parents=True)
+        for view in (0, 1):
+            (directory / f"view_{view:02d}.csv").write_text(row)
+    scene = lane_scene(num_views=2, num_ids=1, num_frames=1)
+    write_descriptions([desc_for(scene)], tmp_path / "descriptions.json")
+    capsys.readouterr()
+    assert run(_evaluate_argv(tmp_path, tmp_path / "preds")) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["d", "100.00", "100.00"]
+
+
 def _evaluate_argv(workspace, root, *extra):
     return [
         "evaluate",
@@ -716,6 +733,31 @@ def test_filter_rejects_score_view_past_tracks(workspace, tmp_path, capsys):
             "--out", tmp_path / "out"]
     assert run(argv) == 2
     assert "view_03.csv: view 3 is outside the 3 views" in capsys.readouterr().err
+
+
+def test_filter_refuses_an_out_directory_holding_a_view_past_its_own(workspace, tmp_path, capsys):
+    """A view file left by an earlier, wider run would be scored with the new ones."""
+    out = tmp_path / "out"
+    assert run(["filter", "--tracks", workspace / "tracks" / "d00", "--out", out]) == 0
+    narrow = tmp_path / "narrow"
+    narrow.mkdir()
+    for name in ("view_00.csv", "view_01.csv"):
+        (narrow / name).write_bytes((workspace / "tracks" / "d00" / name).read_bytes())
+    (out / "view_00.csv").write_text("earlier\n")
+    capsys.readouterr()
+    assert run(["filter", "--tracks", narrow, "--out", out]) == 2
+    stale = out / "view_02.csv"
+    assert capsys.readouterr() == ("", f"error: {stale}: view 2 is outside the 2 views\n")
+    assert (out / "view_00.csv").read_text() == "earlier\n"  # refused before any write
+
+
+def test_synth_refuses_a_gt_directory_holding_a_view_past_its_own(workspace, tmp_path, capsys):
+    manifest = (workspace / "manifest.json").read_bytes()
+    argv = ["synth", "--views", 2, "--ids", 4, "--frames", 10, "--out", workspace]
+    assert run(argv) == 2
+    gt_view = workspace / "gt" / "view_02.csv"
+    assert capsys.readouterr().err == f"error: {gt_view}: view 2 is outside the 2 views\n"
+    assert (workspace / "manifest.json").read_bytes() == manifest
 
 
 def _with_repeated_key(path, key):

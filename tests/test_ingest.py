@@ -262,8 +262,7 @@ def description_results(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(description_results(), max_size=4),
-    st.none() | st.builds(AggregateResult, COUNT, RATIO, RATIO, st.just(Fraction(0)),
-                          st.just(Fraction(0))),
+    st.none() | st.builds(AggregateResult, COUNT, RATIO, RATIO),
     st.dictionaries(TEXT, st.one_of(COUNT, RATIO, st.booleans(), TEXT, st.just([])), max_size=3),
 )
 @example(  # a config key gives json.dumps a "frames": [] the writer must not fill

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cvrmot import (
     AttributeSet,
@@ -17,6 +18,7 @@ from cvrmot import (
     aggregate,
     count_events,
     cvidf1,
+    cvidf1_exact,
     cvma,
     cvma_exact,
     evaluate_description,
@@ -29,6 +31,7 @@ from cvrmot.metrics import DescriptionResult, IdMeasures
 from cvrmot.synth import generate_scene
 
 from helpers import box, desc_for, drop_detection, lane_scene, tracks_copy
+from oracles import oracle_cvidf1_exact, oracle_id_ratios
 
 
 def test_restrict_gt_selects_referred_identities():
@@ -159,6 +162,25 @@ def test_id_measures_no_predictions():
     measures = id_measures(scene.gt_tracks, ())
     assert measures.idtp == 0
     assert measures.cvidp == 0.0 and measures.cvidr == 0.0
+
+
+ID_COUNT = st.integers(0, 10**30) | st.sampled_from([0, 1, 2**53 - 1, 2**53 + 1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(ID_COUNT, ID_COUNT, ID_COUNT)
+@example(0, 0, 0)
+@example(0, 5, 0)
+@example(0, 0, 7)
+@example(3, 0, 0)
+@example(2**53 + 1, 2**53 - 1, 10**30)
+def test_id_ratios_and_f1_equal_their_fraction_oracles(idtp, idfp, idfn):
+    """Past 2**53 too: an int division rounds the exact ratio once, as ``float(Fraction)`` does."""
+    measures = IdMeasures(idtp, idfp, idfn)
+    precision, recall = oracle_id_ratios(measures)
+    assert repr((measures.cvidp, measures.cvidr)) == repr((float(precision), float(recall)))
+    assert cvidf1_exact(measures) == oracle_cvidf1_exact(measures)
+    assert repr(cvidf1(measures)) == repr(float(oracle_cvidf1_exact(measures)))
 
 
 def test_cvidf1_values():

@@ -2,18 +2,27 @@
 
 The digest was computed before the per-row reader and the y-gated sweep
 landed; any change to the report's bytes (a count, a float's last digit, a
-key, the layout) fails here.
+key, the layout) fails here. The same run is repeated under each other
+Python that ``requires-python`` (>= 3.10) admits and that is on ``PATH``.
 """
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
 
 from cvrmot.cli import main
 
 REPORT_SHA256 = "809af3882b56d114784ec8bc784c813fed5a40a511d0dd232d84d4cdaaf1c015"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_tiny_pipeline_report_is_byte_identical(tmp_path, capsys):
+def _pipeline(tmp_path):
+    """The CLI argument lists of the run, in order, and the report it writes."""
     scene = tmp_path / "scene"
     errors = tmp_path / "errors.json"
     errors.write_text(json.dumps({
@@ -21,16 +30,38 @@ def test_tiny_pipeline_report_is_byte_identical(tmp_path, capsys):
     }))
     synth = ["synth", "--views", "3", "--ids", "6", "--frames", "12", "--descriptions", "3",
              "--jitter", "0.2", "--seed", "11", "--errors", errors, "--out", scene]
-    assert main([str(a) for a in synth]) == 0
     # d00 keeps the perturbed predictions; d01 and d02 are the filtered tracks.
     root = scene / "predictions"
-    for desc_id in ("d01", "d02"):
-        argv = ["filter", "--tracks", scene / "tracks" / desc_id, "--out", root / desc_id]
-        assert main([str(a) for a in argv]) == 0
+    filters = [
+        ["filter", "--tracks", scene / "tracks" / desc_id, "--out", root / desc_id]
+        for desc_id in ("d01", "d02")
+    ]
     report = tmp_path / "report.json"
-    argv = ["evaluate", "--manifest", scene / "manifest.json", "--gt-dir", scene / "gt",
-            "--descriptions", scene / "descriptions.json", "--predictions-root", root,
-            "--out", report]
-    assert main([str(a) for a in argv]) == 0
+    evaluate = ["evaluate", "--manifest", scene / "manifest.json", "--gt-dir", scene / "gt",
+                "--descriptions", scene / "descriptions.json", "--predictions-root", root,
+                "--out", report]
+    return [[str(a) for a in argv] for argv in (synth, *filters, evaluate)], report
+
+
+def test_tiny_pipeline_report_is_byte_identical(tmp_path, capsys):
+    argvs, report = _pipeline(tmp_path)
+    for argv in argvs:
+        assert main(argv) == 0
     capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_tiny_pipeline_report_is_the_same_under_each_python(tmp_path, python):
+    """Each run is ``python -B -m cvrmot.cli`` from ``src/``; an absent interpreter is skipped."""
+    executable = shutil.which(python)
+    # A version manager's shim can be on PATH without the version it runs.
+    if executable is None or subprocess.run([executable, "-c", ""], capture_output=True).returncode:
+        pytest.skip(f"{python} is not available")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argvs, report = _pipeline(tmp_path)
+    for argv in argvs:
+        child = subprocess.run([executable, "-B", "-m", "cvrmot.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (child.returncode, child.stderr) == (0, "")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
