@@ -239,6 +239,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         check_type(f"--{flag}", getattr(args, flag), float)
     if args.jitter < 0:
         raise ValueError(f"--jitter must be non-negative, got {args.jitter}")
+    if not args.errors:  # nothing would overwrite them, and evaluate would score them
+        for stale in (Path(args.out, "predictions"), Path(args.out, "ledger.json")):
+            if stale.exists():
+                raise ParseError(stale, "left by an earlier run; remove it or pass --errors")
     seed = _effective_config(args)[-1].seed
     cli = sys.modules[__name__]
     scene = cli.generate_scene(

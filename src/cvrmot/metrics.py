@@ -18,7 +18,7 @@ from itertools import chain, combinations, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .assignment import FORBIDDEN, CostMatrix, solve_lap
+from .assignment import FORBIDDEN, CostMatrix, _min_cost_max_matching, solve_lap
 from .datamodel import Detection, LanguageDescription, Scene, Track, iou
 from .datamodel import EvalConfig, check_iou_threshold  # defined there, re-exported here
 
@@ -86,12 +86,18 @@ class DescriptionResult(NamedTuple):
     """All metric output for one language description."""
 
     description_id: str
-    cvidf1: float
-    cvma_raw: float
     counts: MetricCounts
     id_measures: IdMeasures
     cvidf1_exact: Fraction
     cvma_exact: Fraction
+
+    @property
+    def cvidf1(self) -> float:
+        return float(self.cvidf1_exact)
+
+    @property
+    def cvma_raw(self) -> float:
+        return float(self.cvma_exact)
 
 
 class AggregateResult(NamedTuple):
@@ -183,40 +189,17 @@ def _components(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[list[int], l
         yield sorted(rows), sorted(cols)
 
 
-def _component_pairs(
-    costs: Mapping[tuple[int, int], float], missing: float = FORBIDDEN
-) -> list[tuple[int, int]]:
-    """Minimum-cost matching of a bipartite graph, one connected component at a time.
-
-    ``costs`` maps each (row key, column key) edge to its cost; inside a
-    component, a pair with no edge costs ``missing``. A component with one
-    row and one column is matched directly; any larger one is solved by
-    ``solve_lap`` with its rows and columns in the sort order of their keys.
-    Cardinality and cost add up over components and the lexicographic
-    tie-break decides each component independently, so the union is the
-    optimum ``solve_lap`` returns for the whole dense matrix (ties closer
-    than the solver's tolerance are decided within their component).
-    Returns the matched (row key, column key) pairs, sorted.
-    """
-    pairs = []
-    for rows, cols in _components(costs):
-        if len(rows) == 1 and len(cols) == 1:
-            pairs.append((rows[0], cols[0]))
-            continue
-        matrix = [[costs.get((r, c), missing) for c in cols] for r in rows]
-        solved = solve_lap(CostMatrix.from_rows(matrix))
-        pairs.extend((rows[a], cols[b]) for a, b in solved.pairs)
-    pairs.sort()
-    return pairs
-
-
 def _view_pairs(edges: Sequence[tuple[int, int, int, float]]) -> list[tuple[int, int, int]]:
     """Matched (frame, gt key, pred key) of one view's :func:`_sweep` edges.
 
     An edge whose (frame, gt key) and (frame, pred key) both occur once is a
     1 x 1 component and is matched directly; the other, contested edges are
-    matched frame by frame by :func:`_component_pairs` on cost 1 - IoU, with
-    pairs below the gate forbidden.
+    matched frame by frame and connected component by ``solve_lap`` on cost
+    1 - IoU, with pairs below the gate forbidden and rows and columns in key
+    order. The lexicographic tie-break decides each component independently,
+    so the union is the optimum ``solve_lap`` returns for the frame's whole
+    dense matrix (ties closer than the solver's tolerance are decided within
+    their component).
     """
     gts, preds = Counter(map(itemgetter(0, 1), edges)), Counter(map(itemgetter(0, 2), edges))
     if len(gts) == len(edges) == len(preds):
@@ -228,11 +211,12 @@ def _view_pairs(edges: Sequence[tuple[int, int, int, float]]) -> list[tuple[int,
             pairs.append((frame, g, p))
         else:
             contested.append(edge)
-    pairs += [
-        (frame, g, p)
-        for frame, slot in groupby(contested, itemgetter(0))
-        for g, p in _component_pairs({edge[1:3]: 1.0 - edge[3] for edge in slot})
-    ]
+    for frame, slot in groupby(contested, itemgetter(0)):
+        costs = {edge[1:3]: 1.0 - edge[3] for edge in slot}
+        for rows, cols in _components(costs):
+            matrix = [[costs.get((r, c), FORBIDDEN) for c in cols] for r in rows]
+            solved = solve_lap(CostMatrix.from_rows(matrix))
+            pairs += [(frame, rows[a], cols[b]) for a, b in solved.pairs]
     return pairs
 
 
@@ -334,17 +318,14 @@ def gated_pass(
     for frame in frames:
         matched_here = matched_at.get(frame, {})
         matched = temporal = crossview = 0
-        for gt_id in sorted(matched_here):
-            by_view = matched_here[gt_id]
+        # Each (gt identity, view) switch and each pair of views counts on its
+        # own, so the order of identities and views cannot change a count.
+        for gt_id, by_view in matched_here.items():
             matched += len(by_view)
-            for view in sorted(by_view):
-                pred_id = by_view[view]
-                previous = last_matched.get((gt_id, view))
-                if previous is not None and previous != pred_id:
-                    temporal += 1
-                last_matched[(gt_id, view)] = pred_id
-            pred_ids = [by_view[v] for v in sorted(by_view)]
-            crossview += sum(a != b for a, b in combinations(pred_ids, 2))
+            for view, pred_id in by_view.items():
+                temporal += last_matched.get((gt_id, view), pred_id) != pred_id
+                last_matched[gt_id, view] = pred_id
+            crossview += sum(a != b for a, b in combinations(by_view.values(), 2))
         out_m.append(gt_per_frame[frame] - matched)
         out_fp.append(pred_per_frame[frame] - matched)
         out_mme.append(temporal + crossview)
@@ -404,15 +385,20 @@ def _identity_bijection(
 ) -> IdMeasures:
     """Solve the identity bijection from a gated pass's overlap counts.
 
-    Zero-overlap pairs add nothing, so the maximum total overlap is found by
-    :func:`_component_pairs` over the positive pairs on cost -overlap, with
-    the zero pairs of a component feasible at cost 0: there, maximum
-    cardinality is maximum overlap.
+    IDTP is the value of a maximum-overlap matching, which every optimal
+    matching shares, so no tie-break is needed. Zero-overlap pairs add
+    nothing: each connected component of the positive pairs is solved on its
+    own by the shortest-path core on cost -overlap, with its zero pairs
+    feasible at cost 0, where maximum cardinality is maximum overlap.
     """
     total_gt = sum(len(t.detections) for t in referred_gt)
     total_pred = sum(len(t.detections) for t in predictions)
-    costs = {pair: -float(n) for pair, n in overlap.items() if n > 0}
-    idtp = sum(overlap.get(pair, 0) for pair in _component_pairs(costs, 0.0))
+    positive = {pair: n for pair, n in overlap.items() if n > 0}
+    idtp = 0
+    for rows, cols in _components(positive):
+        matrix = [[-float(positive.get((r, c), 0)) for c in cols] for r in rows]
+        pairs = _min_cost_max_matching(matrix, range(len(rows)), range(len(cols)))[0]
+        idtp += sum(positive.get((rows[a], cols[b]), 0) for a, b in pairs)
     return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)
 
 
@@ -442,8 +428,6 @@ def evaluate_description(
     f1 = Fraction(1) if counts.gt_total == 0 == counts.fp_total else cvidf1_exact(measures)
     return DescriptionResult(
         description_id=desc.id,
-        cvidf1=float(f1),
-        cvma_raw=float(raw),
         counts=counts,
         id_measures=measures,
         cvidf1_exact=f1,

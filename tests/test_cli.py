@@ -760,6 +760,24 @@ def test_synth_refuses_a_gt_directory_holding_a_view_past_its_own(workspace, tmp
     assert (workspace / "manifest.json").read_bytes() == manifest
 
 
+def test_synth_without_errors_refuses_an_earlier_runs_predictions(tmp_path, capsys):
+    """Nothing would overwrite predictions/ and ledger.json, and evaluate would score them."""
+    spec = tmp_path / "e.json"
+    spec.write_text(json.dumps({"miss_count": 2}))
+    argv = ["synth", "--views", 2, "--ids", 3, "--frames", 5, "--seed", 1, "--out", tmp_path / "w"]
+    assert run([*argv, "--errors", spec]) == 0
+    manifest = (tmp_path / "w" / "manifest.json").read_bytes()
+    capsys.readouterr()
+    argv[argv.index("--seed") + 1] = 2
+    assert run(argv) == 2
+    stale = tmp_path / "w" / "predictions"
+    assert capsys.readouterr() == ("", f"error: {stale}: left by an earlier run; remove it or pass --errors\n")
+    assert (tmp_path / "w" / "manifest.json").read_bytes() == manifest
+    shutil.rmtree(stale)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'w' / 'ledger.json'}: left by")
+
+
 def _with_repeated_key(path, key):
     """Rewrite the JSON object (or the first object of a list) in ``path`` with ``key`` twice."""
     raw = json.loads(path.read_text())

@@ -1,7 +1,9 @@
 """The gated per-slot pass against the dense oracles and brute force."""
 
 import math
+import random
 from collections import defaultdict
+from functools import lru_cache
 from itertools import count, product
 
 import pytest
@@ -24,8 +26,8 @@ from cvrmot import (
 )
 from cvrmot import metrics
 from cvrmot.metrics import (
-    _component_pairs,
     _identity_bijection,
+    _view_pairs,
     gated_pass,
 )
 
@@ -154,8 +156,8 @@ def test_component_optima_combine_to_global_lexicographic_optimum(rows):
         combined.extend((rs[a], cs[b]) for a, b in sub.pairs)
     assert tuple(sorted(combined)) == expected
     cells = ((r, c, cost) for r, row in enumerate(rows) for c, cost in enumerate(row))
-    costs = {(r, c): cost for r, c, cost in cells if math.isfinite(cost)}
-    assert tuple(_component_pairs(costs)) == expected
+    edges = [(1, r, c, 1 - cost) for r, c, cost in cells if math.isfinite(cost)]
+    assert tuple(sorted(pair[1:] for pair in _view_pairs(edges))) == expected
 
 
 def test_duplicate_identity_in_a_slot_is_rejected():
@@ -234,15 +236,61 @@ def test_bijection_maximizes_overlap_not_pair_count():
     assert measures == dense_id_measures(gt_tracks, pred_tracks)
 
 
-def test_only_components_larger_than_one_by_one_reach_the_solver(monkeypatch):
-    """A lone (gt, pred) pair gives its count without a ``solve_lap`` call."""
+def _best_total(overlap):
+    """The largest total overlap of any partial bijection, by exhaustive search."""
+    gts = sorted({g for g, _ in overlap})
+
+    @lru_cache(maxsize=None)
+    def best(index, used):  # over the GT identities from ``index`` on, ``used`` predictions taken
+        if index == len(gts):
+            return 0
+        options = [n + best(index + 1, used | {p})
+                   for (g, p), n in overlap.items() if g == gts[index] and p not in used]
+        return max([best(index + 1, used), *options])
+
+    return best(0, frozenset())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(1, 7), st.integers(101, 107)),
+                       st.sampled_from([1, 1, 2, 2, 3])))
+def test_identity_bijection_equals_exhaustive_search(overlap):
+    gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
+    measures = _identity_bijection(gt_tracks, pred_tracks, overlap)
+    assert measures.idtp == _best_total(overlap)
+
+
+def test_identity_bijection_equals_scipy_on_large_graphs():
+    """Random graphs of up to 60 x 60, then one tie-heavy 160 x 160 component."""
+    optimize = pytest.importorskip("scipy.optimize")
+    numpy = pytest.importorskip("numpy")
+    rng = random.Random(22)
+    shapes = [(rng.randint(1, 60), rng.randint(1, 60), rng.choice([0.03, 0.1, 0.3]), 5)
+              for _ in range(20)]
+    for rows, cols, density, top in shapes + [(160, 160, 0.3, 2)]:
+        weights = numpy.zeros((rows, cols), dtype=numpy.int64)
+        for r, c in product(range(rows), range(cols)):
+            if rng.random() < density:
+                weights[r, c] = rng.randint(1, top)
+        overlap = {(r, 1000 + c): int(n) for (r, c), n in numpy.ndenumerate(weights) if n}
+        if rows == 160:
+            assert len(list(metrics._components(overlap))) == 1
+        r, c = optimize.linear_sum_assignment(-weights)
+        assert _identity_bijection((), (), overlap).idtp == weights[r, c].sum()
+
+
+def test_identity_bijection_makes_no_solve_lap_call(monkeypatch):
+    """Each component takes one shortest-path core call; ``solve_lap`` is never called."""
     overlap = {(1, 101): 10, (1, 102): 1, (2, 101): 1, (3, 103): 4, (4, 104): 2}
     gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
-    sides = []
-    original = metrics.solve_lap
-    monkeypatch.setattr(metrics, "solve_lap", lambda m: sides.append((m.rows, m.cols)) or original(m))
+    laps, sides = [], []
+    monkeypatch.setattr(metrics, "solve_lap", lambda m: laps.append(m))
+    core = metrics._min_cost_max_matching
+    monkeypatch.setattr(metrics, "_min_cost_max_matching",
+                        lambda m, rs, cs: sides.append((len(rs), len(cs))) or core(m, rs, cs))
     measures = _identity_bijection(gt_tracks, pred_tracks, overlap)
-    assert sides == [(2, 2)]
+    assert laps == []
+    assert sides == [(2, 2), (1, 1), (1, 1)]
     assert measures.idtp == 16
     assert measures == dense_id_measures(gt_tracks, pred_tracks)
 
@@ -314,27 +362,29 @@ def test_direct_one_by_one_pairs_equal_the_component_path(drawn):
     for r, c, overlap in edges:
         dense[r][c] = 1.0 - overlap
     solved = sorted(cvrmot.solve_lap(CostMatrix.from_rows(dense)).pairs)
-    costs = {(r, c): 1.0 - overlap for r, c, overlap in edges}
-    assert _component_pairs(costs) == walked == solved == sorted(zip(rows, cols))
+    viewed = sorted(pair[1:] for pair in _view_pairs([(1, *edge) for edge in edges]))
+    assert viewed == walked == solved == sorted(zip(rows, cols))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.dictionaries(
         st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(0, 4)),
-        st.sampled_from([0.5, 0.6, 0.75, 1.0]),  # few values, so equal-IoU ties are common
+        # Few dyadic values: equal-IoU ties are common, and exact in every sum.
+        st.sampled_from([0.5, 0.625, 0.75, 1.0]),
         max_size=30,
     )
 )
 def test_view_pairs_equal_per_frame_component_pairs(drawn):
-    """Uncontested edges matched directly give each frame's component matching."""
+    """Uncontested edges matched directly give each frame's lexicographic optimum."""
     edges = sorted(((*key, overlap) for key, overlap in drawn.items()), key=lambda e: e[0])
-    per_frame = [
-        (frame, g, p)
-        for frame in sorted({e[0] for e in edges})
-        for g, p in _component_pairs({(g, p): 1 - iou for f, g, p, iou in edges if f == frame})
-    ]
-    assert sorted(metrics._view_pairs(edges)) == per_frame
+    per_frame = []
+    for frame in sorted({e[0] for e in edges}):
+        dense = [[FORBIDDEN] * 5 for _ in range(5)]
+        for _, g, p, iou in (e for e in edges if e[0] == frame):
+            dense[g][p] = 1 - iou
+        per_frame += [(frame, g, p) for g, p in brute_force_lap(CostMatrix.from_rows(dense)).pairs]
+    assert sorted(_view_pairs(edges)) == per_frame
 
 
 def test_duplicate_identity_names_the_first_repeat_in_track_order():
@@ -357,10 +407,9 @@ def _check_against_dense(gt_tracks, pred_tracks, threshold=0.5):
 
 
 def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
-    """Only the contested edges, those of the 2 x 2 component, reach the slot matcher.
+    """Only the contested edges, those of the 2 x 2 component, reach ``solve_lap``.
 
-    The slot calls of ``_component_pairs`` forbid missing pairs; the identity
-    bijection's call makes them feasible at cost 0.
+    The identity bijection takes its value from the shortest-path core alone.
     """
     gt, pred = defaultdict(list), defaultdict(list)
     for view in (0, 1):
@@ -375,18 +424,13 @@ def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
         pred[p].append(Detection(0, 6, p, BBox(x, 0, 10, 10)))
     gt_tracks = tuple(Track(i, tuple(ds)) for i, ds in gt.items())
     pred_tracks = tuple(Track(i, tuple(ds)) for i, ds in pred.items())
-    calls = []
-    original = metrics._component_pairs
-
-    def recording(costs, missing=FORBIDDEN):
-        calls.append((len(costs), missing))
-        return original(costs, missing)
-
-    monkeypatch.setattr(metrics, "_component_pairs", recording)
+    sides = []
+    original = metrics.solve_lap
+    monkeypatch.setattr(metrics, "solve_lap", lambda m: sides.append((m.rows, m.cols)) or original(m))
     shared = _check_against_dense(gt_tracks, pred_tracks)
-    slot_calls = [n for n, missing in calls if missing == FORBIDDEN]
-    assert slot_calls == [4]  # view 0, frame 6 only: the 1 x 1 pairs are matched directly
-    assert calls == [(4, FORBIDDEN), (4, 0.0)]  # then the bijection over the 4 positive pairs
+    # One slot call, view 0 at frame 6: the 1 x 1 pairs are matched directly,
+    # and the bijection over the 4 positive pairs makes none.
+    assert sides == [(2, 2)]
     assert shared.counts.mismatches[-1] == 2  # 1 -> 102 and 2 -> 101 at frame 6
     assert dict(shared.overlap) == {(1, 101): 11, (2, 102): 11, (1, 102): 1, (2, 101): 1}
 

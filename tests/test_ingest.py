@@ -253,9 +253,9 @@ def description_results(draw):
     rows = draw(st.lists(st.tuples(COUNT, COUNT, COUNT, COUNT, COUNT), max_size=4))
     counts = MetricCounts(*(tuple(column) for column in zip(*rows))) if rows else MetricCounts(
         (), (), (), (), ())
+    exact = st.floats(allow_nan=False, allow_infinity=False).map(Fraction)
     return DescriptionResult(
-        draw(TEXT), draw(RATIO), draw(RATIO), counts,
-        IdMeasures(draw(COUNT), draw(COUNT), draw(COUNT)), Fraction(0), Fraction(0),
+        draw(TEXT), counts, IdMeasures(draw(COUNT), draw(COUNT), draw(COUNT)), draw(exact), draw(exact)
     )
 
 
@@ -266,8 +266,8 @@ def description_results(draw):
     st.dictionaries(TEXT, st.one_of(COUNT, RATIO, st.booleans(), TEXT, st.just([])), max_size=3),
 )
 @example(  # a config key gives json.dumps a "frames": [] the writer must not fill
-    [DescriptionResult('"frames": []', 0.5, 0.5, MetricCounts((1,), (2,), (3,), (4,), (5,)),
-                       IdMeasures(1, 2, 3), Fraction(0), Fraction(0))],
+    [DescriptionResult('"frames": []', MetricCounts((1,), (2,), (3,), (4,), (5,)),
+                       IdMeasures(1, 2, 3), Fraction(1, 2), Fraction(1, 2))],
     None,
     {"frames": []},
 )

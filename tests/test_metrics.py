@@ -231,8 +231,6 @@ def test_evaluate_description_empty_referred_set():
 def _result(desc_id, f1, ma):
     return DescriptionResult(
         description_id=desc_id,
-        cvidf1=float(f1),
-        cvma_raw=float(ma),
         counts=MetricCounts((), (), (), (), ()),
         id_measures=IdMeasures(0, 0, 0),
         cvidf1_exact=Fraction(f1),

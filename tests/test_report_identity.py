@@ -1,9 +1,12 @@
-"""Byte-identity guard: a tiny synth -> filter -> evaluate run pins its report.
+"""Byte-identity guard: synth -> filter -> evaluate runs pin their reports.
 
-The digest was computed before the per-row reader and the y-gated sweep
-landed; any change to the report's bytes (a count, a float's last digit, a
-key, the layout) fails here. The same run is repeated under each other
-Python that ``requires-python`` (>= 3.10) admits and that is on ``PATH``.
+The tiny run's digest was computed before the per-row reader and the y-gated
+sweep landed; any change to the report's bytes (a count, a float's last digit,
+a key, the layout) fails here. The same run is repeated under each other
+Python that ``requires-python`` (>= 3.10) admits and that is on ``PATH``. The
+crowded run's identity components are wide enough (up to 45 identities) to
+reach the bijection's shortest-path solve; its digest was computed before the
+bijection stopped going through ``solve_lap``.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ import pytest
 from cvrmot.cli import main
 
 REPORT_SHA256 = "809af3882b56d114784ec8bc784c813fed5a40a511d0dd232d84d4cdaaf1c015"
+CROWDED_SHA256 = "34fc6e26b00580a61bb323c7c0b4fe4d748aaf38c6d33629705b9f9ef7ae1f7b"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -49,6 +53,28 @@ def test_tiny_pipeline_report_is_byte_identical(tmp_path, capsys):
         assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
+
+
+def test_crowded_pipeline_report_is_byte_identical(tmp_path, capsys):
+    """40 identities in 400 x 300 images: d00 reads CVIDF1 0.9591 with 16 mismatches."""
+    scene = tmp_path / "scene"
+    errors = tmp_path / "errors.json"
+    errors.write_text(json.dumps(
+        {"miss_count": 20, "temporal_switch_count": 4, "crossview_mismatch_count": 4}
+    ))
+    root, report = scene / "predictions", tmp_path / "report.json"
+    argvs = [
+        ["synth", "--views", "3", "--ids", "40", "--frames", "20", "--image-width", "400",
+         "--image-height", "300", "--descriptions", "2", "--jitter", "0.2", "--seed", "5",
+         "--errors", errors, "--out", scene],
+        ["filter", "--tracks", scene / "tracks" / "d01", "--out", root / "d01"],
+        ["evaluate", "--manifest", scene / "manifest.json", "--gt-dir", scene / "gt",
+         "--descriptions", scene / "descriptions.json", "--predictions-root", root, "--out", report],
+    ]
+    for argv in argvs:
+        assert main([str(a) for a in argv]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == CROWDED_SHA256
 
 
 @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
