@@ -12,8 +12,6 @@ resolved by the same deterministic rule but may not coincide with infinite
 precision arithmetic.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import combinations, permutations
 from typing import Iterable, NamedTuple, Sequence
@@ -32,7 +30,7 @@ class CostMatrix(_CostMatrix):
 
     __slots__ = ()
 
-    def __new__(cls, costs: tuple[tuple[float, ...], ...]) -> CostMatrix:
+    def __new__(cls, costs: tuple[tuple[float, ...], ...]) -> "CostMatrix":
         if not costs or not costs[0]:
             raise ValueError("cost matrix must have at least one row and one column")
         width = len(costs[0])

@@ -17,8 +17,6 @@ first use, by ``synth`` and ``evaluate`` (``synth`` itself uses ``metrics``),
 so ``filter`` loads neither.
 """
 
-from __future__ import annotations
-
 import argparse
 import atexit
 import gc

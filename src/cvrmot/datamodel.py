@@ -6,8 +6,6 @@ shared across views: the same physical object carries the same identity in
 every view of a scene.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys
@@ -99,7 +97,7 @@ class BBox(_BBox):
 
     __slots__ = ()
 
-    def __new__(cls, x: float, y: float, w: float, h: float) -> BBox:
+    def __new__(cls, x: float, y: float, w: float, h: float) -> "BBox":
         # A nan or an infinity makes the sum non-finite; so, rarely, does overflow.
         if not math.isfinite(x + y + w + h):
             for name, value in zip(cls._fields, (x, y, w, h)):
@@ -166,7 +164,7 @@ class Track(_Track):
 
     __slots__ = ()
 
-    def __new__(cls, identity: int, detections: tuple[Detection, ...]) -> Track:
+    def __new__(cls, identity: int, detections: tuple[Detection, ...]) -> "Track":
         return tuple.__new__(cls, (identity, tuple(sorted(detections, key=_FRAME_VIEW))))
 
     def frames(self) -> tuple[int, ...]:

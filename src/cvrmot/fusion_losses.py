@@ -4,8 +4,6 @@ Everything here is a plain numeric function with no model attached, so each
 formula can be verified directly (worked examples, finite differences).
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple, Sequence
 
@@ -39,7 +37,7 @@ class ScoreRecord(_ScoreRecord):
 
     __slots__ = ()
 
-    def __new__(cls, s_t: float, s_a: float) -> ScoreRecord:
+    def __new__(cls, s_t: float, s_a: float) -> "ScoreRecord":
         if not (0.0 <= s_t <= 1.0 and 0.0 <= s_a <= 1.0):  # false for nan
             for name, value in zip(cls._fields, (s_t, s_a)):
                 if not (math.isfinite(value) and 0.0 <= value <= 1.0):

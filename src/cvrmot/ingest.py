@@ -33,8 +33,6 @@ files a directory holds. JSON values must have exactly their
 type (a count is an ``int``), and no object may repeat a key.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import repeat, starmap
 from operator import itemgetter
@@ -612,8 +610,8 @@ _FRAME_KEYS = ("frame", "m", "fp", "mme", "gt")  # a frame row's keys, in Metric
 
 
 def build_report(
-    results: Sequence[DescriptionResult],
-    aggregate_result: Optional[AggregateResult],
+    results: Sequence["DescriptionResult"],
+    aggregate_result: Optional["AggregateResult"],
     config: Mapping[str, object],
 ) -> dict:
     """Assemble the machine-readable evaluation report.

@@ -10,8 +10,6 @@ negative per-description accuracy at zero.
 Ratios are computed with exact rational arithmetic and exported as floats.
 """
 
-from __future__ import annotations
-
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, groupby
@@ -374,32 +372,38 @@ def id_measures(
     threshold, and a bijection maximizing the total overlap is solved exactly,
     one connected component of the positive-overlap pairs at a time.
     """
-    overlap = gated_pass(referred_gt, predictions, iou_threshold).overlap
-    return _identity_bijection(referred_gt, predictions, overlap)
+    return _id_measures_of(gated_pass(referred_gt, predictions, iou_threshold))
 
 
-def _identity_bijection(
-    referred_gt: Sequence[Track],
-    predictions: Sequence[Track],
-    overlap: Mapping[tuple[int, int], int],
-) -> IdMeasures:
-    """Solve the identity bijection from a gated pass's overlap counts.
+def _id_measures_of(shared: GatedPass) -> IdMeasures:
+    """The identity tallies of a gated pass.
 
-    IDTP is the value of a maximum-overlap matching, which every optimal
-    matching shares, so no tie-break is needed. Zero-overlap pairs add
-    nothing: each connected component of the positive pairs is solved on its
-    own by the shortest-path core on cost -overlap, with its zero pairs
-    feasible at cost 0, where maximum cardinality is maximum overlap.
+    IDFN and IDFP are the GT and predicted boxes the bijection leaves
+    unmatched. Each predicted box is matched or a false positive in its
+    slot, and each GT box matched or missed, so the predicted boxes number
+    fp + gt - misses.
     """
-    total_gt = sum(len(t.detections) for t in referred_gt)
-    total_pred = sum(len(t.detections) for t in predictions)
+    counts, idtp = shared.counts, _identity_bijection(shared.overlap)
+    predicted = counts.fp_total + counts.gt_total - counts.miss_total
+    return IdMeasures(idtp, predicted - idtp, counts.gt_total - idtp)
+
+
+def _identity_bijection(overlap: Mapping[tuple[int, int], int]) -> int:
+    """IDTP: the total overlap of a maximum-overlap identity bijection.
+
+    Every optimal matching has this value, so no tie-break is needed.
+    Zero-overlap pairs add nothing: each connected component of the positive
+    pairs is solved on its own by the shortest-path core on cost -overlap,
+    with its zero pairs feasible at cost 0, where maximum cardinality is
+    maximum overlap.
+    """
     positive = {pair: n for pair, n in overlap.items() if n > 0}
     idtp = 0
     for rows, cols in _components(positive):
         matrix = [[-float(positive.get((r, c), 0)) for c in cols] for r in rows]
         pairs = _min_cost_max_matching(matrix, range(len(rows)), range(len(cols)))[0]
         idtp += sum(positive.get((rows[a], cols[b]), 0) for a, b in pairs)
-    return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)
+    return idtp
 
 
 def cvidf1_exact(measures: IdMeasures) -> Fraction:
@@ -424,7 +428,7 @@ def evaluate_description(
     counts = shared.counts
     # With no referred GT every prediction is a false positive, and none is a success.
     raw = cvma_exact(counts) if counts.gt_total else Fraction(1 - counts.fp_total)
-    measures = _identity_bijection(referred, predictions, shared.overlap)
+    measures = _id_measures_of(shared)
     f1 = Fraction(1) if counts.gt_total == 0 == counts.fp_total else cvidf1_exact(measures)
     return DescriptionResult(
         description_id=desc.id,

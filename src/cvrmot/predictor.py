@@ -8,8 +8,6 @@ hit threshold before the frame is emitted. The hit score persists across
 frames and never drops below zero.
 """
 
-from __future__ import annotations
-
 from itertools import groupby
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence

@@ -8,8 +8,6 @@ the intended per-frame matching the unique cost-zero optimum; the ledger is
 therefore exact by construction.
 """
 
-from __future__ import annotations
-
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -70,42 +68,33 @@ class Ledger(NamedTuple):
 
     per_frame: Mapping[int, FrameErrors]
     gt_total: int
-    expected_cvma: Fraction
     expected_id: Optional[IdMeasures]
 
     @property
-    def miss_total(self) -> int:
-        return sum(e.misses for e in self.per_frame.values())
+    def totals(self) -> FrameErrors:
+        return FrameErrors(*map(sum, zip(*self.per_frame.values())))
 
     @property
-    def fp_total(self) -> int:
-        return sum(e.false_positives for e in self.per_frame.values())
-
-    @property
-    def temporal_total(self) -> int:
-        return sum(e.temporal for e in self.per_frame.values())
-
-    @property
-    def crossview_total(self) -> int:
-        return sum(e.crossview for e in self.per_frame.values())
-
-    @property
-    def mismatch_total(self) -> int:
-        return self.temporal_total + self.crossview_total
+    def expected_cvma(self) -> Fraction:
+        """1 - (misses + false positives + 2 mismatches) / GT; 1 - false positives with no GT."""
+        totals = self.totals
+        if not self.gt_total:
+            return Fraction(1 - totals.false_positives)
+        errors = totals.misses + totals.false_positives + 2 * totals.mismatches
+        return 1 - Fraction(errors, self.gt_total)
 
 
 def ledger_to_dict(ledger: Ledger) -> dict:
     """JSON-friendly view of a ledger."""
-    totals = FrameErrors(*map(sum, zip(*ledger.per_frame.values())))
-    expected_id = ledger.expected_id
+    expected_cvma, expected_id = ledger.expected_cvma, ledger.expected_id
     return {
         "per_frame": {str(frame): e._asdict() for frame, e in sorted(ledger.per_frame.items())},
         "gt_total": ledger.gt_total,
-        "totals": totals._asdict(),
+        "totals": ledger.totals._asdict(),
         "expected_cvma": {
-            "numerator": ledger.expected_cvma.numerator,
-            "denominator": ledger.expected_cvma.denominator,
-            "value": float(ledger.expected_cvma),
+            "numerator": expected_cvma.numerator,
+            "denominator": expected_cvma.denominator,
+            "value": float(expected_cvma),
         },
         "expected_id": None if expected_id is None else expected_id._asdict(),
     }
@@ -380,9 +369,7 @@ def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet
     expected_id = None
     if len(by_identity) <= 6 and len(tracks) <= 6:
         expected_id = oracle_id_measures(scene, predictions)
-    ledger = Ledger(per_frame, scene.detection_count(), None, expected_id)  # CVMA from its totals
-    errors_total = ledger.miss_total + ledger.fp_total + 2 * ledger.mismatch_total
-    return predictions, ledger._replace(expected_cvma=1 - Fraction(errors_total, ledger.gt_total))
+    return predictions, Ledger(per_frame, scene.detection_count(), expected_id)
 
 
 def oracle_id_measures(

@@ -225,15 +225,15 @@ def test_per_component_bijection_equals_dense_lap(overlap, lone_ids):
     gt_tracks, pred_tracks = _tracks_with_overlaps(overlap, lone_ids)
     assert gated_pass(gt_tracks, pred_tracks).overlap == {k: n for k, n in overlap.items() if n}
     expected = dense_id_measures(gt_tracks, pred_tracks)
-    assert _identity_bijection(gt_tracks, pred_tracks, overlap) == expected
+    assert _identity_bijection(overlap) == expected.idtp
+    assert id_measures(gt_tracks, pred_tracks) == expected
 
 
 def test_bijection_maximizes_overlap_not_pair_count():
     overlap = {(1, 101): 10, (1, 102): 1, (2, 101): 1}
+    assert _identity_bijection(overlap) == 10
     gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
-    measures = _identity_bijection(gt_tracks, pred_tracks, overlap)
-    assert measures.idtp == 10
-    assert measures == dense_id_measures(gt_tracks, pred_tracks)
+    assert id_measures(gt_tracks, pred_tracks) == dense_id_measures(gt_tracks, pred_tracks)
 
 
 def _best_total(overlap):
@@ -255,9 +255,7 @@ def _best_total(overlap):
 @given(st.dictionaries(st.tuples(st.integers(1, 7), st.integers(101, 107)),
                        st.sampled_from([1, 1, 2, 2, 3])))
 def test_identity_bijection_equals_exhaustive_search(overlap):
-    gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
-    measures = _identity_bijection(gt_tracks, pred_tracks, overlap)
-    assert measures.idtp == _best_total(overlap)
+    assert _identity_bijection(overlap) == _best_total(overlap)
 
 
 def test_identity_bijection_equals_scipy_on_large_graphs():
@@ -276,23 +274,22 @@ def test_identity_bijection_equals_scipy_on_large_graphs():
         if rows == 160:
             assert len(list(metrics._components(overlap))) == 1
         r, c = optimize.linear_sum_assignment(-weights)
-        assert _identity_bijection((), (), overlap).idtp == weights[r, c].sum()
+        assert _identity_bijection(overlap) == weights[r, c].sum()
 
 
 def test_identity_bijection_makes_no_solve_lap_call(monkeypatch):
     """Each component takes one shortest-path core call; ``solve_lap`` is never called."""
     overlap = {(1, 101): 10, (1, 102): 1, (2, 101): 1, (3, 103): 4, (4, 104): 2}
-    gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
     laps, sides = [], []
     monkeypatch.setattr(metrics, "solve_lap", lambda m: laps.append(m))
     core = metrics._min_cost_max_matching
     monkeypatch.setattr(metrics, "_min_cost_max_matching",
                         lambda m, rs, cs: sides.append((len(rs), len(cs))) or core(m, rs, cs))
-    measures = _identity_bijection(gt_tracks, pred_tracks, overlap)
+    assert _identity_bijection(overlap) == 16
     assert laps == []
     assert sides == [(2, 2), (1, 1), (1, 1)]
-    assert measures.idtp == 16
-    assert measures == dense_id_measures(gt_tracks, pred_tracks)
+    gt_tracks, pred_tracks = _tracks_with_overlaps(overlap)
+    assert id_measures(gt_tracks, pred_tracks) == dense_id_measures(gt_tracks, pred_tracks)
 
 
 # (other box, threshold, gated): the GT box is (0, 0, 10, 10) and every other
@@ -400,9 +397,7 @@ def test_duplicate_identity_names_the_first_repeat_in_track_order():
 def _check_against_dense(gt_tracks, pred_tracks, threshold=0.5):
     shared = gated_pass(gt_tracks, pred_tracks, threshold)
     assert shared.counts == dense_count_events(gt_tracks, pred_tracks, threshold)
-    assert _identity_bijection(gt_tracks, pred_tracks, shared.overlap) == dense_id_measures(
-        gt_tracks, pred_tracks, threshold
-    )
+    assert metrics._id_measures_of(shared) == dense_id_measures(gt_tracks, pred_tracks, threshold)
     return shared
 
 

@@ -94,8 +94,8 @@ def test_perturb_zero_spec_is_identity():
     scene = generate_scene(2, 3, 5, seed=3)
     preds, ledger = perturb(scene, ErrorSpec(), seed=1)
     assert preds.tracks == scene.gt_tracks
-    assert ledger.miss_total == 0 and ledger.fp_total == 0
-    assert ledger.mismatch_total == 0
+    assert ledger.totals.misses == 0 and ledger.totals.false_positives == 0
+    assert ledger.totals.mismatches == 0
     assert ledger.expected_cvma == 1
     counts = count_events(scene.gt_tracks, preds.tracks)
     assert cvma_exact(counts) == 1
@@ -106,10 +106,10 @@ def test_perturb_worked_example_four_two_one():
     scene = generate_scene(2, 20, 1, seed=3)
     spec = ErrorSpec(miss_count=4, fp_count=2, crossview_mismatch_count=1)
     preds, ledger = perturb(scene, spec, seed=9)
-    assert ledger.miss_total == 4
-    assert ledger.fp_total == 2
-    assert ledger.temporal_total == 0
-    assert ledger.crossview_total == 1
+    assert ledger.totals.misses == 4
+    assert ledger.totals.false_positives == 2
+    assert ledger.totals.temporal == 0
+    assert ledger.totals.crossview == 1
     assert ledger.expected_cvma == Fraction(4, 5)
     counts = count_events(scene.gt_tracks, preds.tracks)
     assert (counts.miss_total, counts.fp_total, counts.mismatch_total, counts.gt_total) == (4, 2, 1, 40)
@@ -120,9 +120,9 @@ def test_perturb_temporal_switch_on_single_view_track():
     dets = tuple(Detection(0, f, 1, box(4.0 * f)) for f in range(1, 6))
     scene = Scene("single", 2, 5, (4000, 2000), (Track(1, dets),))
     preds, ledger = perturb(scene, ErrorSpec(temporal_switch_count=1), seed=2)
-    assert ledger.temporal_total == 1
-    assert ledger.crossview_total == 0
-    assert ledger.mismatch_total == 1
+    assert ledger.totals.temporal == 1
+    assert ledger.totals.crossview == 0
+    assert ledger.totals.mismatches == 1
     counts = count_events(scene.gt_tracks, preds.tracks)
     assert counts.mismatch_total == 1
     assert cvma_exact(counts) == ledger.expected_cvma
@@ -131,17 +131,27 @@ def test_perturb_temporal_switch_on_single_view_track():
 def test_perturb_temporal_switch_multi_view_counts_each_view():
     scene = generate_scene(3, 2, 6, seed=5)
     preds, ledger = perturb(scene, ErrorSpec(temporal_switch_count=1), seed=4)
-    assert ledger.temporal_total == 3  # one switch per view
-    assert ledger.crossview_total == 0
+    assert ledger.totals.temporal == 3  # one switch per view
+    assert ledger.totals.crossview == 0
     counts = count_events(scene.gt_tracks, preds.tracks)
     assert ledger_matches_counts(ledger, counts)
     assert cvma_exact(counts) == ledger.expected_cvma
 
 
+def test_perturb_without_ground_truth_expects_one_minus_its_false_positives():
+    empty = Scene("e", 2, 3, (1920, 1080), ())
+    assert perturb(empty, ErrorSpec(), seed=1)[1].expected_cvma == 1
+    preds, ledger = perturb(empty, ErrorSpec(fp_count=2), seed=1)
+    assert ledger.gt_total == 0 and ledger.totals.false_positives == 2
+    assert ledger.expected_cvma == -1
+    nobody = LanguageDescription("d", "Nobody.", AttributeSet(), frozenset())
+    assert evaluate_description(empty, nobody, preds.tracks).cvma_exact == -1
+
+
 def test_perturb_false_positives_never_overlap_gt():
     scene = generate_scene(2, 4, 6, seed=13)
     preds, ledger = perturb(scene, ErrorSpec(fp_count=5), seed=6)
-    assert ledger.fp_total == 5
+    assert ledger.totals.false_positives == 5
     gt_by_slot = {}
     for det in scene.all_detections():
         gt_by_slot.setdefault((det.view_id, det.frame), []).append(det.bbox)
