@@ -23,8 +23,7 @@ _EXPORTS = {  # module -> the names it defines
         "write_predictions write_report write_scene write_scores"
     ),
     "metrics": (
-        "AggregateResult DescriptionResult FrameMatch IdMeasures MetricCounts "
-        "UndefinedAggregateError UndefinedMetricError aggregate "
+        "AggregateResult DescriptionResult FrameMatch IdMeasures MetricCounts aggregate "
         "count_events cvidf1 cvidf1_exact cvma cvma_exact evaluate_description "
         "id_measures match_frame restrict_gt"
     ),

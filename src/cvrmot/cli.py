@@ -156,7 +156,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
             tracks = ()
         results.append(cli.evaluate_description(scene, desc, tracks, configs[0]))
-    aggregate_result = cli.aggregate(results) if results else None
+    aggregate_result = cli.aggregate(results)
     echo = {key: value for config in configs for key, value in config._asdict().items()}
     report = build_report(results, aggregate_result, echo)
     if args.out:
@@ -168,9 +168,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(
             f"{result.description_id:<{name_width}}  "
             f"{100.0 * result.cvidf1:>8.2f}  "
-            f"{100.0 * max(result.cvma_raw, 0.0):>8.2f}"
+            f"{100.0 * float(result.cvma_clamped_exact):>8.2f}"
         )
-    if aggregate_result is not None:
+    if aggregate_result.n_l:
         print(
             f"{'aggregate':<{name_width}}  "
             f"{100.0 * aggregate_result.cvridf1:>8.2f}  "

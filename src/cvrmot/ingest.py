@@ -19,8 +19,8 @@ Formats (all text is UTF-8, all numbers decimal ASCII):
 
 Parsers are strict: bad input raises :class:`ParseError` (a ``ValueError``)
 naming the file and the line or key, so no row, view or value is dropped or
-coerced. All CSVs share one row reader (integer frame >= 1 and id, no repeated
-``(frame, id)`` outside ground truth, numbers without non-ASCII digits or
+coerced. All CSVs share one row reader (integer frame >= 1 and id, no
+``(frame, id)`` repeated within a file, numbers without non-ASCII digits or
 ``_``), which converts a file of plain lines whole, column by column, and any
 other file line by line, field by field; and one row formatter,
 :func:`view_lines` (``str`` of each field, which for a number is its ``repr``,
@@ -112,7 +112,8 @@ def read_json(path: Path | str, kind: type = dict) -> object:
             raw = json.load(handle, object_pairs_hook=unique_keys)
     except ParseError:
         raise
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    # JSONDecodeError, UnicodeDecodeError, or a RecursionError from nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from None
     _check_json(path, "the top-level value", raw, kind)
     return raw
@@ -169,23 +170,18 @@ def view_count(directory: Path | str) -> int:
     return max(files) + 1
 
 
-class _Layout(NamedTuple):
-    """The rows of one CSV kind, as :func:`_read_rows` and :func:`_checked_row` read them.
+_Layout = Mapping[int, tuple[tuple[type, int, int], ...]]  # a CSV kind's rows, by field count
 
-    A row is ``frame,id`` (a frame >= 1) and then the columns of the records it
-    builds. ``spans`` maps each allowed field count to those records, in
-    column order: each record class with its first and past-the-end column.
-    A class reads ``len(cls._fields)`` columns, and its field names are the
-    names an error gives them. With ``unique`` a repeated ``(frame, id)`` is
-    an error naming its first line.
+
+def _layout(*rows: tuple[type, ...]) -> _Layout:
+    """The layout whose rows each build the record classes of one of ``rows``.
+
+    A row is ``frame,id`` (a frame >= 1, the pair not repeated in its file)
+    and then the columns of its records, in column order: each record class
+    with its first and past-the-end column. A class reads
+    ``len(cls._fields)`` columns, and its field names are the names an error
+    gives them.
     """
-
-    spans: Mapping[int, tuple[tuple[type, int, int], ...]]
-    unique: bool
-
-
-def _layout(unique: bool, *rows: tuple[type, ...]) -> _Layout:
-    """The layout whose rows each build the record classes of one of ``rows``."""
     spans = {}
     for classes in rows:
         start, row = 2, []
@@ -193,13 +189,12 @@ def _layout(unique: bool, *rows: tuple[type, ...]) -> _Layout:
             row.append((cls, start, start + len(cls._fields)))
             start += len(cls._fields)
         spans[start] = tuple(row)
-    return _Layout(spans, unique)
+    return spans
 
 
-# Ground-truth duplicates are rejected by validate_scene.
-_GT_ROWS = _layout(False, (BBox,))
-_PREDICTION_ROWS = _layout(True, (BBox,), (BBox, ScoreRecord))
-_SCORE_ROWS = _layout(True, (ScoreRecord,))
+_GT_ROWS = _layout((BBox,))
+_PREDICTION_ROWS = _layout((BBox,), (BBox, ScoreRecord))
+_SCORE_ROWS = _layout((ScoreRecord,))
 
 
 def _read_rows(path: Path, layout: _Layout) -> list[tuple]:
@@ -221,16 +216,16 @@ def _read_rows(path: Path, layout: _Layout) -> list[tuple]:
         lines = list(filter(None, text.split("\n")))  # empty lines are skipped
         (commas,) = set(map(str.count, lines, repeat(",")))  # a ValueError unless one width
         width = commas + 1
-        if width not in layout.spans:
+        if width not in layout:
             raise ValueError
         fields = ",".join(lines).split(",")
         frames = list(map(int, fields[0::width]))
         ids = list(map(int, fields[1::width]))
-        if min(frames) < 1 or layout.unique and len(set(zip(frames, ids))) < len(frames):
+        if min(frames) < 1 or len(set(zip(frames, ids))) < len(frames):
             raise ValueError
         records = [
             list(starmap(cls, zip(*(map(float, fields[i::width]) for i in range(start, stop)))))
-            for cls, start, stop in layout.spans[width]
+            for cls, start, stop in layout[width]
         ]
     except ValueError:  # UnicodeDecodeError included
         return _checked_rows(path, layout)
@@ -279,17 +274,16 @@ def _checked_row(
             raise error(f"{what} must be finite, got {raw!r}")
         return value
 
-    row = layout.spans.get(len(fields))
+    row = layout.get(len(fields))
     if row is None:
-        expected = " or ".join(map(str, layout.spans))
+        expected = " or ".join(map(str, layout))
         raise error(f"expected {expected} fields, got {len(fields)}")
     key = frame, identity = field(0, "frame", int), field(1, "id", int)
     if frame < 1:
         raise error(f"frame must be >= 1, got {frame}")
-    if layout.unique:
-        earlier = first_line.setdefault(key, line_no)
-        if earlier != line_no:
-            raise error(f"duplicate row for frame {frame}, id {identity} (first at line {earlier})")
+    earlier = first_line.setdefault(key, line_no)
+    if earlier != line_no:
+        raise error(f"duplicate row for frame {frame}, id {identity} (first at line {earlier})")
     records = []
     for cls, start, _ in row:
         values = [field(start + i, name) for i, name in enumerate(cls._fields)]
@@ -458,12 +452,13 @@ def parse_descriptions(
         if earlier != index:
             message = f"repeats description id {desc_id!r} (first in entry {earlier})"
             raise ParseError(path, f"entry {index} {message}")
-        referred = entry["referred_identities"]
-        for position, identity in enumerate(referred):
+        referred: set[int] = set()
+        for position, identity in enumerate(entry["referred_identities"]):
             name = f"entry {index} referred_identities[{position}]"
             _check_json(path, name, identity, int)
-            if identity in referred[:position]:
+            if identity in referred:
                 raise ParseError(path, f"{name} repeats identity {identity}")
+            referred.add(identity)
         desc = LanguageDescription(
             id=desc_id,
             text=entry["text"],
@@ -611,14 +606,10 @@ _FRAME_KEYS = ("frame", "m", "fp", "mme", "gt")  # a frame row's keys, in Metric
 
 def build_report(
     results: Sequence["DescriptionResult"],
-    aggregate_result: Optional["AggregateResult"],
+    aggregate_result: "AggregateResult",
     config: Mapping[str, object],
 ) -> dict:
-    """Assemble the machine-readable evaluation report.
-
-    With zero descriptions the aggregate block is marked undefined rather
-    than raising.
-    """
+    """Assemble the machine-readable evaluation report."""
     descriptions = []
     for result in results:
         counts = result.counts
@@ -628,7 +619,7 @@ def build_report(
                 "id": result.description_id,
                 "cvidf1": result.cvidf1,
                 "cvma_raw": result.cvma_raw,
-                "cvma": max(result.cvma_raw, 0.0),
+                "cvma": float(result.cvma_clamped_exact),
                 "counts": {
                     "misses": counts.miss_total,
                     "false_positives": counts.fp_total,
@@ -641,14 +632,10 @@ def build_report(
                 },
             }
         )
-    if aggregate_result is None:
-        aggregate_block: dict[str, object] = {"n_l": 0, "cvridf1": None, "cvrma": None}
-    else:
-        aggregate_block = aggregate_result._asdict()
     return {
         "config": dict(config),
         "descriptions": descriptions,
-        "aggregate": aggregate_block,
+        "aggregate": aggregate_result._asdict(),
     }
 
 

@@ -14,19 +14,11 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .assignment import FORBIDDEN, CostMatrix, _min_cost_max_matching, solve_lap
 from .datamodel import Detection, LanguageDescription, Scene, Track, iou
 from .datamodel import EvalConfig, check_iou_threshold  # defined there, re-exported here
-
-
-class UndefinedMetricError(ValueError):
-    """A metric's denominator is empty; the caller must apply its own rule."""
-
-
-class UndefinedAggregateError(ValueError):
-    """Aggregation over zero descriptions is undefined."""
 
 
 class MetricCounts(NamedTuple):
@@ -97,13 +89,18 @@ class DescriptionResult(NamedTuple):
     def cvma_raw(self) -> float:
         return float(self.cvma_exact)
 
+    @property
+    def cvma_clamped_exact(self) -> Fraction:
+        """The matching accuracy that is reported and averaged: negative values are 0."""
+        return max(self.cvma_exact, Fraction(0))
+
 
 class AggregateResult(NamedTuple):
-    """Per-description means: identity F1 and clamped matching accuracy."""
+    """Per-description means of identity F1 and clamped matching accuracy; None for none."""
 
     n_l: int
-    cvridf1: float
-    cvrma: float
+    cvridf1: Optional[float]
+    cvrma: Optional[float]
 
 
 def restrict_gt(scene: Scene, desc: LanguageDescription) -> tuple[Track, ...]:
@@ -347,10 +344,11 @@ def count_events(
 def cvma_exact(counts: MetricCounts) -> Fraction:
     """Matching accuracy as an exact rational: 1 - (m + fp + 2*mme) / gt.
 
-    May be negative when errors outnumber ground-truth objects.
+    May be negative when errors outnumber ground-truth objects. With no GT
+    object it is 1 - fp: every prediction is a false positive.
     """
     if counts.gt_total == 0:
-        raise UndefinedMetricError("matching accuracy is undefined with no GT objects")
+        return Fraction(1 - counts.fp_total)
     penalty = counts.miss_total + counts.fp_total + 2 * counts.mismatch_total
     return Fraction(1) - Fraction(penalty, counts.gt_total)
 
@@ -407,9 +405,9 @@ def _identity_bijection(overlap: Mapping[tuple[int, int], int]) -> int:
 
 
 def cvidf1_exact(measures: IdMeasures) -> Fraction:
-    """Identity F1, 2 IDTP / (2 IDTP + IDFP + IDFN); 0 when IDTP is 0."""
+    """Identity F1, 2 IDTP / (2 IDTP + IDFP + IDFN); 1 with no GT box and no predicted box."""
     idtp, idfp, idfn = measures
-    return Fraction(2 * idtp, 2 * idtp + idfp + idfn) if idtp else Fraction(0)
+    return Fraction(2 * idtp, 2 * idtp + idfp + idfn) if any(measures) else Fraction(1)
 
 
 def cvidf1(measures: IdMeasures) -> float:
@@ -423,27 +421,22 @@ def evaluate_description(
     config: EvalConfig = EvalConfig(),
 ) -> DescriptionResult:
     """Evaluate one description's predictions against the restricted GT."""
-    referred = restrict_gt(scene, desc)
-    shared = gated_pass(referred, predictions, config.iou_threshold)
-    counts = shared.counts
-    # With no referred GT every prediction is a false positive, and none is a success.
-    raw = cvma_exact(counts) if counts.gt_total else Fraction(1 - counts.fp_total)
+    shared = gated_pass(restrict_gt(scene, desc), predictions, config.iou_threshold)
     measures = _id_measures_of(shared)
-    f1 = Fraction(1) if counts.gt_total == 0 == counts.fp_total else cvidf1_exact(measures)
     return DescriptionResult(
         description_id=desc.id,
-        counts=counts,
+        counts=shared.counts,
         id_measures=measures,
-        cvidf1_exact=f1,
-        cvma_exact=raw,
+        cvidf1_exact=cvidf1_exact(measures),
+        cvma_exact=cvma_exact(shared.counts),
     )
 
 
 def aggregate(results: Sequence[DescriptionResult]) -> AggregateResult:
-    """Means over descriptions; negative matching accuracy clamps to zero."""
-    if not results:
-        raise UndefinedAggregateError("aggregation over zero descriptions is undefined")
-    zero, n = Fraction(0), len(results)
-    f1_sum = sum((r.cvidf1_exact for r in results), zero)
-    ma_sum = sum((max(r.cvma_exact, zero) for r in results), zero)
+    """Means over descriptions of CVIDF1 and clamped CVMA; both None over no description."""
+    n = len(results)
+    if n == 0:
+        return AggregateResult(0, None, None)
+    f1_sum = sum(r.cvidf1_exact for r in results)
+    ma_sum = sum(r.cvma_clamped_exact for r in results)
     return AggregateResult(n, float(f1_sum / n), float(ma_sum / n))

@@ -206,7 +206,12 @@ def oracle_id_ratios(measures: IdMeasures) -> tuple[Fraction, Fraction]:
 
 
 def oracle_cvidf1_exact(measures: IdMeasures) -> Fraction:
-    """Harmonic mean of the exact identity precision and recall; 0 when both are 0."""
+    """Harmonic mean of the exact identity precision and recall; 0 when both are 0.
+
+    With no tally at all, no box to find and none predicted, it is 1.
+    """
+    if not any(measures):
+        return Fraction(1)
     p, r = oracle_id_ratios(measures)
     return 2 * p * r / (p + r) if p + r else Fraction(0)
 
@@ -245,9 +250,9 @@ _KEY_MIN = {"view": 0, "frame": 1}
 
 
 def _read_rows(
-    path: Path, key: Sequence[str], widths: Sequence[int] = (), unique: bool = True
+    path: Path, key: Sequence[str], widths: Sequence[int] = ()
 ) -> Iterator[tuple[_Row, tuple[int, ...]]]:
-    """Yield each non-blank row of a headerless CSV with its integer key."""
+    """Yield each non-blank row of a headerless CSV with its integer key, which may not repeat."""
     first_line: dict[tuple[int, ...], int] = {}
     bounds = [(i, name, _KEY_MIN[name]) for i, name in enumerate(key) if name in _KEY_MIN]
     with open(path, encoding="utf-8") as handle:
@@ -268,11 +273,10 @@ def _read_rows(
                 for i, name, low in bounds:
                     if values[i] < low:
                         raise row.error(f"{name} must be >= {low}, got {values[i]}")
-                if unique:
-                    earlier = first_line.setdefault(values, line_no)
-                    if earlier != line_no:
-                        where = ", ".join(f"{n} {v}" for n, v in zip(key, values))
-                        raise row.error(f"duplicate row for {where} (first at line {earlier})")
+                earlier = first_line.setdefault(values, line_no)
+                if earlier != line_no:
+                    where = ", ".join(f"{n} {v}" for n, v in zip(key, values))
+                    raise row.error(f"duplicate row for {where} (first at line {earlier})")
                 yield row, values
         except UnicodeDecodeError as exc:
             raise ParseError(path, f"not UTF-8 text: {exc}") from None
@@ -284,7 +288,7 @@ def oracle_box_rows(
     """Ground-truth (``allow_scores`` false) or prediction rows of one view file."""
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-    rows = _read_rows(path, ("frame", "id"), (6, 8) if allow_scores else (6,), allow_scores)
+    rows = _read_rows(path, ("frame", "id"), (6, 8) if allow_scores else (6,))
     for row, (frame, identity) in rows:
         x, y = row.parse(2, "x"), row.parse(3, "y")
         box = row.make(BBox, x, y, row.parse(4, "w"), row.parse(5, "h"))

@@ -274,8 +274,8 @@ def test_validate_clean_and_corrupt(tmp_path, capsys):
     gt = tmp_path / "gt" / "view_00.csv"
     gt.write_text(gt.read_text() + "1,1,0.0,0.0,10.0,20.0\n")  # duplicate slot
     rc = run(["validate", "--manifest", tmp_path / "manifest.json", "--gt-dir", tmp_path / "gt"])
-    assert rc == 2  # duplicate makes the scene unparseable
-    assert "invalid scene" in capsys.readouterr().err
+    assert rc == 2  # the reader names the repeated row
+    assert f"{gt}:7: duplicate row for frame 1, id 1" in capsys.readouterr().err
 
 
 def test_validate_reports_out_of_range_frame(tmp_path, capsys):
@@ -308,8 +308,9 @@ def test_validate_names_only_the_first_bad_attribute_word(workspace, capsys):
 
 
 def _break_duplicate(root):
-    with open(root / "gt" / "view_00.csv", "a") as gt:
-        gt.write("1,1,204.0,0.0,10.0,20.0\n")  # the first row of view 0 again
+    path = root / "gt" / "view_00.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:1] + lines))  # the first row of view 0 again, as line 2
 
 
 def _break_manifest(**changes):
@@ -331,8 +332,8 @@ def _break_description(attributes=(), **changes):
 
 # Each input violation a file can produce, and the one stderr line that names it.
 VIOLATIONS = {
-    "duplicate": (_break_duplicate, "manifest.json", "invalid scene: [duplicate] "
-                  "duplicate detection at (view=0, frame=1, identity=1)"),
+    "duplicate": (_break_duplicate, "gt/view_00.csv:2",
+                  "duplicate row for frame 1, id 1 (first at line 1)"),
     "frame-past-end": (_break_manifest(frames_per_view=2), "manifest.json", "invalid scene: "
                        "[range] detection (view=0, frame=3, identity=1) has out-of-range frame"),
     "one-view": (_break_manifest(views=1), "manifest.json",
@@ -959,6 +960,26 @@ def test_console_entry_errors_exit_2_without_a_traceback(tmp_path):
         assert "Traceback" not in done.stderr
     assert parse_error.stderr.startswith(f"error: {manifest}: invalid JSON: ")
     assert "the following arguments are required: --gt-dir" in usage_error.stderr
+
+
+def test_deeply_nested_json_exits_2_naming_its_file(tmp_path):
+    """Nesting past the recursion limit is invalid JSON, in every file ``read_json`` reads."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, "utf-8")
+    write_scene(lane_scene(), tmp_path / "manifest.json", tmp_path / "gt")
+    scene = ["--manifest", tmp_path / "manifest.json", "--gt-dir", tmp_path / "gt"]
+    runs = {
+        "--manifest": ["validate", "--manifest", deep, "--gt-dir", tmp_path / "gt"],
+        "--descriptions": ["validate", *scene, "--descriptions", deep],
+        "--config": ["filter", "--tracks", tmp_path / "gt", "--out", tmp_path / "out",
+                     "--config", deep],
+        "--errors": ["synth", "--errors", deep, "--out", tmp_path / "synth"],
+    }
+    for flag, argv in runs.items():
+        done = _console(*argv)
+        assert done.returncode == 2, flag
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: {deep}: invalid JSON: "), (flag, done.stderr)
 
 
 def _validate_argv(tmp_path):

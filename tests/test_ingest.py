@@ -229,7 +229,7 @@ def test_report_round_trip(tmp_path):
 
 
 def test_report_empty_results_marks_aggregate_undefined(tmp_path):
-    report = build_report([], None, {})
+    report = build_report([], aggregate([]), {})
     assert report["aggregate"] == {"n_l": 0, "cvridf1": None, "cvrma": None}
     write_report(report, tmp_path / "r.json")
     assert read_report(tmp_path / "r.json") == report
@@ -262,13 +262,13 @@ def description_results(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(description_results(), max_size=4),
-    st.none() | st.builds(AggregateResult, COUNT, RATIO, RATIO),
+    st.just(AggregateResult(0, None, None)) | st.builds(AggregateResult, COUNT, RATIO, RATIO),
     st.dictionaries(TEXT, st.one_of(COUNT, RATIO, st.booleans(), TEXT, st.just([])), max_size=3),
 )
 @example(  # a config key gives json.dumps a "frames": [] the writer must not fill
     [DescriptionResult('"frames": []', MetricCounts((1,), (2,), (3,), (4,), (5,)),
                        IdMeasures(1, 2, 3), Fraction(1, 2), Fraction(1, 2))],
-    None,
+    AggregateResult(0, None, None),
     {"frames": []},
 )
 def test_write_report_equals_json_dumps(tmp_path_factory, results, aggregate_result, config):

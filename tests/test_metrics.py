@@ -13,8 +13,6 @@ from cvrmot import (
     MetricCounts,
     Scene,
     Track,
-    UndefinedAggregateError,
-    UndefinedMetricError,
     aggregate,
     count_events,
     cvidf1,
@@ -133,8 +131,9 @@ def test_cvma_values():
     assert cvma(mixed) == 0.8
     negative = MetricCounts((1,), (40,), (20,), (0,), (40,))
     assert cvma(negative) == -0.5
-    with pytest.raises(UndefinedMetricError):
-        cvma(MetricCounts((1,), (0,), (3,), (0,), (0,)))
+    # With no GT object every prediction is a false positive: 1 - fp.
+    assert cvma_exact(MetricCounts((1,), (0,), (3,), (0,), (0,))) == -2
+    assert cvma(MetricCounts((), (), (), (), ())) == 1.0
 
 
 def test_id_measures_full_coverage():
@@ -186,7 +185,8 @@ def test_id_ratios_and_f1_equal_their_fraction_oracles(idtp, idfp, idfn):
 def test_cvidf1_values():
     assert cvidf1(IdMeasures(1, 1, 1)) == 0.5
     assert cvidf1(IdMeasures(0, 5, 0)) == 0.0
-    assert cvidf1(IdMeasures(0, 0, 0)) == 0.0
+    assert cvidf1(IdMeasures(0, 0, 7)) == 0.0
+    assert cvidf1(IdMeasures(0, 0, 0)) == 1.0  # nothing to find and nothing predicted
 
 
 def test_evaluate_description_perfect():
@@ -245,8 +245,7 @@ def test_aggregate_means_and_clamp():
     single = aggregate([_result("a", 1, 1)])
     assert (single.cvridf1, single.cvrma) == (1.0, 1.0)
     assert 0.0 <= agg.cvridf1 <= 1.0 and 0.0 <= agg.cvrma <= 1.0
-    with pytest.raises(UndefinedAggregateError):
-        aggregate([])
+    assert aggregate([]) == (0, None, None)
 
 
 def test_view_relabeling_invariance():

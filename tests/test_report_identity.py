@@ -18,11 +18,14 @@ from pathlib import Path
 
 import pytest
 
+from cvrmot import aggregate, cvidf1, cvidf1_exact, cvma, cvma_exact
 from cvrmot.cli import main
+from cvrmot.metrics import DescriptionResult, IdMeasures, MetricCounts
 
 REPORT_SHA256 = "809af3882b56d114784ec8bc784c813fed5a40a511d0dd232d84d4cdaaf1c015"
 CROWDED_SHA256 = "34fc6e26b00580a61bb323c7c0b4fe4d748aaf38c6d33629705b9f9ef7ae1f7b"
 SRC = Path(__file__).resolve().parent.parent / "src"
+FRAME_KEYS = ("frame", "m", "fp", "mme", "gt")  # a report's frame row, in MetricCounts order
 
 
 def _pipeline(tmp_path):
@@ -91,3 +94,64 @@ def test_tiny_pipeline_report_is_the_same_under_each_python(tmp_path, python):
                                capture_output=True, text=True, env=env)
         assert (child.returncode, child.stderr) == (0, "")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == REPORT_SHA256
+
+
+# Reports of the edge cases whose rules live in the metric helpers; taken
+# before ``cvma_exact``, ``cvidf1_exact`` and ``aggregate`` applied them.
+EDGE_SHA256 = {
+    "no-descriptions": "b4056a05eb1282c64bd576626987ade74aef1d9144ed7b7c2e62a693e564caba",
+    "nobody-with-predictions": "ff549d514eb3cb930ae0ea988d35d9fe8d2e894011880043e9bab66ba75911bb",
+    "nobody-without-predictions": "d88b475a7940562b8d8f59508e3e4b7b584d32f8e64dd9fa3a94123e0037ae98",
+}
+NOBODY = {"id": "nobody", "text": "A person.", "attributes": {}, "referred_identities": []}
+
+
+def _edge_report(tmp_path, case):
+    """No description (``n_l: 0``), or one referring to nobody, scored with or without tracks.
+
+    With predictions, the perturbed tracks of the tiny run are every one a false positive.
+    """
+    argvs, _ = _pipeline(tmp_path)
+    assert main(argvs[0]) == 0
+    scene, root, report = tmp_path / "scene", tmp_path / "root", tmp_path / "edge.json"
+    descriptions = tmp_path / "descriptions.json"
+    descriptions.write_text(json.dumps([] if case == "no-descriptions" else [NOBODY]))
+    if case == "nobody-with-predictions":
+        shutil.copytree(scene / "predictions" / "d00", root / "nobody")
+    root.mkdir(exist_ok=True)
+    argv = ["evaluate", "--manifest", scene / "manifest.json", "--gt-dir", scene / "gt",
+            "--descriptions", descriptions, "--predictions-root", root, "--out", report]
+    assert main([str(a) for a in argv]) == 0
+    return report
+
+
+@pytest.mark.parametrize("case", EDGE_SHA256)
+def test_edge_case_report_is_byte_identical(tmp_path, capsys, case):
+    report = _edge_report(tmp_path, case)
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == EDGE_SHA256[case]
+
+
+@pytest.mark.parametrize("case", ["tiny", *EDGE_SHA256])
+def test_metric_helpers_give_the_reported_numbers(tmp_path, capsys, case):
+    """``cvma``, ``cvidf1`` and ``aggregate`` of a report's own tallies are its numbers."""
+    if case == "tiny":
+        argvs, path = _pipeline(tmp_path)
+        for argv in argvs:
+            assert main(argv) == 0
+    else:
+        path = _edge_report(tmp_path, case)
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    results = []
+    for entry in report["descriptions"]:
+        frames = entry["counts"]["frames"]
+        counts = MetricCounts(*(tuple(row[key] for row in frames) for key in FRAME_KEYS))
+        measures = IdMeasures(*(entry["id_measures"][key] for key in IdMeasures._fields))
+        assert (cvma(counts), cvidf1(measures)) == (entry["cvma_raw"], entry["cvidf1"])
+        result = DescriptionResult(
+            entry["id"], counts, measures, cvidf1_exact(measures), cvma_exact(counts)
+        )
+        assert float(result.cvma_clamped_exact) == entry["cvma"]
+        results.append(result)
+    assert aggregate(results)._asdict() == report["aggregate"]

@@ -22,8 +22,8 @@ EAGER_EXPORTS = {
     "parse_scene parse_scores read_report render_description write_descriptions "
     "write_predictions write_report write_scene write_scores",
     "metrics": "AggregateResult DescriptionResult EvalConfig FrameMatch IdMeasures MetricCounts "
-    "UndefinedAggregateError UndefinedMetricError aggregate count_events cvidf1 cvidf1_exact "
-    "cvma cvma_exact evaluate_description id_measures match_frame restrict_gt",
+    "aggregate count_events cvidf1 cvidf1_exact cvma cvma_exact evaluate_description "
+    "id_measures match_frame restrict_gt",
     "predictor": "MissingScoreError PredictorConfig TrackState filter_tracks step",
     "synth": "ErrorSpec FrameErrors InfeasibleSpecError Ledger generate_scene ledger_to_dict "
     "oracle_id_measures perturb predictions_from_gt score_tracks",
