@@ -146,7 +146,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for desc in descriptions:
         pred_dir = root / desc.id
         if pred_dir.is_dir():
-            tracks = parse_predictions(pred_dir, scene.num_views).tracks
+            tracks = parse_predictions(pred_dir, scene.num_views, scene.frames_per_view).tracks
         elif pred_dir.exists():
             raise ParseError(pred_dir, "not a directory")
         else:

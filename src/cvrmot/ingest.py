@@ -19,10 +19,11 @@ Formats (all text is UTF-8, all numbers decimal ASCII):
 
 Parsers are strict: bad input raises :class:`ParseError` (a ``ValueError``)
 naming the file and the line or key, so no row, view or value is dropped or
-coerced. All CSVs share one row reader (integer frame >= 1 and id, no
-``(frame, id)`` repeated within a file, numbers without non-ASCII digits or
-``_``), which converts a file of plain lines whole, column by column, and any
-other file line by line, field by field; and one row formatter,
+coerced. All CSVs share one row reader, the one place a row rule is checked
+(integer frame >= 1 and, when the scene is known, <= its last frame, integer
+id, no ``(frame, id)`` repeated within a file, numbers without non-ASCII
+digits or ``_``), which converts a file of plain lines whole, column by
+column, and any other file line by line, field by field; and one row formatter,
 :func:`view_lines` (``str`` of each field, which for a number is its ``repr``,
 so a re-parse is exact), whose per-view lines :func:`write_lines` writes. A
 field may be text: ``synth`` puts the :func:`record_text` of each box or score
@@ -176,7 +177,7 @@ _Layout = Mapping[int, tuple[tuple[type, int, int], ...]]  # a CSV kind's rows, 
 def _layout(*rows: tuple[type, ...]) -> _Layout:
     """The layout whose rows each build the record classes of one of ``rows``.
 
-    A row is ``frame,id`` (a frame >= 1, the pair not repeated in its file)
+    A row is ``frame,id`` (a frame in ``1..last``, the pair not repeated in its file)
     and then the columns of its records, in column order: each record class
     with its first and past-the-end column. A class reads
     ``len(cls._fields)`` columns, and its field names are the names an error
@@ -197,9 +198,10 @@ _PREDICTION_ROWS = _layout((BBox,), (BBox, ScoreRecord))
 _SCORE_ROWS = _layout((ScoreRecord,))
 
 
-def _read_rows(path: Path, layout: _Layout) -> list[tuple]:
+def _read_rows(path: Path, layout: _Layout, last: float = math.inf) -> list[tuple]:
     """The non-blank rows of a headerless CSV, as blocks of columns in file order.
 
+    Every frame must lie in ``1..last`` (the scene's last frame, when known).
     A block is ``(frames, ids, records)`` for rows of one width, with one
     column of ``records`` per record class. A file whose every non-empty line
     is plain (ASCII without ``_``, which ``int`` and ``float`` would accept,
@@ -221,18 +223,18 @@ def _read_rows(path: Path, layout: _Layout) -> list[tuple]:
         fields = ",".join(lines).split(",")
         frames = list(map(int, fields[0::width]))
         ids = list(map(int, fields[1::width]))
-        if min(frames) < 1 or len(set(zip(frames, ids))) < len(frames):
+        if min(frames) < 1 or max(frames) > last or len(set(zip(frames, ids))) < len(frames):
             raise ValueError
         records = [
             list(starmap(cls, zip(*(map(float, fields[i::width]) for i in range(start, stop)))))
             for cls, start, stop in layout[width]
         ]
     except ValueError:  # UnicodeDecodeError included
-        return _checked_rows(path, layout)
+        return _checked_rows(path, layout, last)
     return [(frames, ids, records)]
 
 
-def _checked_rows(path: Path, layout: _Layout) -> list[tuple]:
+def _checked_rows(path: Path, layout: _Layout, last: float) -> list[tuple]:
     """Every non-blank row of a CSV read by :func:`_checked_row`, one block per row."""
     blocks = []
     first_line: dict[tuple[int, int], int] = {}
@@ -240,7 +242,7 @@ def _checked_rows(path: Path, layout: _Layout) -> list[tuple]:
         try:
             for line_no, line in enumerate(handle, start=1):
                 if not line.isspace():
-                    key, records = _checked_row(path, line_no, line, layout, first_line)
+                    key, records = _checked_row(path, line_no, line, layout, last, first_line)
                     blocks.append(((key[0],), (key[1],), [(record,) for record in records]))
         except UnicodeDecodeError as exc:
             raise ParseError(path, f"not UTF-8 text: {exc}") from None
@@ -248,7 +250,12 @@ def _checked_rows(path: Path, layout: _Layout) -> list[tuple]:
 
 
 def _checked_row(
-    path: Path, line_no: int, line: str, layout: _Layout, first_line: dict[tuple[int, int], int]
+    path: Path,
+    line_no: int,
+    line: str,
+    layout: _Layout,
+    last: float,
+    first_line: dict[tuple[int, int], int],
 ) -> tuple[tuple[int, int], list[Any]]:
     """Read one row field by field and raise its first error as a ParseError.
 
@@ -279,8 +286,9 @@ def _checked_row(
         expected = " or ".join(map(str, layout))
         raise error(f"expected {expected} fields, got {len(fields)}")
     key = frame, identity = field(0, "frame", int), field(1, "id", int)
-    if frame < 1:
-        raise error(f"frame must be >= 1, got {frame}")
+    if not 1 <= frame <= last:
+        bound = ">= 1" if frame < 1 else f"<= {last}"
+        raise error(f"frame must be {bound}, got {frame}")
     earlier = first_line.setdefault(key, line_no)
     if earlier != line_no:
         raise error(f"duplicate row for frame {frame}, id {identity} (first at line {earlier})")
@@ -348,11 +356,12 @@ def write_lines(directory: Path | str, lines: Sequence[Sequence[str]]) -> None:
 
 
 def _read_box_rows(
-    path: Path, view: int, allow_scores: bool
+    path: Path, view: int, allow_scores: bool, last_frame: float
 ) -> tuple[list[Detection], dict[tuple[int, int, int], ScoreRecord]]:
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-    for frames, ids, records in _read_rows(path, _PREDICTION_ROWS if allow_scores else _GT_ROWS):
+    layout = _PREDICTION_ROWS if allow_scores else _GT_ROWS
+    for frames, ids, records in _read_rows(path, layout, last_frame):
         # Detection checks nothing, so its tuples are built without a Python call per row.
         rows = zip(repeat(view), frames, ids, records[0])
         detections += map(tuple.__new__, repeat(Detection), rows)
@@ -374,13 +383,21 @@ _MANIFEST_FIELDS = dict(name=str, views=int, frames_per_view=int, image_width=in
 def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
     """Parse the manifest plus one ground-truth CSV per view.
 
-    The returned scene passes :func:`validate_scene`; the parse is loss-free
+    :func:`validate_scene` checks the manifest before any CSV is read, and the
+    row reader each row (a frame in ``1..frames_per_view``), naming its file
+    and line; so the scene passes ``validate_scene``. The parse is loss-free
     (writing and re-parsing reproduces the same scene).
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
     _check_json_fields(manifest_path, manifest, _MANIFEST_FIELDS, "manifest")
-    num_views = manifest["views"]
+    num_views, last_frame = manifest["views"], manifest["frames_per_view"]
+    size = (manifest["image_width"], manifest["image_height"])
+    scene = Scene(manifest["name"], num_views, last_frame, size, gt_tracks=())
+    try:
+        validate_scene(scene)
+    except ValueError as exc:
+        raise ParseError(manifest_path, f"invalid scene: {exc}") from None
     files = _view_files(gt_dir, num_views)
     detections: list[Detection] = []
     for view in range(num_views):
@@ -388,19 +405,8 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
             raise ParseError(
                 _view_file(gt_dir, view), f"missing ground-truth file for view {view}"
             )
-        detections.extend(_read_box_rows(files[view], view, allow_scores=False)[0])
-    scene = Scene(
-        name=manifest["name"],
-        num_views=num_views,
-        frames_per_view=manifest["frames_per_view"],
-        image_size=(manifest["image_width"], manifest["image_height"]),
-        gt_tracks=_tracks_from_detections(detections),
-    )
-    try:
-        validate_scene(scene)
-    except ValueError as exc:
-        raise ParseError(manifest_path, f"invalid scene: {exc}") from None
-    return scene
+        detections.extend(_read_box_rows(files[view], view, False, last_frame)[0])
+    return scene._replace(gt_tracks=_tracks_from_detections(detections))
 
 
 def write_manifest(scene: Scene, path: Path | str) -> None:
@@ -488,17 +494,20 @@ def write_descriptions(descriptions: Sequence[LanguageDescription], path: Path |
     write_json(payload, path)
 
 
-def parse_predictions(directory: Path | str, num_views: int) -> PredictionSet:
+def parse_predictions(
+    directory: Path | str, num_views: int, last_frame: float = math.inf
+) -> PredictionSet:
     """Parse one description's per-view prediction CSVs.
 
     Missing or empty view files are treated as the tracker finding nothing in
-    that view; a file for a view past ``num_views`` is an error. Score
-    columns, when present, populate the score map.
+    that view; a file for a view past ``num_views``, or a row whose frame is
+    past ``last_frame`` (a scene's ``frames_per_view``; unbounded by default),
+    is an error. Score columns, when present, populate the score map.
     """
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
     for view, path in _view_files(directory, num_views).items():
-        view_dets, view_scores = _read_box_rows(path, view, allow_scores=True)
+        view_dets, view_scores = _read_box_rows(path, view, True, last_frame)
         detections.extend(view_dets)
         scores.update(view_scores)
     return PredictionSet(_tracks_from_detections(detections), scores)

@@ -55,13 +55,14 @@ class IdMeasures(NamedTuple):
     idfn: int
 
     # An int division is correctly rounded: these are float(Fraction(idtp, idtp + ...)).
+    # With no tally at all they are 1, as cvidf1_exact is; otherwise 0 when IDTP is 0.
     @property
     def cvidp(self) -> float:
-        return self.idtp / (self.idtp + self.idfp) if self.idtp else 0.0
+        return self.idtp / (self.idtp + self.idfp) if self.idtp else float(not any(self))
 
     @property
     def cvidr(self) -> float:
-        return self.idtp / (self.idtp + self.idfn) if self.idtp else 0.0
+        return self.idtp / (self.idtp + self.idfn) if self.idtp else float(not any(self))
 
 
 class FrameMatch(NamedTuple):

@@ -196,8 +196,13 @@ def dense_id_measures(
 
 
 def oracle_id_ratios(measures: IdMeasures) -> tuple[Fraction, Fraction]:
-    """Exact identity precision and recall, each 0 when its denominator is 0."""
+    """Exact identity precision and recall, each 0 when its denominator is 0.
+
+    With no tally at all, no box to find and none predicted, both are 1, as F1 is.
+    """
     idtp, idfp, idfn = measures
+    if not any(measures):
+        return Fraction(1), Fraction(1)
     predicted, gt = idtp + idfp, idtp + idfn
     return (
         Fraction(idtp, predicted) if predicted else Fraction(0),
@@ -250,9 +255,12 @@ _KEY_MIN = {"view": 0, "frame": 1}
 
 
 def _read_rows(
-    path: Path, key: Sequence[str], widths: Sequence[int] = ()
+    path: Path, key: Sequence[str], widths: Sequence[int] = (), last_frame: float = math.inf
 ) -> Iterator[tuple[_Row, tuple[int, ...]]]:
-    """Yield each non-blank row of a headerless CSV with its integer key, which may not repeat."""
+    """Yield each non-blank row of a headerless CSV with its integer key, which may not repeat.
+
+    A frame in the key must lie in ``1..last_frame``.
+    """
     first_line: dict[tuple[int, ...], int] = {}
     bounds = [(i, name, _KEY_MIN[name]) for i, name in enumerate(key) if name in _KEY_MIN]
     with open(path, encoding="utf-8") as handle:
@@ -273,6 +281,8 @@ def _read_rows(
                 for i, name, low in bounds:
                     if values[i] < low:
                         raise row.error(f"{name} must be >= {low}, got {values[i]}")
+                    if name == "frame" and values[i] > last_frame:
+                        raise row.error(f"frame must be <= {last_frame}, got {values[i]}")
                 earlier = first_line.setdefault(values, line_no)
                 if earlier != line_no:
                     where = ", ".join(f"{n} {v}" for n, v in zip(key, values))
@@ -283,12 +293,12 @@ def _read_rows(
 
 
 def oracle_box_rows(
-    path: Path, view: int, allow_scores: bool
+    path: Path, view: int, allow_scores: bool, last_frame: float
 ) -> tuple[list[Detection], dict[tuple[int, int, int], ScoreRecord]]:
     """Ground-truth (``allow_scores`` false) or prediction rows of one view file."""
     detections: list[Detection] = []
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-    rows = _read_rows(path, ("frame", "id"), (6, 8) if allow_scores else (6,))
+    rows = _read_rows(path, ("frame", "id"), (6, 8) if allow_scores else (6,), last_frame)
     for row, (frame, identity) in rows:
         x, y = row.parse(2, "x"), row.parse(3, "y")
         box = row.make(BBox, x, y, row.parse(4, "w"), row.parse(5, "h"))

@@ -238,9 +238,9 @@ def test_evaluate_parses_and_scores_one_description_at_a_time(tmp_path, capsys, 
 
     parse, evaluate = cli.parse_predictions, cli.evaluate_description
 
-    def parse_stand_in(directory, num_views):
+    def parse_stand_in(directory, *bounds):
         note(("parse", Path(directory).name))
-        return parse(directory, num_views)
+        return parse(directory, *bounds)
 
     def evaluate_stand_in(scene, desc, tracks, config):
         note(("evaluate", desc.id))
@@ -285,9 +285,9 @@ def test_validate_reports_out_of_range_frame(tmp_path, capsys):
     manifest["frames_per_view"] = 2  # now frame 3 rows are out of range
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     rc = run(["validate", "--manifest", tmp_path / "manifest.json", "--gt-dir", tmp_path / "gt"])
-    assert rc == 2
+    assert rc == 2  # the reader names the first row past the last frame
     err = capsys.readouterr().err
-    assert "out-of-range" in err
+    assert f"{tmp_path / 'gt' / 'view_00.csv'}:5: frame must be <= 2, got 3" in err
 
 
 def test_validate_names_only_the_first_bad_attribute_word(workspace, capsys):
@@ -334,8 +334,8 @@ def _break_description(attributes=(), **changes):
 VIOLATIONS = {
     "duplicate": (_break_duplicate, "gt/view_00.csv:2",
                   "duplicate row for frame 1, id 1 (first at line 1)"),
-    "frame-past-end": (_break_manifest(frames_per_view=2), "manifest.json", "invalid scene: "
-                       "[range] detection (view=0, frame=3, identity=1) has out-of-range frame"),
+    "frame-past-end": (_break_manifest(frames_per_view=2), "gt/view_00.csv:5",
+                       "frame must be <= 2, got 3"),
     "one-view": (_break_manifest(views=1), "manifest.json",
                  "invalid scene: [scene] num_views must be >= 2, got 1"),
     "no-frames": (_break_manifest(frames_per_view=0), "manifest.json",
@@ -960,6 +960,29 @@ def test_console_entry_errors_exit_2_without_a_traceback(tmp_path):
         assert "Traceback" not in done.stderr
     assert parse_error.stderr.startswith(f"error: {manifest}: invalid JSON: ")
     assert "the following arguments are required: --gt-dir" in usage_error.stderr
+
+
+def test_a_row_past_the_last_frame_fails_at_its_line_except_in_filter(tmp_path):
+    """GT and evaluated predictions stop at ``frames_per_view``; ``filter`` reads no manifest."""
+    scene = lane_scene(num_views=2, num_ids=2, num_frames=3)
+    write_scene(scene, tmp_path / "manifest.json", tmp_path / "gt")
+    write_descriptions([desc_for(scene, desc_id="d00")], tmp_path / "descriptions.json")
+    argv = ["--manifest", tmp_path / "manifest.json", "--gt-dir", tmp_path / "gt",
+            "--descriptions", tmp_path / "descriptions.json"]
+    tracks = tmp_path / "predictions" / "d00" / "view_01.csv"
+    tracks.parent.mkdir(parents=True)
+    tracks.write_text("1,1,0.0,0.0,10.0,20.0,0.9,0.9\n4,1,0.0,0.0,10.0,20.0,0.9,0.9\n")
+    filtered = _console("filter", "--tracks", tracks.parent, "--out", tmp_path / "filtered")
+    assert (filtered.returncode, filtered.stderr) == (0, "")
+    assert filtered.stdout.startswith("kept ")
+    evaluated = _console("evaluate", *argv, "--predictions-root", tracks.parent.parent)
+    gt = tmp_path / "gt" / "view_01.csv"
+    gt.write_text(gt.read_text() + "4,1,0.0,0.0,10.0,20.0\n")  # line 7
+    validated = _console("validate", *argv)
+    for done, where in ((evaluated, f"{tracks}:2"), (validated, f"{gt}:7")):
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"error: {where}: frame must be <= 3, got 4\n"
 
 
 def test_deeply_nested_json_exits_2_naming_its_file(tmp_path):

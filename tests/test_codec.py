@@ -219,7 +219,10 @@ def test_garbage_rows_parse_or_raise_parse_error(lines):
 # Fields for the one-pass reader against the per-field reader it replaced.
 # Each field is valid nine times in ten; otherwise it is garbage, out of range
 # (a key, a size <= 0, a score outside [0, 1]) or nan / inf / 1e400. Small keys
-# make repeats common; rows also get wrong field counts and padding.
+# make repeats common; rows also get wrong field counts and padding. Box rows
+# are read with LAST_FRAME as the scene's last frame, so a key of 4 is a frame
+# past it; score rows, which only ``filter`` reads, have no such bound.
+LAST_FRAME = 3
 
 
 def mostly(good, bad):
@@ -269,9 +272,13 @@ def _outcome(read):
 def _readers(kind, path):
     """The reader of ``kind`` and the per-field oracle of it, both reading ``path``."""
     return {
-        "gt": (lambda: _read_box_rows(path, 1, False), lambda: oracle_box_rows(path, 1, False)),
+        "gt": (
+            lambda: _read_box_rows(path, 1, False, LAST_FRAME),
+            lambda: oracle_box_rows(path, 1, False, LAST_FRAME),
+        ),
         "predictions": (
-            lambda: _read_box_rows(path, 1, True), lambda: oracle_box_rows(path, 1, True)
+            lambda: _read_box_rows(path, 1, True, LAST_FRAME),
+            lambda: oracle_box_rows(path, 1, True, LAST_FRAME),
         ),
         "scores": (lambda: _read_score_rows(path, 1), lambda: oracle_score_rows(path, 1)),
     }[kind]
@@ -307,6 +314,11 @@ EDGE_CASES = {
     "empty": ("predictions", b"", "ok"),
     "whitespace-only": ("gt", b" \n\t\n", "ok"),
     "non-utf8-past-8k": ("gt", LONG_GT + b"2,1,1\xff.0,20.0,5.0,6.0\n", "not UTF-8 text"),
+    "frame-past-end": (  # plain lines: the whole-file pass sees it first
+        "gt", "\n".join(BOX_ROWS + ["4,1,10.5,-2.0,5.0,6.25"]).encode(),
+        ":5: frame must be <= 3, got 4",
+    ),
+    "scores-unbounded": ("scores", b"1,1,0.5,0.5\n99999,1,0.5,0.5\n", "ok"),
 }
 
 

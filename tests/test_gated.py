@@ -467,6 +467,24 @@ def test_equal_iou_ties_follow_identity_order_not_input_order():
     assert [t.identity for t in gt] == [9, 3] and [t.identity for t in pred] == [205, 201]
 
 
+def test_min_cost_slot_switches_where_continuity_keeps_the_pairs():
+    """No tie: the kept pairs of frame 2 cost 0.4 + 0.4, the swap about 0.1 + 0.1.
+
+    Each slot is matched at minimum cost on its own, so both GT identities
+    switch. CLEAR MOT's keep-then-solve continuity would keep 1 -> 10 and
+    2 -> 20, whose IoU of 0.6 still passes the gate, and count 0.
+    """
+    def tracks(boxes):
+        by_id = defaultdict(list)
+        for frame, identity, x in boxes:
+            by_id[identity].append(Detection(0, frame, identity, BBox(x, 0, 100, 100)))
+        return tuple(Track(i, tuple(ds)) for i, ds in by_id.items())
+
+    gt = tracks([(1, 1, 0), (1, 2, 500), (2, 1, 0), (2, 2, -19.75)])
+    pred = tracks([(1, 10, 0), (1, 20, 500), (2, 10, -25), (2, 20, 5.25)])
+    assert count_events(gt, pred).mismatches == (0, 2)
+
+
 @pytest.mark.parametrize("mirror", [False, True])
 def test_expired_boxes_inside_an_open_list_are_skipped(monkeypatch, mirror):
     """Box 2 (right edge 50) expires between two live boxes; 101 starts exactly at 50.

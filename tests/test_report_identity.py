@@ -3,10 +3,10 @@
 The tiny run's digest was computed before the per-row reader and the y-gated
 sweep landed; any change to the report's bytes (a count, a float's last digit,
 a key, the layout) fails here. The same run is repeated under each other
-Python that ``requires-python`` (>= 3.10) admits and that is on ``PATH``. The
-crowded run's identity components are wide enough (up to 45 identities) to
-reach the bijection's shortest-path solve; its digest was computed before the
-bijection stopped going through ``solve_lap``.
+Python that ``requires-python`` (>= 3.10) admits and that is on ``PATH``, a
+pyenv shim included. The crowded run's identity components are wide enough
+(up to 45 identities) to reach the bijection's shortest-path solve; its digest
+was computed before the bijection stopped going through ``solve_lap``.
 """
 
 import hashlib
@@ -80,14 +80,33 @@ def test_crowded_pipeline_report_is_byte_identical(tmp_path, capsys):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CROWDED_SHA256
 
 
+def _interpreter_env(executable, python):
+    """An environment in which ``executable`` starts, or None.
+
+    A pyenv shim on PATH may start only with ``PYENV_VERSION`` naming a version
+    that provides it; ``pyenv whence`` lists those versions.
+    """
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if not subprocess.run([executable, "-c", ""], capture_output=True, env=env).returncode:
+        return env
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return None
+    whence = subprocess.run([pyenv, "whence", python], capture_output=True, text=True)
+    for version in whence.stdout.split():
+        env["PYENV_VERSION"] = version
+        if not subprocess.run([executable, "-c", ""], capture_output=True, env=env).returncode:
+            return env
+    return None
+
+
 @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
 def test_tiny_pipeline_report_is_the_same_under_each_python(tmp_path, python):
     """Each run is ``python -B -m cvrmot.cli`` from ``src/``; an absent interpreter is skipped."""
     executable = shutil.which(python)
-    # A version manager's shim can be on PATH without the version it runs.
-    if executable is None or subprocess.run([executable, "-c", ""], capture_output=True).returncode:
+    env = executable and _interpreter_env(executable, python)
+    if not env:
         pytest.skip(f"{python} is not available")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     argvs, report = _pipeline(tmp_path)
     for argv in argvs:
         child = subprocess.run([executable, "-B", "-m", "cvrmot.cli", *argv],
@@ -97,11 +116,13 @@ def test_tiny_pipeline_report_is_the_same_under_each_python(tmp_path, python):
 
 
 # Reports of the edge cases whose rules live in the metric helpers; taken
-# before ``cvma_exact``, ``cvidf1_exact`` and ``aggregate`` applied them.
+# before ``cvma_exact``, ``cvidf1_exact`` and ``aggregate`` applied them. The
+# no-prediction case was re-taken when ``cvidp`` and ``cvidr`` took F1's empty
+# case (1 with no tally at all): only those two values changed, from 0.0 to 1.0.
 EDGE_SHA256 = {
     "no-descriptions": "b4056a05eb1282c64bd576626987ade74aef1d9144ed7b7c2e62a693e564caba",
     "nobody-with-predictions": "ff549d514eb3cb930ae0ea988d35d9fe8d2e894011880043e9bab66ba75911bb",
-    "nobody-without-predictions": "d88b475a7940562b8d8f59508e3e4b7b584d32f8e64dd9fa3a94123e0037ae98",
+    "nobody-without-predictions": "e8a8b25bc41b9c6d6e062e940f58f804f69d337adb0fb3cea4185f4197700e0e",
 }
 NOBODY = {"id": "nobody", "text": "A person.", "attributes": {}, "referred_identities": []}
 
