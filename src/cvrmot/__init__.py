@@ -8,7 +8,7 @@ modules it runs.
 from importlib import import_module
 
 _EXPORTS = {  # module -> the names it defines
-    "assignment": "Assignment CostMatrix FORBIDDEN brute_force_lap solve_lap",
+    "assignment": "Assignment CostMatrix FORBIDDEN solve_lap",
     "datamodel": (
         "ATTRIBUTE_CATEGORIES AttributeSet BBox DEFAULT_VOCABULARY Detection EvalConfig "
         "LanguageDescription Scene Track iou validate_attributes validate_scene"
@@ -30,7 +30,7 @@ _EXPORTS = {  # module -> the names it defines
     "predictor": "MissingScoreError PredictorConfig TrackState filter_tracks step",
     "synth": (
         "ErrorSpec FrameErrors InfeasibleSpecError Ledger generate_scene ledger_to_dict "
-        "oracle_id_measures perturb predictions_from_gt score_tracks"
+        "perturb score_tracks"
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -13,7 +13,6 @@ precision arithmetic.
 """
 
 import math
-from itertools import combinations, permutations
 from typing import Iterable, NamedTuple, Sequence
 
 FORBIDDEN = math.inf
@@ -229,39 +228,3 @@ def solve_lap(matrix: CostMatrix) -> Assignment:
             fixed.append((r, chosen))
             used_cols.add(chosen)
     return Assignment(tuple(fixed), _pair_sum(costs, fixed))
-
-
-def brute_force_lap(matrix: CostMatrix, limit: int = 8) -> Assignment:
-    """Exhaustive-enumeration oracle with the same objective and tie-break.
-
-    Enumerates every injection at the maximum feasible cardinality; intended
-    for test matrices with min(rows, cols) <= ``limit``.
-    """
-    R, C = matrix.rows, matrix.cols
-    if min(R, C) > limit:
-        raise ValueError(f"brute force limited to min side {limit}, got {min(R, C)}")
-    costs = matrix.costs
-    for k in range(min(R, C), -1, -1):
-        best: tuple[float, tuple[tuple[int, int], ...]] | None = None
-        if R <= C:
-            for row_sel in combinations(range(R), k):
-                for col_sel in permutations(range(C), k):
-                    pairs = tuple(zip(row_sel, col_sel))
-                    if any(not math.isfinite(costs[r][c]) for r, c in pairs):
-                        continue
-                    key = (_pair_sum(costs, pairs), pairs)
-                    if best is None or key < best:
-                        best = key
-        else:
-            for col_sel in combinations(range(C), k):
-                for row_sel in permutations(range(R), k):
-                    pairs = tuple(sorted(zip(row_sel, col_sel)))
-                    if any(not math.isfinite(costs[r][c]) for r, c in pairs):
-                        continue
-                    key = (_pair_sum(costs, pairs), pairs)
-                    if best is None or key < best:
-                        best = key
-        if best is not None:
-            total, pairs = best
-            return Assignment(pairs, total)
-    return Assignment((), 0.0)

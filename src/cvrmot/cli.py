@@ -13,8 +13,8 @@ file. Every subcommand that takes them builds all four config classes, and the
 effective values are echoed into every report.
 
 ``synth`` and ``metrics`` are imported through this module's attributes on
-first use, by ``synth`` and ``evaluate`` (``synth`` itself uses ``metrics``),
-so ``filter`` loads neither.
+first use, ``synth`` by ``synth`` and ``metrics`` by ``evaluate``, so
+``filter`` loads neither and ``synth`` does not load ``metrics``.
 """
 
 import argparse

@@ -139,6 +139,14 @@ def _view_file(directory: Path | str, view: int) -> Path:
     return Path(directory) / f"view_{view:02d}.csv"
 
 
+def _directory(path: Path | str) -> Path:
+    """``path`` as a Path; a ParseError when it is not a directory."""
+    path = Path(path)
+    if not path.is_dir():
+        raise ParseError(path, "not a directory")
+    return path
+
+
 def _view_files(directory: Path | str, num_views: Optional[int] = None) -> dict[int, Path]:
     """The ``view_NN.csv`` files a directory holds, by ascending view index.
 
@@ -385,8 +393,9 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
 
     :func:`validate_scene` checks the manifest before any CSV is read, and the
     row reader each row (a frame in ``1..frames_per_view``), naming its file
-    and line; so the scene passes ``validate_scene``. The parse is loss-free
-    (writing and re-parsing reproduces the same scene).
+    and line; so the scene passes ``validate_scene``. A ``gt_dir`` that is not
+    a directory is an error. The parse is loss-free (writing and re-parsing
+    reproduces the same scene).
     """
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)
@@ -398,7 +407,7 @@ def parse_scene(manifest_path: Path | str, gt_dir: Path | str) -> Scene:
         validate_scene(scene)
     except ValueError as exc:
         raise ParseError(manifest_path, f"invalid scene: {exc}") from None
-    files = _view_files(gt_dir, num_views)
+    files = _view_files(_directory(gt_dir), num_views)
     detections: list[Detection] = []
     for view in range(num_views):
         if view not in files:
@@ -536,9 +545,9 @@ def write_predictions(pred: PredictionSet, directory: Path | str, num_views: int
 def parse_scores(
     directory: Path | str, num_views: int
 ) -> dict[tuple[int, int, int], ScoreRecord]:
-    """Parse standalone per-view score CSVs (``frame,id,s_t,s_a``)."""
+    """Parse standalone per-view score CSVs (``frame,id,s_t,s_a``) in a directory."""
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
-    for view, path in _view_files(directory, num_views).items():
+    for view, path in _view_files(_directory(directory), num_views).items():
         scores.update(_read_score_rows(path, view))
     return scores
 

@@ -1,5 +1,5 @@
 """Synthetic scenes, seeded perturbations with an exact error ledger, and
-exhaustive reference implementations used as test oracles.
+per-detection scores.
 
 All randomness flows from a single seeded Mersenne Twister stream per call,
 so every artifact is reproducible across platforms. Generated coordinates are
@@ -13,10 +13,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .datamodel import BBox, Checked, Detection, Scene, Track, check_fields, iou
+from .datamodel import BBox, Checked, Detection, Scene, Track, check_fields
 from .fusion_losses import ScoreRecord
 from .ingest import PredictionSet, _tracks_from_detections
-from .metrics import IdMeasures
 
 
 class InfeasibleSpecError(ValueError):
@@ -68,7 +67,6 @@ class Ledger(NamedTuple):
 
     per_frame: Mapping[int, FrameErrors]
     gt_total: int
-    expected_id: Optional[IdMeasures]
 
     @property
     def totals(self) -> FrameErrors:
@@ -86,7 +84,7 @@ class Ledger(NamedTuple):
 
 def ledger_to_dict(ledger: Ledger) -> dict:
     """JSON-friendly view of a ledger."""
-    expected_cvma, expected_id = ledger.expected_cvma, ledger.expected_id
+    expected_cvma = ledger.expected_cvma
     return {
         "per_frame": {str(frame): e._asdict() for frame, e in sorted(ledger.per_frame.items())},
         "gt_total": ledger.gt_total,
@@ -96,7 +94,6 @@ def ledger_to_dict(ledger: Ledger) -> dict:
             "denominator": expected_cvma.denominator,
             "value": float(expected_cvma),
         },
-        "expected_id": None if expected_id is None else expected_id._asdict(),
     }
 
 
@@ -167,11 +164,6 @@ def generate_scene(
         image_size=image_size,
         gt_tracks=tuple(tracks),
     )
-
-
-def predictions_from_gt(scene: Scene) -> PredictionSet:
-    """Ground truth re-packaged as a (perfect) tracker output."""
-    return PredictionSet(scene.gt_tracks, {})
 
 
 def _disjoint_with_margin(box: BBox, others: Sequence[BBox], margin: float) -> bool:
@@ -362,76 +354,9 @@ def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet
         row = (view, frame, relabels.get(key, identity), box)
         pred_detections.append(tuple.__new__(Detection, row))
     pred_detections.extend(fp_detections)
-    tracks = _tracks_from_detections(pred_detections)
-    predictions = PredictionSet(tracks, {})
-
+    predictions = PredictionSet(_tracks_from_detections(pred_detections), {})
     per_frame = {frame: FrameErrors(**counts) for frame, counts in sorted(errors.items())}
-    expected_id = None
-    if len(by_identity) <= 6 and len(tracks) <= 6:
-        expected_id = oracle_id_measures(scene, predictions)
-    return predictions, Ledger(per_frame, scene.detection_count(), expected_id)
-
-
-def oracle_id_measures(
-    scene: Scene,
-    predictions: PredictionSet | Sequence[Track],
-    iou_threshold: float = 0.5,
-    limit: int = 6,
-) -> IdMeasures:
-    """Identity tallies by exhaustive search over all partial bijections.
-
-    Independent of the assignment solver; intended for instances with at most
-    ``limit`` identities on each side.
-    """
-    gt_tracks = scene.gt_tracks
-    pred_tracks = predictions.tracks if isinstance(predictions, PredictionSet) else tuple(predictions)
-    gt_ids = sorted(t.identity for t in gt_tracks)
-    pred_ids = sorted(t.identity for t in pred_tracks)
-    if len(gt_ids) > limit or len(pred_ids) > limit:
-        raise ValueError(
-            f"oracle limited to {limit} identities per side, "
-            f"got {len(gt_ids)} GT and {len(pred_ids)} predicted"
-        )
-    total_gt = sum(len(t.detections) for t in gt_tracks)
-    total_pred = sum(len(t.detections) for t in pred_tracks)
-    if not gt_ids or not pred_ids:
-        return IdMeasures(0, total_pred, total_gt)
-    gt_slots = {
-        t.identity: {(d.view_id, d.frame): d.bbox for d in t.detections} for t in gt_tracks
-    }
-    pred_slots = {
-        t.identity: {(d.view_id, d.frame): d.bbox for d in t.detections} for t in pred_tracks
-    }
-    overlap: dict[tuple[int, int], int] = {}
-    for g in gt_ids:
-        for p in pred_ids:
-            count = 0
-            p_map = pred_slots[p]
-            for slot, box in gt_slots[g].items():
-                other = p_map.get(slot)
-                if other is not None and iou(box, other) >= iou_threshold:
-                    count += 1
-            overlap[(g, p)] = count
-
-    best = 0
-
-    def search(index: int, used: set[int], current: int) -> None:
-        nonlocal best
-        if current > best:
-            best = current
-        if index == len(gt_ids):
-            return
-        g = gt_ids[index]
-        search(index + 1, used, current)  # leave g unpaired
-        for p in pred_ids:
-            if p in used:
-                continue
-            used.add(p)
-            search(index + 1, used, current + overlap[(g, p)])
-            used.remove(p)
-
-    search(0, set(), 0)
-    return IdMeasures(best, total_pred - best, total_gt - best)
+    return predictions, Ledger(per_frame, scene.detection_count())
 
 
 def score_tracks(

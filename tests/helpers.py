@@ -9,6 +9,7 @@ from cvrmot import (
     BBox,
     Detection,
     LanguageDescription,
+    PredictionSet,
     Scene,
     Track,
 )
@@ -45,6 +46,11 @@ def lane_scene(num_views: int = 2, num_ids: int = 2, num_frames: int = 3) -> Sce
         image_size=(4000, 2000),
         gt_tracks=tuple(tracks),
     )
+
+
+def predictions_from_gt(scene: Scene) -> PredictionSet:
+    """Ground truth re-packaged as a (perfect) tracker output."""
+    return PredictionSet(scene.gt_tracks, {})
 
 
 def desc_for(scene: Scene, identities: Optional[Iterable[int]] = None, desc_id: str = "d") -> LanguageDescription:

@@ -1,5 +1,10 @@
-"""Reference implementations that faster code in ``cvrmot`` replaced.
+"""Reference implementations that tests compare ``cvrmot`` against.
 
+* An exhaustive assignment solver with ``solve_lap``'s objective and
+  tie-break, and an exhaustive search for the identity bijection of CVIDF1.
+* CLEAR MOT continuity, the rule the matching accuracy does not follow:
+  each slot keeps the pairs its view matched at the previous frame while
+  they still pass the IoU gate, and solves only the rest.
 * The dense per-slot matching and metrics the gated pass in
   ``cvrmot.metrics`` replaced: every (gt, pred) pair of a slot gets an IoU and
   a cell in one dense LAP, and the identity overlap table is filled by a
@@ -18,8 +23,6 @@
 * The identity ratios ``cvrmot.metrics`` had before CVIDF1 took the closed
   form 2 IDTP / (2 IDTP + IDFP + IDFN): precision and recall as exact
   ``Fraction`` values, and F1 as their harmonic mean.
-
-Tests compare the current code against them.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from cvrmot import (
+    Assignment,
     BBox,
     CostMatrix,
     Detection,
@@ -46,7 +51,6 @@ from cvrmot import (
     ScoreRecord,
     Track,
     iou,
-    predictions_from_gt,
     score_tracks,
     solve_lap,
     write_predictions,
@@ -71,6 +75,104 @@ def oracle_iou(a: BBox, b: BBox) -> float:
     if not 0 < union < math.inf:
         return float(oracle_iou(*(tuple(map(Fraction, box)) for box in (a, b))))
     return inter / union
+
+
+def brute_force_lap(matrix: CostMatrix, limit: int = 8) -> Assignment:
+    """Exhaustive-enumeration oracle with ``solve_lap``'s objective and tie-break.
+
+    Enumerates every injection at the maximum feasible cardinality; intended
+    for test matrices with min(rows, cols) <= ``limit``.
+    """
+    R, C = matrix.rows, matrix.cols
+    if min(R, C) > limit:
+        raise ValueError(f"brute force limited to min side {limit}, got {min(R, C)}")
+    costs = matrix.costs
+    for k in range(min(R, C), -1, -1):
+        best: tuple[float, tuple[tuple[int, int], ...]] | None = None
+        if R <= C:
+            for row_sel in combinations(range(R), k):
+                for col_sel in permutations(range(C), k):
+                    pairs = tuple(zip(row_sel, col_sel))
+                    if any(not math.isfinite(costs[r][c]) for r, c in pairs):
+                        continue
+                    key = (float(sum(costs[r][c] for r, c in pairs)), pairs)
+                    if best is None or key < best:
+                        best = key
+        else:
+            for col_sel in combinations(range(C), k):
+                for row_sel in permutations(range(R), k):
+                    pairs = tuple(sorted(zip(row_sel, col_sel)))
+                    if any(not math.isfinite(costs[r][c]) for r, c in pairs):
+                        continue
+                    key = (float(sum(costs[r][c] for r, c in pairs)), pairs)
+                    if best is None or key < best:
+                        best = key
+        if best is not None:
+            total, pairs = best
+            return Assignment(pairs, total)
+    return Assignment((), 0.0)
+
+
+def oracle_id_measures(
+    scene: Scene,
+    predictions: PredictionSet | Sequence[Track],
+    iou_threshold: float = 0.5,
+    limit: int = 6,
+) -> IdMeasures:
+    """Identity tallies by exhaustive search over all partial bijections.
+
+    Independent of the assignment solver; intended for instances with at most
+    ``limit`` identities on each side.
+    """
+    gt_tracks = scene.gt_tracks
+    pred_tracks = predictions.tracks if isinstance(predictions, PredictionSet) else tuple(predictions)
+    gt_ids = sorted(t.identity for t in gt_tracks)
+    pred_ids = sorted(t.identity for t in pred_tracks)
+    if len(gt_ids) > limit or len(pred_ids) > limit:
+        raise ValueError(
+            f"oracle limited to {limit} identities per side, "
+            f"got {len(gt_ids)} GT and {len(pred_ids)} predicted"
+        )
+    total_gt = sum(len(t.detections) for t in gt_tracks)
+    total_pred = sum(len(t.detections) for t in pred_tracks)
+    if not gt_ids or not pred_ids:
+        return IdMeasures(0, total_pred, total_gt)
+    gt_slots = {
+        t.identity: {(d.view_id, d.frame): d.bbox for d in t.detections} for t in gt_tracks
+    }
+    pred_slots = {
+        t.identity: {(d.view_id, d.frame): d.bbox for d in t.detections} for t in pred_tracks
+    }
+    overlap: dict[tuple[int, int], int] = {}
+    for g in gt_ids:
+        for p in pred_ids:
+            count = 0
+            p_map = pred_slots[p]
+            for slot, box in gt_slots[g].items():
+                other = p_map.get(slot)
+                if other is not None and iou(box, other) >= iou_threshold:
+                    count += 1
+            overlap[(g, p)] = count
+
+    best = 0
+
+    def search(index: int, used: set[int], current: int) -> None:
+        nonlocal best
+        if current > best:
+            best = current
+        if index == len(gt_ids):
+            return
+        g = gt_ids[index]
+        search(index + 1, used, current)  # leave g unpaired
+        for p in pred_ids:
+            if p in used:
+                continue
+            used.add(p)
+            search(index + 1, used, current + overlap[(g, p)])
+            used.remove(p)
+
+    search(0, set(), 0)
+    return IdMeasures(best, total_pred - best, total_gt - best)
 
 
 def dense_match_frame(
@@ -119,11 +221,35 @@ def dense_count_events(
     iou_threshold: float = 0.5,
 ) -> MetricCounts:
     """Per-frame tallies with one dense LAP per (view, frame)."""
+    return _slot_counts(referred_gt, predictions, iou_threshold, keep=False)
+
+
+def continuity_counts(
+    gt: Sequence[Track], pred: Sequence[Track], t: float = 0.5
+) -> MetricCounts:
+    """Per-frame tallies under CLEAR MOT continuity (Bernardin & Stiefelhagen, 2008).
+
+    Frame by frame, then view by view, a slot keeps each pair its view matched
+    at the previous frame while both boxes are present and their IoU is at
+    least ``t``; one dense LAP matches the rest. Events are counted as
+    :func:`dense_count_events` counts them.
+    """
+    return _slot_counts(gt, pred, t, keep=True)
+
+
+def _slot_counts(
+    referred_gt: Sequence[Track],
+    predictions: Sequence[Track],
+    iou_threshold: float,
+    keep: bool,
+) -> MetricCounts:
+    """One dense LAP per (view, frame); with ``keep``, only for what continuity leaves."""
     gt_slots = _index_by_slot(referred_gt)
     pred_slots = _index_by_slot(predictions)
     frames = sorted({f for _, f in gt_slots} | {f for _, f in pred_slots})
     views = sorted({v for v, _ in gt_slots} | {v for v, _ in pred_slots})
     last_matched: dict[tuple[int, int], int] = {}
+    matched_before: dict[int, dict[int, int]] = {}  # the previous frame's matched_here
     out_m, out_fp, out_mme, out_gt = [], [], [], []
     for frame in frames:
         m_t = fp_t = gt_t = 0
@@ -132,11 +258,23 @@ def dense_count_events(
             gts = sorted(gt_slots.get((view, frame), []), key=lambda d: d.identity)
             preds = sorted(pred_slots.get((view, frame), []), key=lambda d: d.identity)
             gt_t += len(gts)
-            match = dense_match_frame(gts, preds, iou_threshold)
-            m_t += len(match.unmatched_gt)
-            fp_t += len(match.unmatched_pred)
-            for gi, pj in match.pairs:
-                matched_here[gts[gi].identity][view] = preds[pj].identity
+            pairs: dict[int, int] = {}  # gt identity -> pred identity
+            if keep:
+                pred_boxes = {d.identity: d.bbox for d in preds}
+                for g in gts:
+                    p = matched_before.get(g.identity, {}).get(view)
+                    if p in pred_boxes and iou(g.bbox, pred_boxes[p]) >= iou_threshold:
+                        pairs[g.identity] = p
+            kept = set(pairs.values())
+            gts_left = [g for g in gts if g.identity not in pairs]
+            preds_left = [p for p in preds if p.identity not in kept]
+            match = dense_match_frame(gts_left, preds_left, iou_threshold)
+            pairs.update((gts_left[gi].identity, preds_left[pj].identity) for gi, pj in match.pairs)
+            m_t += len(gts) - len(pairs)
+            fp_t += len(preds) - len(pairs)
+            for gt_id, pred_id in pairs.items():
+                matched_here[gt_id][view] = pred_id
+        matched_before = matched_here
         temporal = 0
         crossview = 0
         for gt_id in sorted(matched_here):
@@ -357,7 +495,7 @@ def oracle_synth_tracks(
 
     ``seed`` is the one ``score_tracks`` gets: ``cvrmot synth --seed S`` passes S + 2.
     """
-    base = predictions_from_gt(scene)
+    base = PredictionSet(scene.gt_tracks, {})
     for desc in descriptions:
         scores = score_tracks(
             scene, base, desc.referred_identities, hi=hi, lo=lo, seed=seed, jitter=jitter

@@ -20,7 +20,6 @@ from cvrmot import (
     Track,
     TrackState,
     aggregate,
-    brute_force_lap,
     count_events,
     cvma_exact,
     evaluate_description,
@@ -31,7 +30,6 @@ from cvrmot import (
     id_measures,
     loss_cmot,
     loss_referring,
-    oracle_id_measures,
     perturb,
     solve_lap,
     step,
@@ -41,6 +39,7 @@ from cvrmot.ingest import parse_predictions, parse_scene, read_report
 from cvrmot.metrics import cvidf1
 
 from helpers import desc_for, tracks_copy
+from oracles import brute_force_lap, oracle_id_measures
 from test_metrics import lane_scene
 from test_synth import ledger_matches_counts
 

@@ -477,6 +477,34 @@ def test_filter_rejects_a_score_row_without_a_detection(workspace, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_filter_rejects_a_scores_path_that_is_not_a_directory(workspace, tmp_path, capsys, kind):
+    """A mistyped ``--scores`` fails naming it, not as a missing score of the tracks."""
+    scores = tmp_path / "scores"
+    if kind == "file":
+        scores.write_text("1,1,0.5,0.5\n")
+    argv = ["filter", "--tracks", workspace / "tracks" / "d00", "--scores", scores,
+            "--out", tmp_path / "out"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {scores}: not a directory\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
+def test_a_gt_dir_that_is_not_a_directory_is_named(workspace, tmp_path, capsys, command, kind):
+    gt_dir = workspace / "manifest.json" if kind == "file" else tmp_path / "no-gt"
+    argv = ["validate", "--manifest", workspace / "manifest.json", "--gt-dir", gt_dir]
+    if command == "evaluate":
+        argv = _evaluate_argv(workspace, workspace / "tracks", "--out", tmp_path / "report.json")
+        argv[argv.index("--gt-dir") + 1] = gt_dir
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {gt_dir}: not a directory\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_evaluate_scores_boxes_whose_areas_underflow(tmp_path, capsys):
     """Both areas of two 1e-200 boxes round to 0; their IoU is still exactly 1."""
     row = "1,1,0,0,1e-200,1e-200\n"

@@ -15,14 +15,16 @@ from cvrmot import (
     BBox,
     CostMatrix,
     Detection,
+    ErrorSpec,
     EvalConfig,
     FORBIDDEN,
     Track,
-    brute_force_lap,
     count_events,
     evaluate_description,
+    generate_scene,
     id_measures,
     match_frame,
+    perturb,
 )
 from cvrmot import metrics
 from cvrmot.metrics import (
@@ -32,7 +34,13 @@ from cvrmot.metrics import (
 )
 
 from helpers import desc_for, lane_scene, tracks_copy
-from oracles import dense_count_events, dense_id_measures, dense_match_frame
+from oracles import (
+    brute_force_lap,
+    continuity_counts,
+    dense_count_events,
+    dense_id_measures,
+    dense_match_frame,
+)
 
 # Integer boxes in a 56 x 56 image: crowded, and many IoUs tie exactly.
 COORDS = st.integers(0, 40)
@@ -471,8 +479,8 @@ def test_min_cost_slot_switches_where_continuity_keeps_the_pairs():
     """No tie: the kept pairs of frame 2 cost 0.4 + 0.4, the swap about 0.1 + 0.1.
 
     Each slot is matched at minimum cost on its own, so both GT identities
-    switch. CLEAR MOT's keep-then-solve continuity would keep 1 -> 10 and
-    2 -> 20, whose IoU of 0.6 still passes the gate, and count 0.
+    switch. CLEAR MOT's keep-then-solve continuity keeps 1 -> 10 and
+    2 -> 20, whose IoU of 0.6 still passes the gate, and counts 0.
     """
     def tracks(boxes):
         by_id = defaultdict(list)
@@ -483,6 +491,34 @@ def test_min_cost_slot_switches_where_continuity_keeps_the_pairs():
     gt = tracks([(1, 1, 0), (1, 2, 500), (2, 1, 0), (2, 2, -19.75)])
     pred = tracks([(1, 10, 0), (1, 20, 500), (2, 10, -25), (2, 20, 5.25)])
     assert count_events(gt, pred).mismatches == (0, 2)
+    assert continuity_counts(gt, pred).mismatches == (0, 0)
+
+
+def test_continuity_counts_the_ledgers_mismatches_where_min_cost_counts_blips():
+    """Noisy boxes (sigma 10 % of a side): per-slot minimum cost swaps close identities.
+
+    Continuity counts exactly the injected 24 mismatches, at the cost of 5
+    more misses and 5 more false positives: a kept pair need not be the
+    cheapest.
+    """
+    scene = generate_scene(3, 30, 200, seed=3)
+    predictions, ledger = perturb(scene, ErrorSpec(60, 30, 6, 6), seed=4)
+    rng = random.Random(5)
+    noisy = []
+    for track in predictions.tracks:
+        detections = []
+        for view, frame, identity, (x, y, w, h) in track.detections:
+            x += rng.gauss(0, 0.1 * w)
+            y += rng.gauss(0, 0.1 * h)
+            detections.append(Detection(view, frame, identity, BBox(x, y, w, h)))
+        noisy.append(Track(track.identity, tuple(detections)))
+
+    def totals(counts):
+        return counts.miss_total, counts.fp_total, counts.mismatch_total
+
+    assert totals(count_events(scene.gt_tracks, noisy)) == (829, 405, 164)
+    assert totals(continuity_counts(scene.gt_tracks, noisy)) == (834, 410, 24)
+    assert ledger.totals.mismatches == 24
 
 
 @pytest.mark.parametrize("mirror", [False, True])

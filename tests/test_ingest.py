@@ -32,9 +32,9 @@ from cvrmot.metrics import (
     aggregate,
     evaluate_description,
 )
-from cvrmot.synth import generate_scene, predictions_from_gt
+from cvrmot.synth import generate_scene
 
-from helpers import desc_for, lane_scene, tracks_copy
+from helpers import desc_for, lane_scene, predictions_from_gt, tracks_copy
 
 
 def test_scene_round_trip(tmp_path):

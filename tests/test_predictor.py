@@ -13,9 +13,9 @@ from cvrmot import (
     fuse_scores,
     step,
 )
-from cvrmot.synth import generate_scene, predictions_from_gt, score_tracks
+from cvrmot.synth import generate_scene, score_tracks
 
-from helpers import lane_scene, tracks_copy
+from helpers import lane_scene, predictions_from_gt, tracks_copy
 
 CFG = PredictorConfig()
 
