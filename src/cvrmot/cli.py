@@ -133,15 +133,23 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                 parser.add_argument(flag, dest=name, type=kind)
 
 
+def _maybe_directory(path: str) -> Path:
+    """``path`` as a Path, which may be missing; a ParseError when it is something else."""
+    path = Path(path)
+    if path.exists() and not path.is_dir():
+        raise ParseError(path, "not a directory")
+    return path
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Parse and score one description at a time; only its ``DescriptionResult`` is kept."""
+    if args.out and Path(args.out).is_dir():
+        raise ParseError(args.out, "is a directory")
     cli = sys.modules[__name__]
     configs = _effective_config(args)
     scene = parse_scene(args.manifest, args.gt_dir)
     descriptions = parse_descriptions(args.descriptions, scene)
-    root = Path(args.predictions_root)
-    if root.exists() and not root.is_dir():
-        raise ParseError(root, "not a directory")
+    root = _maybe_directory(args.predictions_root)
     results = []
     for desc in descriptions:
         pred_dir = root / desc.id
@@ -182,6 +190,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
+    _maybe_directory(args.out)
     _, weights, predictor_config, _ = _effective_config(args)
     tracks_dir = Path(args.tracks)
     num_views = view_count(tracks_dir)
@@ -237,8 +246,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         check_type(f"--{flag}", getattr(args, flag), float)
     if args.jitter < 0:
         raise ValueError(f"--jitter must be non-negative, got {args.jitter}")
+    out = _maybe_directory(args.out)
     if not args.errors:  # nothing would overwrite them, and evaluate would score them
-        for stale in (Path(args.out, "predictions"), Path(args.out, "ledger.json")):
+        for stale in (out / "predictions", out / "ledger.json"):
             if stale.exists():
                 raise ParseError(stale, "left by an earlier run; remove it or pass --errors")
     seed = _effective_config(args)[-1].seed
@@ -287,7 +297,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         detections = (d for track in perturbed.tracks for d in track.detections)
         pred_lines = view_lines(_text_rows(detections, texts), scene.num_views)
 
-    out = Path(args.out)
     write_lines(out / "gt", gt_lines)  # first: it refuses a gt/ holding a view past these
     write_manifest(scene, out / "manifest.json")
     write_descriptions(descriptions, out / "descriptions.json")

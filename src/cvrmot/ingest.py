@@ -93,8 +93,8 @@ class PredictionSet(Checked, _PredictionSet):
 def read_json(path: Path | str, kind: type = dict) -> object:
     """The JSON value in ``path``, which must be a ``kind`` (an object by default).
 
-    Invalid JSON, an object with a repeated key or a value of another type is
-    a ParseError naming the file.
+    A directory, invalid JSON, an object with a repeated key or a value of
+    another type is a ParseError naming the file.
     """
     import json
 
@@ -113,6 +113,8 @@ def read_json(path: Path | str, kind: type = dict) -> object:
             raw = json.load(handle, object_pairs_hook=unique_keys)
     except ParseError:
         raise
+    except IsADirectoryError:
+        raise ParseError(path, "is a directory") from None
     # JSONDecodeError, UnicodeDecodeError, or a RecursionError from nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ParseError(path, f"invalid JSON: {exc}") from None
@@ -171,9 +173,9 @@ def view_count(directory: Path | str) -> int:
     """Number of views a directory of per-view CSVs covers: highest index + 1.
 
     Views between the files present are treated as empty, as
-    :func:`parse_predictions` does.
+    :func:`parse_predictions` does. A path that is not a directory is a ParseError.
     """
-    files = _view_files(directory)
+    files = _view_files(_directory(directory))
     if not files:
         raise ParseError(directory, "no view_*.csv files found")
     return max(files) + 1

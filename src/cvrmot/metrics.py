@@ -74,13 +74,19 @@ class FrameMatch(NamedTuple):
 
 
 class DescriptionResult(NamedTuple):
-    """All metric output for one language description."""
+    """One description's tallies; its ratios are the module helpers' of those tallies."""
 
     description_id: str
     counts: MetricCounts
     id_measures: IdMeasures
-    cvidf1_exact: Fraction
-    cvma_exact: Fraction
+
+    @property
+    def cvidf1_exact(self) -> Fraction:
+        return cvidf1_exact(self.id_measures)
+
+    @property
+    def cvma_exact(self) -> Fraction:
+        return cvma_exact(self.counts)
 
     @property
     def cvidf1(self) -> float:
@@ -423,14 +429,7 @@ def evaluate_description(
 ) -> DescriptionResult:
     """Evaluate one description's predictions against the restricted GT."""
     shared = gated_pass(restrict_gt(scene, desc), predictions, config.iou_threshold)
-    measures = _id_measures_of(shared)
-    return DescriptionResult(
-        description_id=desc.id,
-        counts=shared.counts,
-        id_measures=measures,
-        cvidf1_exact=cvidf1_exact(measures),
-        cvma_exact=cvma_exact(shared.counts),
-    )
+    return DescriptionResult(desc.id, shared.counts, _id_measures_of(shared))
 
 
 def aggregate(results: Sequence[DescriptionResult]) -> AggregateResult:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from cvrmot import (
@@ -75,3 +77,26 @@ def drop_detection(tracks: Sequence[Track], view: int, frame: int, identity: int
         if dets:
             out.append(Track(identity, dets))
     return tuple(out)
+
+
+def crowded_pipeline(tmp_path: Path) -> tuple[list[list[str]], Path]:
+    """The CLI argument lists of a crowded synth -> filter -> evaluate run, and its report.
+
+    40 identities in 400 x 300 images, so identity components are wide (up
+    to 45 identities). d00 keeps the perturbed predictions; d01 is filtered.
+    """
+    scene = tmp_path / "scene"
+    errors = tmp_path / "errors.json"
+    errors.write_text(json.dumps(
+        {"miss_count": 20, "temporal_switch_count": 4, "crossview_mismatch_count": 4}
+    ))
+    root, report = scene / "predictions", tmp_path / "report.json"
+    argvs = [
+        ["synth", "--views", "3", "--ids", "40", "--frames", "20", "--image-width", "400",
+         "--image-height", "300", "--descriptions", "2", "--jitter", "0.2", "--seed", "5",
+         "--errors", errors, "--out", scene],
+        ["filter", "--tracks", scene / "tracks" / "d01", "--out", root / "d01"],
+        ["evaluate", "--manifest", scene / "manifest.json", "--gt-dir", scene / "gt",
+         "--descriptions", scene / "descriptions.json", "--predictions-root", root, "--out", report],
+    ]
+    return [[str(a) for a in argv] for argv in argvs], report

@@ -20,6 +20,8 @@
   ``score_tracks`` call and written by ``write_predictions``.
 * The ``iou`` ``cvrmot.datamodel`` had before it dropped the builtin calls:
   the intersection's sides are ``min(...) - max(...)``.
+* The IoU gate decided exactly: ``exact_gate`` compares the stored boxes'
+  exact IoU with the threshold, where the sweep compares the float ``iou``.
 * The identity ratios ``cvrmot.metrics`` had before CVIDF1 took the closed
   form 2 IDTP / (2 IDTP + IDFP + IDFN): precision and recall as exact
   ``Fraction`` values, and F1 as their harmonic mean.
@@ -75,6 +77,22 @@ def oracle_iou(a: BBox, b: BBox) -> float:
     if not 0 < union < math.inf:
         return float(oracle_iou(*(tuple(map(Fraction, box)) for box in (a, b))))
     return inter / union
+
+
+def exact_gate(a: BBox, b: BBox, t: float) -> bool:
+    """Whether the IoU of the stored boxes is at least ``t`` (> 0), decided exactly.
+
+    On ``Fraction``s of the stored values, right and bottom edges included
+    (``iou`` rounds ``x + w`` and ``y + h``), it tests
+    ``inter * (1 + t) >= t * (area_a + area_b)``: IoU >= t without a division.
+    """
+    ax, ay, aw, ah = map(Fraction, a)
+    bx, by, bw, bh = map(Fraction, b)
+    ix = min(ax + aw, bx + bw) - max(ax, bx)
+    iy = min(ay + ah, by + bh) - max(ay, by)
+    inter = ix * iy if ix > 0 and iy > 0 else 0
+    t = Fraction(t)
+    return inter * (1 + t) >= t * (aw * ah + bw * bh)
 
 
 def brute_force_lap(matrix: CostMatrix, limit: int = 8) -> Assignment:

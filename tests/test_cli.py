@@ -505,6 +505,58 @@ def test_a_gt_dir_that_is_not_a_directory_is_named(workspace, tmp_path, capsys, 
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_filter_rejects_a_tracks_path_that_is_not_a_directory(tmp_path, capsys, kind):
+    tracks = tmp_path / "tracks"
+    if kind == "file":
+        tracks.write_text("1,1,0.0,0.0,10.0,20.0\n")
+    assert run(["filter", "--tracks", tracks, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr() == ("", f"error: {tracks}: not a directory\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--descriptions", "--config", "--errors"])
+def test_a_json_path_that_is_a_directory_is_named(workspace, tmp_path, capsys, flag):
+    directory, out = tmp_path / "directory", tmp_path / "out"
+    directory.mkdir()
+    argv = _evaluate_argv(workspace, workspace / "tracks", "--out", out)
+    if flag == "--errors":
+        argv = ["synth", "--views", 2, "--ids", 2, "--frames", 2, "--errors", directory,
+                "--out", out]
+    elif flag == "--config":
+        argv += ["--config", directory]
+    else:
+        argv[argv.index(flag) + 1] = directory
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {directory}: is a directory\n")
+    assert not out.exists()
+    assert list(directory.iterdir()) == []
+
+
+def test_evaluate_refuses_an_out_directory_before_reading_the_manifest(workspace, tmp_path, capsys):
+    out = tmp_path / "report"
+    out.mkdir()
+    argv = _evaluate_argv(workspace, workspace / "tracks", "--out", out)
+    argv[argv.index("--manifest") + 1] = tmp_path / "missing.json"
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {out}: is a directory\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["filter", "synth"])
+def test_an_out_path_that_is_a_file_is_refused_before_any_input(tmp_path, capsys, command):
+    """The named input is missing: only an output check made first can name the output."""
+    out, missing = tmp_path / "out", tmp_path / "missing"
+    out.write_text("earlier\n")
+    argv = (["filter", "--tracks", missing] if command == "filter"
+            else ["synth", "--views", 2, "--ids", 2, "--frames", 2, "--errors", missing])
+    assert run([*argv, "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"error: {out}: not a directory\n")
+    assert out.read_text() == "earlier\n"
+
+
 def test_evaluate_scores_boxes_whose_areas_underflow(tmp_path, capsys):
     """Both areas of two 1e-200 boxes round to 0; their IoU is still exactly 1."""
     row = "1,1,0,0,1e-200,1e-200\n"

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
 
@@ -27,19 +28,21 @@ from cvrmot import (
     perturb,
 )
 from cvrmot import metrics
+from cvrmot.cli import main
 from cvrmot.metrics import (
     _identity_bijection,
     _view_pairs,
     gated_pass,
 )
 
-from helpers import desc_for, lane_scene, tracks_copy
+from helpers import crowded_pipeline, desc_for, lane_scene, tracks_copy
 from oracles import (
     brute_force_lap,
     continuity_counts,
     dense_count_events,
     dense_id_measures,
     dense_match_frame,
+    exact_gate,
 )
 
 # Integer boxes in a 56 x 56 image: crowded, and many IoUs tie exactly.
@@ -494,12 +497,10 @@ def test_min_cost_slot_switches_where_continuity_keeps_the_pairs():
     assert continuity_counts(gt, pred).mismatches == (0, 0)
 
 
-def test_continuity_counts_the_ledgers_mismatches_where_min_cost_counts_blips():
-    """Noisy boxes (sigma 10 % of a side): per-slot minimum cost swaps close identities.
+def _noisy_scene():
+    """A 3 x 30 x 200 scene, its perturbed predictions with noisy boxes, and their ledger.
 
-    Continuity counts exactly the injected 24 mismatches, at the cost of 5
-    more misses and 5 more false positives: a kept pair need not be the
-    cheapest.
+    Each predicted box's x and y move by Gaussian noise, sigma 10 % of its side.
     """
     scene = generate_scene(3, 30, 200, seed=3)
     predictions, ledger = perturb(scene, ErrorSpec(60, 30, 6, 6), seed=4)
@@ -512,6 +513,17 @@ def test_continuity_counts_the_ledgers_mismatches_where_min_cost_counts_blips():
             y += rng.gauss(0, 0.1 * h)
             detections.append(Detection(view, frame, identity, BBox(x, y, w, h)))
         noisy.append(Track(track.identity, tuple(detections)))
+    return scene, tuple(noisy), ledger
+
+
+def test_continuity_counts_the_ledgers_mismatches_where_min_cost_counts_blips():
+    """Noisy boxes (sigma 10 % of a side): per-slot minimum cost swaps close identities.
+
+    Continuity counts exactly the injected 24 mismatches, at the cost of 5
+    more misses and 5 more false positives: a kept pair need not be the
+    cheapest.
+    """
+    scene, noisy, ledger = _noisy_scene()
 
     def totals(counts):
         return counts.miss_total, counts.fp_total, counts.mismatch_total
@@ -540,3 +552,43 @@ def test_expired_boxes_inside_an_open_list_are_skipped(monkeypatch, mirror):
     shared = _check_against_dense(gt_tracks, pred_tracks)
     assert len(calls) == 5  # 101 and 102 with boxes 1 and 3, 103 with box 3
     assert shared.counts.misses == (2,) and shared.counts.false_positives == (2,)  # 3 -> 101 only
+
+
+@pytest.mark.parametrize("case", ["crowded pipeline", "noisy scene"])
+def test_float_gate_agrees_with_the_exact_gate_on_every_scored_pair(
+    tmp_path, capsys, monkeypatch, case
+):
+    """Every pair the sweep scores at the default gate of 0.5 gets the exact verdict."""
+    if case == "crowded pipeline":
+        argvs, _ = crowded_pipeline(tmp_path)
+        for argv in argvs[:-1]:
+            assert main(argv) == 0
+        score = lambda: main(argvs[-1])  # noqa: E731
+    else:
+        scene, noisy, _ = _noisy_scene()
+        score = lambda: count_events(scene.gt_tracks, noisy)  # noqa: E731
+    pairs = []
+    monkeypatch.setattr(metrics, "iou", lambda a, b: pairs.append((a, b)) or cvrmot.iou(a, b))
+    score()
+    capsys.readouterr()
+    distinct = set(pairs)
+    assert distinct
+    floats = [cvrmot.iou(a, b) >= 0.5 for a, b in distinct]
+    assert floats == [exact_gate(a, b, 0.5) for a, b in distinct]
+
+
+def test_float_gate_rejects_a_pair_whose_exact_iou_is_the_gate():
+    """A union rounded up puts the float IoU one ulp below an exact 1/2.
+
+    The inner box's width is half the outer's exactly, and it lies inside it,
+    so the stored boxes' IoU is 1/2. Edges and areas come out exact in floats,
+    but ``area_a + area_b`` rounds up to 316.2, so the union is 210.8 where
+    the outer area is 210.79999999999998, and the float gate at 0.5 rejects
+    the pair.
+    """
+    inner, outer = BBox(11.77, 0, 10.54, 10), BBox(5.15, 0, 21.08, 10)
+    assert Fraction(outer.w) == 2 * Fraction(inner.w)
+    assert exact_gate(inner, outer, 0.5)
+    assert cvrmot.iou(inner, outer) == 0.49999999999999994
+    match = match_frame([Detection(0, 1, 1, inner)], [Detection(0, 1, 101, outer)], 0.5)
+    assert match.pairs == ()

@@ -1,6 +1,5 @@
 import json
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -253,10 +252,7 @@ def description_results(draw):
     rows = draw(st.lists(st.tuples(COUNT, COUNT, COUNT, COUNT, COUNT), max_size=4))
     counts = MetricCounts(*(tuple(column) for column in zip(*rows))) if rows else MetricCounts(
         (), (), (), (), ())
-    exact = st.floats(allow_nan=False, allow_infinity=False).map(Fraction)
-    return DescriptionResult(
-        draw(TEXT), counts, IdMeasures(draw(COUNT), draw(COUNT), draw(COUNT)), draw(exact), draw(exact)
-    )
+    return DescriptionResult(draw(TEXT), counts, IdMeasures(draw(COUNT), draw(COUNT), draw(COUNT)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,7 +263,7 @@ def description_results(draw):
 )
 @example(  # a config key gives json.dumps a "frames": [] the writer must not fill
     [DescriptionResult('"frames": []', MetricCounts((1,), (2,), (3,), (4,), (5,)),
-                       IdMeasures(1, 2, 3), Fraction(1, 2), Fraction(1, 2))],
+                       IdMeasures(1, 2, 3))],
     AggregateResult(0, None, None),
     {"frames": []},
 )

@@ -228,21 +228,20 @@ def test_evaluate_description_empty_referred_set():
     assert max(noisy.cvma_exact, Fraction(0)) == 0
 
 
-def _result(desc_id, f1, ma):
-    return DescriptionResult(
-        description_id=desc_id,
-        counts=MetricCounts((), (), (), (), ()),
-        id_measures=IdMeasures(0, 0, 0),
-        cvidf1_exact=Fraction(f1),
-        cvma_exact=Fraction(ma),
-    )
+def _result(desc_id, gt, fp, mme, measures):
+    """A result of one frame with ``gt`` boxes, none missed."""
+    return DescriptionResult(desc_id, MetricCounts((1,), (0,), (fp,), (mme,), (gt,)), measures)
 
 
 def test_aggregate_means_and_clamp():
-    agg = aggregate([_result("a", Fraction(4, 5), Fraction(1, 2)), _result("b", Fraction(2, 5), Fraction(-3, 10))])
+    a = _result("a", 10, 5, 0, IdMeasures(10, 5, 0))
+    b = _result("b", 10, 5, 4, IdMeasures(5, 10, 5))
+    assert (a.cvidf1_exact, a.cvma_exact) == (Fraction(4, 5), Fraction(1, 2))
+    assert (b.cvidf1_exact, b.cvma_exact) == (Fraction(2, 5), Fraction(-3, 10))
+    agg = aggregate([a, b])
     assert agg.cvridf1 == pytest.approx(0.6)
     assert agg.cvrma == 0.25
-    single = aggregate([_result("a", 1, 1)])
+    single = aggregate([_result("a", 1, 0, 0, IdMeasures(1, 0, 0))])
     assert (single.cvridf1, single.cvrma) == (1.0, 1.0)
     assert 0.0 <= agg.cvridf1 <= 1.0 and 0.0 <= agg.cvrma <= 1.0
     assert aggregate([]) == (0, None, None)

@@ -18,9 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from cvrmot import aggregate, cvidf1, cvidf1_exact, cvma, cvma_exact
+from cvrmot import aggregate, build_report
 from cvrmot.cli import main
 from cvrmot.metrics import DescriptionResult, IdMeasures, MetricCounts
+
+from helpers import crowded_pipeline
 
 REPORT_SHA256 = "809af3882b56d114784ec8bc784c813fed5a40a511d0dd232d84d4cdaaf1c015"
 CROWDED_SHA256 = "34fc6e26b00580a61bb323c7c0b4fe4d748aaf38c6d33629705b9f9ef7ae1f7b"
@@ -60,22 +62,9 @@ def test_tiny_pipeline_report_is_byte_identical(tmp_path, capsys):
 
 def test_crowded_pipeline_report_is_byte_identical(tmp_path, capsys):
     """40 identities in 400 x 300 images: d00 reads CVIDF1 0.9591 with 16 mismatches."""
-    scene = tmp_path / "scene"
-    errors = tmp_path / "errors.json"
-    errors.write_text(json.dumps(
-        {"miss_count": 20, "temporal_switch_count": 4, "crossview_mismatch_count": 4}
-    ))
-    root, report = scene / "predictions", tmp_path / "report.json"
-    argvs = [
-        ["synth", "--views", "3", "--ids", "40", "--frames", "20", "--image-width", "400",
-         "--image-height", "300", "--descriptions", "2", "--jitter", "0.2", "--seed", "5",
-         "--errors", errors, "--out", scene],
-        ["filter", "--tracks", scene / "tracks" / "d01", "--out", root / "d01"],
-        ["evaluate", "--manifest", scene / "manifest.json", "--gt-dir", scene / "gt",
-         "--descriptions", scene / "descriptions.json", "--predictions-root", root, "--out", report],
-    ]
+    argvs, report = crowded_pipeline(tmp_path)
     for argv in argvs:
-        assert main([str(a) for a in argv]) == 0
+        assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(report.read_bytes()).hexdigest() == CROWDED_SHA256
 
@@ -153,11 +142,11 @@ def test_edge_case_report_is_byte_identical(tmp_path, capsys, case):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == EDGE_SHA256[case]
 
 
-@pytest.mark.parametrize("case", ["tiny", *EDGE_SHA256])
+@pytest.mark.parametrize("case", ["tiny", "crowded", *EDGE_SHA256])
 def test_metric_helpers_give_the_reported_numbers(tmp_path, capsys, case):
-    """``cvma``, ``cvidf1`` and ``aggregate`` of a report's own tallies are its numbers."""
-    if case == "tiny":
-        argvs, path = _pipeline(tmp_path)
+    """Each description rebuilt from the report's integers gives back the whole report."""
+    if case in ("tiny", "crowded"):
+        argvs, path = (_pipeline if case == "tiny" else crowded_pipeline)(tmp_path)
         for argv in argvs:
             assert main(argv) == 0
     else:
@@ -169,10 +158,5 @@ def test_metric_helpers_give_the_reported_numbers(tmp_path, capsys, case):
         frames = entry["counts"]["frames"]
         counts = MetricCounts(*(tuple(row[key] for row in frames) for key in FRAME_KEYS))
         measures = IdMeasures(*(entry["id_measures"][key] for key in IdMeasures._fields))
-        assert (cvma(counts), cvidf1(measures)) == (entry["cvma_raw"], entry["cvidf1"])
-        result = DescriptionResult(
-            entry["id"], counts, measures, cvidf1_exact(measures), cvma_exact(counts)
-        )
-        assert float(result.cvma_clamped_exact) == entry["cvma"]
-        results.append(result)
-    assert aggregate(results)._asdict() == report["aggregate"]
+        results.append(DescriptionResult(entry["id"], counts, measures))
+    assert build_report(results, aggregate(results), report["config"]) == report
