@@ -6,18 +6,14 @@ paths with dual potentials. Among all optimal solutions it returns the
 lexicographically smallest pair set, so downstream reports are reproducible
 byte for byte. Forbidden pairs are encoded as ``math.inf``.
 
-Tie resolution is exact whenever costs are exactly representable (integers,
-dyadic rationals); for arbitrary floats, ties closer than ~1e-9 relative are
-resolved by the same deterministic rule but may not coincide with infinite
-precision arithmetic.
+Costs are compared as the exact dyadic rationals their floats hold, so two
+totals tie only when they are equal in exact arithmetic.
 """
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 FORBIDDEN = math.inf
-
-_REL_TOL = 1e-9
 
 
 class _CostMatrix(NamedTuple):
@@ -61,44 +57,23 @@ class Assignment(NamedTuple):
     total_cost: float
 
 
-def _pair_sum(costs: Sequence[Sequence[float]], pairs: Iterable[tuple[int, int]]) -> float:
-    # Summed in lexicographic pair order so equal pair sets always produce
-    # bit-identical totals regardless of how they were discovered.
-    return float(sum(costs[r][c] for r, c in sorted(pairs)))
+def _min_cost_max_matching(costs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Successive-shortest-path solve of a cost matrix of ints and ``FORBIDDEN``.
 
-
-def _min_cost_max_matching(
-    costs: Sequence[Sequence[float]],
-    row_ids: Sequence[int],
-    col_ids: Sequence[int],
-) -> tuple[list[tuple[int, int]], dict[int, float], dict[int, float], float]:
-    """Successive-shortest-path solve restricted to the given row/col subsets.
-
-    Returns (pairs in global indices, row duals, col duals, cost shift). The
-    duals certify optimality in the shifted cost space: every feasible pair of
-    an optimal solution has zero reduced cost.
+    Returns the sorted (row, col) pairs of a maximum matching of least total
+    cost. On ints every comparison is exact.
     """
-    R, C = len(row_ids), len(col_ids)
-    if R == 0 or C == 0:
-        return [], {}, {}, 0.0
-    finite = [
-        costs[r][c] for r in row_ids for c in col_ids if math.isfinite(costs[r][c])
-    ]
+    R, C = len(costs), len(costs[0])
+    finite = [x for row in costs for x in row if x != FORBIDDEN]
     if not finite:
-        return [], {}, {}, 0.0
+        return []
     # Shift to non-negative weights; within a fixed cardinality the shift is a
     # constant offset, so the optimal pair set is unchanged.
     shift = min(finite)
-    INF = math.inf
-    w = [
-        [
-            (costs[r][c] - shift) if math.isfinite(costs[r][c]) else INF
-            for c in col_ids
-        ]
-        for r in row_ids
-    ]
-    u = [0.0] * R
-    v = [0.0] * C
+    INF = FORBIDDEN
+    w = [[INF if x == INF else x - shift for x in row] for row in costs]
+    u = [0] * R
+    v = [0] * C
     match_row = [-1] * R
     match_col = [-1] * C
     while True:
@@ -110,7 +85,7 @@ def _min_cost_max_matching(
         done = [False] * C
         row_dist = [INF] * R
         for r in free_rows:
-            row_dist[r] = 0.0
+            row_dist[r] = 0
             ur = u[r]
             wr = w[r]
             for c in range(C):
@@ -166,65 +141,37 @@ def _min_cost_max_matching(
             match_row[r] = col
             match_col[col] = r
             col = nxt
-    pairs = sorted(
-        (row_ids[r], col_ids[match_row[r]]) for r in range(R) if match_row[r] != -1
-    )
-    u_map = {row_ids[r]: u[r] for r in range(R)}
-    v_map = {col_ids[c]: v[c] for c in range(C)}
-    return pairs, u_map, v_map, shift
+    return [(r, match_row[r]) for r in range(R) if match_row[r] != -1]
 
 
 def solve_lap(matrix: CostMatrix) -> Assignment:
     """Minimum-cost maximum partial matching with lexicographic tie-break.
 
-    When no feasible pair exists the assignment is empty with cost 0.
+    Among the optimal pair sets, the one whose columns read row by row (an
+    unmatched row reads as the column count ``C``) are smallest wins. Each
+    finite cost is scaled to an int over the largest denominator of the
+    costs' dyadic values, and row ``r`` in column ``c`` adds the tie-break
+    ``(c - C) * B**(R - 1 - r)`` with ``B = C + 1``. Those terms total less
+    than ``B**R`` in magnitude, so the scaled costs, multiplied by ``B**R``,
+    decide first, and one shortest-path solve finds the unique optimum.
+
+    ``total_cost`` sums the float costs in pair order, so equal pair sets
+    give bit-identical totals. When no feasible pair exists the assignment
+    is empty with cost 0.
     """
     costs = matrix.costs
     R, C = matrix.rows, matrix.cols
-    base_pairs, u, v, shift = _min_cost_max_matching(costs, range(R), range(C))
-    if not base_pairs:
-        return Assignment((), 0.0)
-    cardinality = len(base_pairs)
-    target_total = _pair_sum(costs, base_pairs)
-    scale = max(
-        1.0,
-        max(abs(costs[r][c]) for r in range(R) for c in range(C) if math.isfinite(costs[r][c])),
-    )
-    tight_tol = _REL_TOL * scale
-    total_tol = _REL_TOL * max(1.0, abs(target_total))
-
-    # Greedy lexicographic refinement: fix rows in order, preferring the
-    # smallest column that still admits an optimal completion. The running
-    # witness (an optimal solution consistent with the fixed prefix) lets the
-    # common no-tie case skip all probe solves; base duals rule out any pair
-    # with positive reduced cost (such a pair is in no optimal solution).
-    witness = dict(base_pairs)
-    fixed: list[tuple[int, int]] = []
-    used_cols: set[int] = set()
-    for r in range(R):
-        if len(fixed) == cardinality:
-            break
-        witness_col = witness.get(r)
-        chosen = -1
-        for c in range(C):
-            if c in used_cols or not math.isfinite(costs[r][c]):
-                continue
-            if witness_col is not None and c >= witness_col:
-                chosen = witness_col
-                break
-            if (costs[r][c] - shift) - u[r] - v[c] > tight_tol:
-                continue
-            rest_rows = range(r + 1, R)
-            rest_cols = [c2 for c2 in range(C) if c2 != c and c2 not in used_cols]
-            sub_pairs, _, _, _ = _min_cost_max_matching(costs, list(rest_rows), rest_cols)
-            candidate = fixed + [(r, c)] + sub_pairs
-            if len(candidate) != cardinality:
-                continue
-            if abs(_pair_sum(costs, candidate) - target_total) <= total_tol:
-                chosen = c
-                witness = dict(candidate)
-                break
-        if chosen != -1:
-            fixed.append((r, chosen))
-            used_cols.add(chosen)
-    return Assignment(tuple(fixed), _pair_sum(costs, fixed))
+    ratios = [[None if x == FORBIDDEN else x.as_integer_ratio() for x in row] for row in costs]
+    denominator = max((ratio[1] for row in ratios for ratio in row if ratio), default=1)
+    base = C + 1
+    weight = base**R
+    ints = []
+    for r, row in enumerate(ratios):
+        digit = base ** (R - 1 - r)
+        ints.append([
+            FORBIDDEN if ratio is None
+            else ratio[0] * (denominator // ratio[1]) * weight + (c - C) * digit
+            for c, ratio in enumerate(row)
+        ])
+    pairs = tuple(_min_cost_max_matching(ints))
+    return Assignment(pairs, float(sum(costs[r][c] for r, c in pairs)))

@@ -133,18 +133,25 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                 parser.add_argument(flag, dest=name, type=kind)
 
 
-def _maybe_directory(path: str) -> Path:
-    """``path`` as a Path, which may be missing; a ParseError when it is something else."""
+def _maybe_directory(path: str | Path) -> Path:
+    """``path`` as a Path, which may be missing.
+
+    A ParseError names the nearest existing one of ``path`` and its ancestors
+    when that one is not a directory.
+    """
     path = Path(path)
-    if path.exists() and not path.is_dir():
-        raise ParseError(path, "not a directory")
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ParseError(existing, "not a directory")
     return path
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Parse and score one description at a time; only its ``DescriptionResult`` is kept."""
-    if args.out and Path(args.out).is_dir():
-        raise ParseError(args.out, "is a directory")
+    if args.out:
+        if Path(args.out).is_dir():
+            raise ParseError(args.out, "is a directory")
+        _maybe_directory(Path(args.out).parent)
     cli = sys.modules[__name__]
     configs = _effective_config(args)
     scene = parse_scene(args.manifest, args.gt_dir)

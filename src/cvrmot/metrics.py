@@ -200,8 +200,7 @@ def _view_pairs(edges: Sequence[tuple[int, int, int, float]]) -> list[tuple[int,
     1 - IoU, with pairs below the gate forbidden and rows and columns in key
     order. The lexicographic tie-break decides each component independently,
     so the union is the optimum ``solve_lap`` returns for the frame's whole
-    dense matrix (ties closer than the solver's tolerance are decided within
-    their component).
+    dense matrix.
     """
     gts, preds = Counter(map(itemgetter(0, 1), edges)), Counter(map(itemgetter(0, 2), edges))
     if len(gts) == len(edges) == len(preds):
@@ -405,8 +404,8 @@ def _identity_bijection(overlap: Mapping[tuple[int, int], int]) -> int:
     positive = {pair: n for pair, n in overlap.items() if n > 0}
     idtp = 0
     for rows, cols in _components(positive):
-        matrix = [[-float(positive.get((r, c), 0)) for c in cols] for r in rows]
-        pairs = _min_cost_max_matching(matrix, range(len(rows)), range(len(cols)))[0]
+        matrix = [[-positive.get((r, c), 0) for c in cols] for r in rows]
+        pairs = _min_cost_max_matching(matrix)
         idtp += sum(positive.get((rows[a], cols[b]), 0) for a, b in pairs)
     return idtp
 

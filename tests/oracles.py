@@ -98,22 +98,24 @@ def exact_gate(a: BBox, b: BBox, t: float) -> bool:
 def brute_force_lap(matrix: CostMatrix, limit: int = 8) -> Assignment:
     """Exhaustive-enumeration oracle with ``solve_lap``'s objective and tie-break.
 
-    Enumerates every injection at the maximum feasible cardinality; intended
-    for test matrices with min(rows, cols) <= ``limit``.
+    Enumerates every injection at the maximum feasible cardinality and keeps
+    the least exact ``Fraction`` total, then the smallest sorted pair tuple;
+    the reported total is the float sum in pair order. Intended for test
+    matrices with min(rows, cols) <= ``limit``.
     """
     R, C = matrix.rows, matrix.cols
     if min(R, C) > limit:
         raise ValueError(f"brute force limited to min side {limit}, got {min(R, C)}")
     costs = matrix.costs
     for k in range(min(R, C), -1, -1):
-        best: tuple[float, tuple[tuple[int, int], ...]] | None = None
+        best: tuple[Fraction, tuple[tuple[int, int], ...]] | None = None
         if R <= C:
             for row_sel in combinations(range(R), k):
                 for col_sel in permutations(range(C), k):
                     pairs = tuple(zip(row_sel, col_sel))
                     if any(not math.isfinite(costs[r][c]) for r, c in pairs):
                         continue
-                    key = (float(sum(costs[r][c] for r, c in pairs)), pairs)
+                    key = (sum(Fraction(costs[r][c]) for r, c in pairs), pairs)
                     if best is None or key < best:
                         best = key
         else:
@@ -122,12 +124,12 @@ def brute_force_lap(matrix: CostMatrix, limit: int = 8) -> Assignment:
                     pairs = tuple(sorted(zip(row_sel, col_sel)))
                     if any(not math.isfinite(costs[r][c]) for r, c in pairs):
                         continue
-                    key = (float(sum(costs[r][c] for r, c in pairs)), pairs)
+                    key = (sum(Fraction(costs[r][c]) for r, c in pairs), pairs)
                     if best is None or key < best:
                         best = key
         if best is not None:
-            total, pairs = best
-            return Assignment(pairs, total)
+            pairs = best[1]
+            return Assignment(pairs, float(sum(costs[r][c] for r, c in pairs)))
     return Assignment((), 0.0)
 
 

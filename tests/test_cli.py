@@ -557,6 +557,23 @@ def test_an_out_path_that_is_a_file_is_refused_before_any_input(tmp_path, capsys
     assert out.read_text() == "earlier\n"
 
 
+@pytest.mark.parametrize("command", ["evaluate", "filter", "synth"])
+def test_an_out_path_under_a_file_is_refused_before_any_input(tmp_path, capsys, command):
+    """The file is named, not the errno of the first write, and nothing is read or written."""
+    file, missing = tmp_path / "file", tmp_path / "missing"
+    file.write_text("earlier\n")
+    argv = {
+        "evaluate": ["evaluate", "--manifest", missing, "--gt-dir", missing,
+                     "--descriptions", missing, "--predictions-root", missing],
+        "filter": ["filter", "--tracks", missing],
+        "synth": ["synth", "--views", 2, "--ids", 2, "--frames", 2, "--errors", missing],
+    }[command]
+    assert run([*argv, "--out", file / "sub" / "out.json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {file}: not a directory\n")
+    assert file.read_text() == "earlier\n"
+    assert list(tmp_path.iterdir()) == [file]
+
+
 def test_evaluate_scores_boxes_whose_areas_underflow(tmp_path, capsys):
     """Both areas of two 1e-200 boxes round to 0; their IoU is still exactly 1."""
     row = "1,1,0,0,1e-200,1e-200\n"

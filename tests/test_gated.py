@@ -247,6 +247,12 @@ def test_bijection_maximizes_overlap_not_pair_count():
     assert id_measures(gt_tracks, pred_tracks) == dense_id_measures(gt_tracks, pred_tracks)
 
 
+def test_bijection_compares_overlaps_above_two_to_the_53_exactly():
+    # As floats, 2**53 + 1 rounds to 2**53 and the two bijections tie.
+    overlap = {(1, 11): 2**53 + 1, (1, 10): 2**53, (2, 11): 1, (2, 10): 1}
+    assert _identity_bijection(overlap) == 2**53 + 2
+
+
 def _best_total(overlap):
     """The largest total overlap of any partial bijection, by exhaustive search."""
     gts = sorted({g for g, _ in overlap})
@@ -295,7 +301,7 @@ def test_identity_bijection_makes_no_solve_lap_call(monkeypatch):
     monkeypatch.setattr(metrics, "solve_lap", lambda m: laps.append(m))
     core = metrics._min_cost_max_matching
     monkeypatch.setattr(metrics, "_min_cost_max_matching",
-                        lambda m, rs, cs: sides.append((len(rs), len(cs))) or core(m, rs, cs))
+                        lambda m: sides.append((len(m), len(m[0]))) or core(m))
     assert _identity_bijection(overlap) == 16
     assert laps == []
     assert sides == [(2, 2), (1, 1), (1, 1)]
