@@ -1,19 +1,22 @@
 """Exact rectangular linear assignment with a deterministic tie-break.
 
 The solver maximizes matching cardinality over the feasible (finite-cost)
-pairs first, then minimizes total cost, via successive shortest augmenting
-paths with dual potentials. Among all optimal solutions it returns the
-lexicographically smallest pair set, so downstream reports are reproducible
-byte for byte. Forbidden pairs are encoded as ``math.inf``.
+pairs first, then minimizes total cost, and among all optimal solutions it
+returns the lexicographically smallest pair set, so downstream reports are
+reproducible byte for byte. Forbidden pairs are encoded as ``math.inf``.
+All three rules are folded into one int per cell, and the Hungarian method
+(Kuhn 1955; Munkres 1957) finds the one least-cost assignment.
 
 Costs are compared as the exact dyadic rationals their floats hold, so two
 totals tie only when they are equal in exact arithmetic.
 """
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 FORBIDDEN = math.inf
+_LARGEST = sys.float_info.max
 
 
 class _CostMatrix(NamedTuple):
@@ -21,11 +24,11 @@ class _CostMatrix(NamedTuple):
 
 
 class CostMatrix(_CostMatrix):
-    """Rectangular cost matrix; ``math.inf`` entries mark forbidden pairs."""
+    """Rectangular cost matrix of floats; ``math.inf`` entries mark forbidden pairs."""
 
     __slots__ = ()
 
-    def __new__(cls, costs: tuple[tuple[float, ...], ...]) -> "CostMatrix":
+    def __new__(cls, costs: Sequence[Sequence[float]]) -> "CostMatrix":
         if not costs or not costs[0]:
             raise ValueError("cost matrix must have at least one row and one column")
         width = len(costs[0])
@@ -33,13 +36,13 @@ class CostMatrix(_CostMatrix):
             if len(row) != width:
                 raise ValueError(f"ragged cost matrix: row {r} has {len(row)} entries")
             for c, value in enumerate(row):
-                if math.isnan(value) or value == -math.inf:
+                if not (-_LARGEST <= value <= _LARGEST or value == FORBIDDEN):  # nan fails both
                     raise ValueError(f"cost[{r}][{c}] must be finite or +inf, got {value!r}")
-        return tuple.__new__(cls, (costs,))
+        return tuple.__new__(cls, (tuple(tuple(map(float, row)) for row in costs),))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CostMatrix":
-        return cls(tuple(tuple(float(v) for v in row) for row in rows))
+        return cls(rows)
 
     @property
     def rows(self) -> int:
@@ -57,91 +60,49 @@ class Assignment(NamedTuple):
     total_cost: float
 
 
-def _min_cost_max_matching(costs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """Successive-shortest-path solve of a cost matrix of ints and ``FORBIDDEN``.
+def _min_cost_assignment(costs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Kuhn–Munkres solve of a matrix of ints: a least-cost assignment of its shorter side.
 
-    Returns the sorted (row, col) pairs of a maximum matching of least total
-    cost. On ints every comparison is exact.
+    Returns the sorted (row, col) pairs. Rows are added one at a time, each
+    by a shortest augmenting path under dual potentials ``u`` and ``v`` that
+    keep every reduced cost ``costs[r][c] - u[r] - v[c]`` non-negative; on
+    ints every comparison is exact.
     """
+    flip = len(costs) > len(costs[0])
+    if flip:
+        costs = list(zip(*costs))
     R, C = len(costs), len(costs[0])
-    finite = [x for row in costs for x in row if x != FORBIDDEN]
-    if not finite:
-        return []
-    # Shift to non-negative weights; within a fixed cardinality the shift is a
-    # constant offset, so the optimal pair set is unchanged.
-    shift = min(finite)
-    INF = FORBIDDEN
-    w = [[INF if x == INF else x - shift for x in row] for row in costs]
-    u = [0] * R
-    v = [0] * C
-    match_row = [-1] * R
-    match_col = [-1] * C
-    while True:
-        free_rows = [r for r in range(R) if match_row[r] == -1]
-        if not free_rows:
-            break
-        dist = [INF] * C
-        prev = [-1] * C
-        done = [False] * C
-        row_dist = [INF] * R
-        for r in free_rows:
-            row_dist[r] = 0
-            ur = u[r]
-            wr = w[r]
-            for c in range(C):
-                wc = wr[c]
-                if wc == INF:
-                    continue
-                d = wc - ur - v[c]
-                if d < dist[c]:
-                    dist[c] = d
-                    prev[c] = r
-        target = -1
-        target_dist = INF
+    u, v = [0] * R, [0] * (C + 1)
+    owner = [-1] * (C + 1)  # the row in each column; column C roots the row being added
+    for row in range(R):
+        owner[C] = row
+        slack = [x - y for x, y in zip(costs[row], v)]  # u[row] is still 0
+        way = [C] * C
+        free, used = list(range(C)), [C]
         while True:
-            best = -1
-            best_dist = INF
-            for c in range(C):
-                if not done[c] and dist[c] < best_dist:
-                    best_dist = dist[c]
-                    best = c
-            if best == -1:
+            col = min(free, key=slack.__getitem__)
+            delta = slack[col]
+            for c in used:
+                u[owner[c]] += delta
+                v[c] -= delta
+            free.remove(col)
+            for c in free:
+                slack[c] -= delta
+            used.append(col)
+            r = owner[col]
+            if r == -1:
                 break
-            done[best] = True
-            if match_col[best] == -1:
-                target = best
-                target_dist = best_dist
-                break
-            r2 = match_col[best]
-            row_dist[r2] = best_dist
-            ur2 = u[r2]
-            wr2 = w[r2]
-            for c in range(C):
-                if done[c]:
-                    continue
-                wc = wr2[c]
-                if wc == INF:
-                    continue
-                nd = best_dist + wc - ur2 - v[c]
-                if nd < dist[c]:
-                    dist[c] = nd
-                    prev[c] = r2
-        if target == -1:
-            break  # no augmenting path: matching is maximum
-        for r in range(R):
-            if row_dist[r] <= target_dist:
-                u[r] += target_dist - row_dist[r]
-        for c in range(C):
-            if done[c] and dist[c] <= target_dist:
-                v[c] -= target_dist - dist[c]
-        col = target
-        while col != -1:
-            r = prev[col]
-            nxt = match_row[r]
-            match_row[r] = col
-            match_col[col] = r
-            col = nxt
-    return [(r, match_row[r]) for r in range(R) if match_row[r] != -1]
+            ur, cr = u[r], costs[r]
+            for c in free:
+                reduced = cr[c] - ur - v[c]
+                if reduced < slack[c]:
+                    slack[c] = reduced
+                    way[c] = col
+        while col != C:
+            owner[col] = owner[way[col]]
+            col = way[col]
+    pairs = [(owner[c], c) for c in range(C) if owner[c] != -1]
+    return sorted((c, r) for r, c in pairs) if flip else sorted(pairs)
 
 
 def solve_lap(matrix: CostMatrix) -> Assignment:
@@ -153,7 +114,13 @@ def solve_lap(matrix: CostMatrix) -> Assignment:
     costs' dyadic values, and row ``r`` in column ``c`` adds the tie-break
     ``(c - C) * B**(R - 1 - r)`` with ``B = C + 1``. Those terms total less
     than ``B**R`` in magnitude, so the scaled costs, multiplied by ``B**R``,
-    decide first, and one shortest-path solve finds the unique optimum.
+    decide first. A forbidden cell costs
+    ``big = high + min(R, C) * (high - low) + 1``, where ``high`` and ``low``
+    are the largest and smallest finite ints: an assignment of the shorter
+    side with ``d`` more finite cells saves ``d * big``, more than those
+    cells and the others can add. So cardinality, cost and tie-break are one
+    int per cell, one Kuhn–Munkres solve finds the unique optimum, and its
+    pairs on forbidden cells are dropped.
 
     ``total_cost`` sums the float costs in pair order, so equal pair sets
     give bit-identical totals. When no feasible pair exists the assignment
@@ -169,9 +136,13 @@ def solve_lap(matrix: CostMatrix) -> Assignment:
     for r, row in enumerate(ratios):
         digit = base ** (R - 1 - r)
         ints.append([
-            FORBIDDEN if ratio is None
+            None if ratio is None
             else ratio[0] * (denominator // ratio[1]) * weight + (c - C) * digit
             for c, ratio in enumerate(row)
         ])
-    pairs = tuple(_min_cost_max_matching(ints))
+    finite = [x for row in ints for x in row if x is not None] or [0]
+    high, low = max(finite), min(finite)
+    big = high + min(R, C) * (high - low) + 1
+    solved = _min_cost_assignment([[big if x is None else x for x in row] for row in ints])
+    pairs = tuple((r, c) for r, c in solved if ints[r][c] is not None)
     return Assignment(pairs, float(sum(costs[r][c] for r, c in pairs)))

@@ -152,11 +152,13 @@ def _directory(path: Path | str) -> Path:
 def _view_files(directory: Path | str, num_views: Optional[int] = None) -> dict[int, Path]:
     """The ``view_NN.csv`` files a directory holds, by ascending view index.
 
-    A misnamed ``view_*.csv`` is a ParseError, and so, when ``num_views`` is
-    given, is a file for a view index at or past it (the lowest such one).
+    A ``view_*.csv`` that is misnamed or a directory is a ParseError, and so,
+    when ``num_views`` is given, is a file for a view index at or past it (the lowest).
     """
     files: dict[int, Path] = {}
     for path in Path(directory).glob("view_*.csv"):
+        if path.is_dir():
+            raise ParseError(path, "is a directory")
         digits = path.stem[len("view_"):]
         valid = digits.isascii() and digits.isdigit()
         if not valid or _view_file(directory, int(digits)).name != path.name:

@@ -16,7 +16,7 @@ from itertools import chain, combinations, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .assignment import FORBIDDEN, CostMatrix, _min_cost_max_matching, solve_lap
+from .assignment import FORBIDDEN, CostMatrix, _min_cost_assignment, solve_lap
 from .datamodel import Detection, LanguageDescription, Scene, Track, iou
 from .datamodel import EvalConfig, check_iou_threshold  # defined there, re-exported here
 
@@ -397,15 +397,15 @@ def _identity_bijection(overlap: Mapping[tuple[int, int], int]) -> int:
 
     Every optimal matching has this value, so no tie-break is needed.
     Zero-overlap pairs add nothing: each connected component of the positive
-    pairs is solved on its own by the shortest-path core on cost -overlap,
-    with its zero pairs feasible at cost 0, where maximum cardinality is
-    maximum overlap.
+    pairs is solved on its own by the Kuhn–Munkres core, whose least-cost
+    assignment of the shorter side on cost -overlap, with zero pairs at
+    cost 0, has the most overlap.
     """
     positive = {pair: n for pair, n in overlap.items() if n > 0}
     idtp = 0
     for rows, cols in _components(positive):
         matrix = [[-positive.get((r, c), 0) for c in cols] for r in rows]
-        pairs = _min_cost_max_matching(matrix)
+        pairs = _min_cost_assignment(matrix)
         idtp += sum(positive.get((rows[a], cols[b]), 0) for a, b in pairs)
     return idtp
 

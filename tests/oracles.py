@@ -2,6 +2,9 @@
 
 * An exhaustive assignment solver with ``solve_lap``'s objective and
   tie-break, and an exhaustive search for the identity bijection of CVIDF1.
+* The successive-shortest-path core ``cvrmot.assignment`` had before its
+  Kuhn–Munkres core: a maximum matching of least total cost over a matrix of
+  ints and ``FORBIDDEN``, grown from every free row at once.
 * CLEAR MOT continuity, the rule the matching accuracy does not follow:
   each slot keeps the pairs its view matched at the previous frame while
   they still pass the IoU gate, and solves only the rest.
@@ -131,6 +134,93 @@ def brute_force_lap(matrix: CostMatrix, limit: int = 8) -> Assignment:
             pairs = best[1]
             return Assignment(pairs, float(sum(costs[r][c] for r, c in pairs)))
     return Assignment((), 0.0)
+
+
+def min_cost_max_matching(costs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Successive-shortest-path solve of a cost matrix of ints and ``FORBIDDEN``.
+
+    Returns the sorted (row, col) pairs of a maximum matching of least total
+    cost. On ints every comparison is exact.
+    """
+    R, C = len(costs), len(costs[0])
+    finite = [x for row in costs for x in row if x != FORBIDDEN]
+    if not finite:
+        return []
+    # Shift to non-negative weights; within a fixed cardinality the shift is a
+    # constant offset, so the optimal pair set is unchanged.
+    shift = min(finite)
+    INF = FORBIDDEN
+    w = [[INF if x == INF else x - shift for x in row] for row in costs]
+    u = [0] * R
+    v = [0] * C
+    match_row = [-1] * R
+    match_col = [-1] * C
+    while True:
+        free_rows = [r for r in range(R) if match_row[r] == -1]
+        if not free_rows:
+            break
+        dist = [INF] * C
+        prev = [-1] * C
+        done = [False] * C
+        row_dist = [INF] * R
+        for r in free_rows:
+            row_dist[r] = 0
+            ur = u[r]
+            wr = w[r]
+            for c in range(C):
+                wc = wr[c]
+                if wc == INF:
+                    continue
+                d = wc - ur - v[c]
+                if d < dist[c]:
+                    dist[c] = d
+                    prev[c] = r
+        target = -1
+        target_dist = INF
+        while True:
+            best = -1
+            best_dist = INF
+            for c in range(C):
+                if not done[c] and dist[c] < best_dist:
+                    best_dist = dist[c]
+                    best = c
+            if best == -1:
+                break
+            done[best] = True
+            if match_col[best] == -1:
+                target = best
+                target_dist = best_dist
+                break
+            r2 = match_col[best]
+            row_dist[r2] = best_dist
+            ur2 = u[r2]
+            wr2 = w[r2]
+            for c in range(C):
+                if done[c]:
+                    continue
+                wc = wr2[c]
+                if wc == INF:
+                    continue
+                nd = best_dist + wc - ur2 - v[c]
+                if nd < dist[c]:
+                    dist[c] = nd
+                    prev[c] = r2
+        if target == -1:
+            break  # no augmenting path: matching is maximum
+        for r in range(R):
+            if row_dist[r] <= target_dist:
+                u[r] += target_dist - row_dist[r]
+        for c in range(C):
+            if done[c] and dist[c] <= target_dist:
+                v[c] -= target_dist - dist[c]
+        col = target
+        while col != -1:
+            r = prev[col]
+            nxt = match_row[r]
+            match_row[r] = col
+            match_col[col] = r
+            col = nxt
+    return [(r, match_row[r]) for r in range(R) if match_row[r] != -1]
 
 
 def oracle_id_measures(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cvrmot import CostMatrix, FORBIDDEN, assignment, solve_lap
 
-from oracles import brute_force_lap
+from oracles import brute_force_lap, min_cost_max_matching
 
 
 def M(rows):
@@ -55,9 +55,10 @@ def test_float_totals_an_ulp_apart_do_not_tie():
 
 
 def test_all_ties_take_one_core_call(monkeypatch):
+    """The core is called once, on ints only: with ``math.inf`` its loop need not end."""
     calls = []
-    core = assignment._min_cost_max_matching
-    monkeypatch.setattr(assignment, "_min_cost_max_matching",
+    core = assignment._min_cost_assignment
+    monkeypatch.setattr(assignment, "_min_cost_assignment",
                         lambda *args: calls.append(args) or core(*args))
     # the last cell forbidden: row 4 takes column 5, ahead of the diagonal
     rows = [[0.5] * 6 for _ in range(6)]
@@ -65,6 +66,7 @@ def test_all_ties_take_one_core_call(monkeypatch):
     a = solve_lap(M(rows))
     assert a.pairs == ((0, 0), (1, 1), (2, 2), (3, 3), (4, 5), (5, 4))
     assert len(calls) == 1
+    assert all(type(x) is int for row in calls[0][0] for x in row)
 
 
 def test_no_feasible_pair_gives_empty_assignment():
@@ -88,6 +90,43 @@ def test_max_cardinality_beats_cheap_short_matching():
     assert brute_force_lap(M(rows)) == a
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 5], [5, FORBIDDEN]],  # its own transpose
+    [[0, 5, FORBIDDEN], [5, FORBIDDEN, FORBIDDEN]],
+    [[0, 5], [5, FORBIDDEN], [FORBIDDEN, FORBIDDEN]],
+])
+def test_the_two_largest_costs_beat_the_smallest_next_to_a_forbidden_cell(rows):
+    """The larger matching wins, though it holds the two largest costs.
+
+    At ``big = high + 1`` the smallest cost plus the forbidden cell would win:
+    the 2 x 2 case folds to ``[[-6, 42], [43, big]]``, and 38 < 85.
+    """
+    a = solve_lap(M(rows))
+    assert a.pairs == ((0, 1), (1, 0))
+    assert a.total_cost == 10.0
+    assert brute_force_lap(M(rows)) == a
+
+
+def test_solver_picks_the_pairs_of_the_shortest_path_core(monkeypatch):
+    """On the folded ints, with forbidden cells as ``FORBIDDEN``, both cores agree."""
+    folds = []
+    core = assignment._min_cost_assignment
+    monkeypatch.setattr(assignment, "_min_cost_assignment",
+                        lambda ints: folds.append(ints) or core(ints))
+    rng = random.Random(30)
+    for _ in range(60):
+        R, C = rng.randint(1, 40), rng.randint(1, 60)
+        if rng.random() < 0.5:
+            R, C = C, R
+        density, parts = rng.uniform(0, 0.9), rng.choice([4, 10])  # quarters or tenths
+        rows = [[FORBIDDEN if rng.random() < density else rng.randint(0, 2 * parts) / parts
+                 for _ in range(C)] for _ in range(R)]
+        pairs = solve_lap(M(rows)).pairs
+        folded = [[FORBIDDEN if x == FORBIDDEN else n for x, n in zip(row, ints)]
+                  for row, ints in zip(rows, folds.pop())]
+        assert pairs == tuple(min_cost_max_matching(folded))
+
+
 def test_brute_force_rejects_large_instances():
     rows = [[1.0] * 9 for _ in range(9)]
     with pytest.raises(ValueError):
@@ -103,6 +142,9 @@ def test_cost_matrix_validation():
         CostMatrix.from_rows([[math.nan]])
     with pytest.raises(ValueError):
         CostMatrix.from_rows([[-math.inf]])
+    for make in (CostMatrix, CostMatrix.from_rows):  # past the float range
+        with pytest.raises(ValueError, match=r"^cost\[0\]\[1\] must be finite or \+inf"):
+            make(((0.0, 10**400),))
 
 
 _entry = st.one_of(

@@ -858,6 +858,28 @@ def test_synth_refuses_a_gt_directory_holding_a_view_past_its_own(workspace, tmp
     assert (workspace / "manifest.json").read_bytes() == manifest
 
 
+@pytest.mark.parametrize("flag", ["--gt-dir", "--tracks", "--scores", "--out"])
+def test_a_directory_with_a_view_file_name_is_refused_before_any_write(
+    workspace, tmp_path, capsys, flag
+):
+    out, scores = tmp_path / "out", tmp_path / "scores"
+    target = {"--gt-dir": workspace / "gt", "--tracks": workspace / "tracks" / "d00",
+              "--scores": scores, "--out": out}[flag]
+    bad = target / "view_01.csv"
+    bad.unlink(missing_ok=True)
+    bad.mkdir(parents=True)
+    argv = ["filter", "--tracks", workspace / "tracks" / "d00", "--out", out]
+    if flag == "--gt-dir":
+        argv = _evaluate_argv(workspace, workspace / "tracks", "--out", out)
+    elif flag == "--scores":
+        argv += ["--scores", scores]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: is a directory\n")
+    assert list(bad.iterdir()) == []
+    assert (list(out.iterdir()) == [bad]) if flag == "--out" else not out.exists()
+
+
 def test_synth_without_errors_refuses_an_earlier_runs_predictions(tmp_path, capsys):
     """Nothing would overwrite predictions/ and ledger.json, and evaluate would score them."""
     spec = tmp_path / "e.json"

@@ -43,6 +43,7 @@ from oracles import (
     dense_id_measures,
     dense_match_frame,
     exact_gate,
+    min_cost_max_matching,
 )
 
 # Integer boxes in a 56 x 56 image: crowded, and many IoUs tie exactly.
@@ -294,13 +295,26 @@ def test_identity_bijection_equals_scipy_on_large_graphs():
         assert _identity_bijection(overlap) == weights[r, c].sum()
 
 
+def test_identity_bijection_equals_the_shortest_path_core():
+    """The old core's maximum matching of least cost -overlap over every identity pair."""
+    rng = random.Random(30)
+    for _ in range(60):
+        gts, preds, density = rng.randint(1, 30), rng.randint(1, 30), rng.uniform(0.02, 0.5)
+        overlap = {(g, 1000 + p): rng.randint(0, 6) for g in range(gts) for p in range(preds)
+                   if rng.random() < density}
+        gt_ids, pred_ids = sorted({g for g, _ in overlap}), sorted({p for _, p in overlap})
+        matrix = [[-overlap.get((g, p), 0) for p in pred_ids] for g in gt_ids]
+        pairs = min_cost_max_matching(matrix) if overlap else []
+        assert _identity_bijection(overlap) == -sum(matrix[r][c] for r, c in pairs)
+
+
 def test_identity_bijection_makes_no_solve_lap_call(monkeypatch):
-    """Each component takes one shortest-path core call; ``solve_lap`` is never called."""
+    """Each component takes one Kuhn–Munkres core call; ``solve_lap`` is never called."""
     overlap = {(1, 101): 10, (1, 102): 1, (2, 101): 1, (3, 103): 4, (4, 104): 2}
     laps, sides = [], []
     monkeypatch.setattr(metrics, "solve_lap", lambda m: laps.append(m))
-    core = metrics._min_cost_max_matching
-    monkeypatch.setattr(metrics, "_min_cost_max_matching",
+    core = metrics._min_cost_assignment
+    monkeypatch.setattr(metrics, "_min_cost_assignment",
                         lambda m: sides.append((len(m), len(m[0]))) or core(m))
     assert _identity_bijection(overlap) == 16
     assert laps == []
@@ -421,7 +435,7 @@ def _check_against_dense(gt_tracks, pred_tracks, threshold=0.5):
 def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
     """Only the contested edges, those of the 2 x 2 component, reach ``solve_lap``.
 
-    The identity bijection takes its value from the shortest-path core alone.
+    The identity bijection takes its value from the Kuhn–Munkres core alone.
     """
     gt, pred = defaultdict(list), defaultdict(list)
     for view in (0, 1):

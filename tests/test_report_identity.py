@@ -5,7 +5,7 @@ sweep landed; any change to the report's bytes (a count, a float's last digit,
 a key, the layout) fails here. The same run is repeated under each other
 Python that ``requires-python`` (>= 3.10) admits and that is on ``PATH``, a
 pyenv shim included. The crowded run's identity components are wide enough
-(up to 45 identities) to reach the bijection's shortest-path solve; its digest
+(up to 45 identities) to reach the bijection's Kuhn–Munkres solve; its digest
 was computed before the bijection stopped going through ``solve_lap``.
 """
 
