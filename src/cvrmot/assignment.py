@@ -40,18 +40,6 @@ class CostMatrix(_CostMatrix):
                     raise ValueError(f"cost[{r}][{c}] must be finite or +inf, got {value!r}")
         return tuple.__new__(cls, (tuple(tuple(map(float, row)) for row in costs),))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CostMatrix":
-        return cls(rows)
-
-    @property
-    def rows(self) -> int:
-        return len(self.costs)
-
-    @property
-    def cols(self) -> int:
-        return len(self.costs[0])
-
 
 class Assignment(NamedTuple):
     """A partial matching as a sorted pair tuple plus its total cost."""
@@ -127,7 +115,7 @@ def solve_lap(matrix: CostMatrix) -> Assignment:
     is empty with cost 0.
     """
     costs = matrix.costs
-    R, C = matrix.rows, matrix.cols
+    R, C = len(costs), len(costs[0])
     ratios = [[None if x == FORBIDDEN else x.as_integer_ratio() for x in row] for row in costs]
     denominator = max((ratio[1] for row in ratios for ratio in row if ratio), default=1)
     base = C + 1

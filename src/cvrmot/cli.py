@@ -206,9 +206,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
         predictions = PredictionSet(predictions.tracks, parse_scores(args.scores, num_views))
     scores = predictions.scores
     kept = filter_tracks(predictions.tracks, scores, predictor_config, weights)
-    kept_scores = {  # a detection's key is its (view, frame, identity)
-        key: scores[key] for t in kept for d in t.detections if (key := d[:3]) in scores
-    }
+    # filter_tracks raised for any detection without a score, so every kept one has one
+    kept_scores = {(key := d[:3]): scores[key] for t in kept for d in t.detections}
     out = PredictionSet(kept, kept_scores)
     write_predictions(out, args.out, num_views)
     total = sum(len(t.detections) for t in kept)
@@ -301,7 +300,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.errors:
         spec = cli.ErrorSpec(**_read_keys(args.errors, field_types(cli.ErrorSpec), "error spec"))
         perturbed, ledger = cli.perturb(scene, spec, seed=seed + 3)
-        detections = (d for track in perturbed.tracks for d in track.detections)
+        detections = (d for track in perturbed for d in track.detections)
         pred_lines = view_lines(_text_rows(detections, texts), scene.num_views)
 
     write_lines(out / "gt", gt_lines)  # first: it refuses a gt/ holding a view past these

@@ -167,9 +167,6 @@ class Track(_Track):
     def __new__(cls, identity: int, detections: tuple[Detection, ...]) -> "Track":
         return tuple.__new__(cls, (identity, tuple(sorted(detections, key=_FRAME_VIEW))))
 
-    def frames(self) -> tuple[int, ...]:
-        return tuple(sorted({d.frame for d in self.detections}))
-
 
 class Scene(NamedTuple):
     """Synchronized multi-view ground truth with globally consistent identities."""

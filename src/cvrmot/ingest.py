@@ -86,9 +86,6 @@ class PredictionSet(Checked, _PredictionSet):
             if key not in existing:
                 raise ValueError(f"score key {key} has no matching detection")
 
-    def detection_count(self) -> int:
-        return sum(len(t.detections) for t in self.tracks)
-
 
 def read_json(path: Path | str, kind: type = dict) -> object:
     """The JSON value in ``path``, which must be a ``kind`` (an object by default).

@@ -216,7 +216,7 @@ def _view_pairs(edges: Sequence[tuple[int, int, int, float]]) -> list[tuple[int,
         costs = {edge[1:3]: 1.0 - edge[3] for edge in slot}
         for rows, cols in _components(costs):
             matrix = [[costs.get((r, c), FORBIDDEN) for c in cols] for r in rows]
-            solved = solve_lap(CostMatrix.from_rows(matrix))
+            solved = solve_lap(CostMatrix(matrix))
             pairs += [(frame, rows[a], cols[b]) for a, b in solved.pairs]
     return pairs
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .datamodel import BBox, Checked, Detection, Scene, Track, check_fields
 from .fusion_losses import ScoreRecord
-from .ingest import PredictionSet, _tracks_from_detections
+from .ingest import _tracks_from_detections
 
 
 class InfeasibleSpecError(ValueError):
@@ -203,11 +203,11 @@ def _view_frames(detections: Sequence[Detection]) -> dict[int, set[int]]:
     return views
 
 
-def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet, Ledger]:
+def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[tuple[Track, ...], Ledger]:
     """Realize an error spec on top of the scene's ground truth.
 
-    The result is the ground truth minus deleted slots, plus far-away false
-    positive boxes, with identity relabelings realizing the requested
+    The predicted tracks are the ground truth minus deleted slots, plus far-away
+    false positive boxes, with identity relabelings realizing the requested
     mismatches; the ledger records exactly what was realized per frame. Each
     identity is used by at most one relabel event and deletions never touch
     relabeled identities, so the counts compose without interaction.
@@ -354,14 +354,13 @@ def perturb(scene: Scene, spec: ErrorSpec, seed: int = 0) -> tuple[PredictionSet
         row = (view, frame, relabels.get(key, identity), box)
         pred_detections.append(tuple.__new__(Detection, row))
     pred_detections.extend(fp_detections)
-    predictions = PredictionSet(_tracks_from_detections(pred_detections), {})
     per_frame = {frame: FrameErrors(**counts) for frame, counts in sorted(errors.items())}
-    return predictions, Ledger(per_frame, scene.detection_count())
+    return _tracks_from_detections(pred_detections), Ledger(per_frame, scene.detection_count())
 
 
 def score_tracks(
     scene: Scene,
-    predictions: PredictionSet | Sequence[Track],
+    tracks: Sequence[Track],
     referred_identities: Iterable[int],
     hi: float,
     lo: float,
@@ -382,7 +381,6 @@ def score_tracks(
     unknown = referred - scene.identities()
     if unknown:
         raise ValueError(f"referred identities not in scene: {sorted(unknown)}")
-    tracks = predictions.tracks if isinstance(predictions, PredictionSet) else tuple(predictions)
     rng = random.Random(seed)
     scores: dict[tuple[int, int, int], ScoreRecord] = {}
 

@@ -106,7 +106,7 @@ def brute_force_lap(matrix: CostMatrix, limit: int = 8) -> Assignment:
     the reported total is the float sum in pair order. Intended for test
     matrices with min(rows, cols) <= ``limit``.
     """
-    R, C = matrix.rows, matrix.cols
+    R, C = len(matrix.costs), len(matrix.costs[0])
     if min(R, C) > limit:
         raise ValueError(f"brute force limited to min side {limit}, got {min(R, C)}")
     costs = matrix.costs
@@ -225,7 +225,7 @@ def min_cost_max_matching(costs: Sequence[Sequence[int]]) -> list[tuple[int, int
 
 def oracle_id_measures(
     scene: Scene,
-    predictions: PredictionSet | Sequence[Track],
+    pred_tracks: Sequence[Track],
     iou_threshold: float = 0.5,
     limit: int = 6,
 ) -> IdMeasures:
@@ -235,7 +235,6 @@ def oracle_id_measures(
     ``limit`` identities on each side.
     """
     gt_tracks = scene.gt_tracks
-    pred_tracks = predictions.tracks if isinstance(predictions, PredictionSet) else tuple(predictions)
     gt_ids = sorted(t.identity for t in gt_tracks)
     pred_ids = sorted(t.identity for t in pred_tracks)
     if len(gt_ids) > limit or len(pred_ids) > limit:
@@ -307,7 +306,7 @@ def dense_match_frame(
         rows.append(row)
     if not any_feasible:
         return FrameMatch((), tuple(range(len(gt_dets))), tuple(range(len(pred_dets))))
-    assignment = solve_lap(CostMatrix.from_rows(rows))
+    assignment = solve_lap(CostMatrix(rows))
     matched_gt = {r for r, _ in assignment.pairs}
     matched_pred = {c for _, c in assignment.pairs}
     return FrameMatch(
@@ -438,7 +437,7 @@ def dense_id_measures(
                     count += 1
             overlap[i][j] = count
     costs = [[-float(v) for v in row] for row in overlap]
-    assignment = solve_lap(CostMatrix.from_rows(costs))
+    assignment = solve_lap(CostMatrix(costs))
     idtp = sum(overlap[r][c] for r, c in assignment.pairs)
     return IdMeasures(idtp, total_pred - idtp, total_gt - idtp)
 
@@ -605,10 +604,8 @@ def oracle_synth_tracks(
 
     ``seed`` is the one ``score_tracks`` gets: ``cvrmot synth --seed S`` passes S + 2.
     """
-    base = PredictionSet(scene.gt_tracks, {})
     for desc in descriptions:
-        scores = score_tracks(
-            scene, base, desc.referred_identities, hi=hi, lo=lo, seed=seed, jitter=jitter
-        )
-        write_predictions(PredictionSet(base.tracks, scores), directory / desc.id,
+        scores = score_tracks(scene, scene.gt_tracks, desc.referred_identities,
+                              hi=hi, lo=lo, seed=seed, jitter=jitter)
+        write_predictions(PredictionSet(scene.gt_tracks, scores), directory / desc.id,
                           scene.num_views)

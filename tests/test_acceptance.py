@@ -95,7 +95,7 @@ def test_criterion_02_cvma_ledger_equivalence():
         scene = generate_scene(views, ids, frames, seed=seed)
         spec = _feasible_spec(rng, views, ids, frames)
         predictions, ledger = perturb(scene, spec, seed=seed + 1000)
-        counts = count_events(scene.gt_tracks, predictions.tracks)
+        counts = count_events(scene.gt_tracks, predictions)
         computed = cvma_exact(counts)
         assert computed == ledger.expected_cvma, (seed, spec)
         assert abs(float(computed) - float(ledger.expected_cvma)) <= 1e-12
@@ -104,13 +104,13 @@ def test_criterion_02_cvma_ledger_equivalence():
     # dedicated negative-accuracy case plus the clamp at aggregation
     scene = generate_scene(2, 2, 2, seed=777)  # 8 GT detections
     predictions, ledger = perturb(scene, ErrorSpec(fp_count=20), seed=7)
-    counts = count_events(scene.gt_tracks, predictions.tracks)
+    counts = count_events(scene.gt_tracks, predictions)
     computed = cvma_exact(counts)
     assert computed == ledger.expected_cvma == Fraction(1) - Fraction(20, 8)
     assert computed < 0
     negative_seen += 1
     desc = desc_for(scene, desc_id="neg")
-    result = evaluate_description(scene, desc, predictions.tracks)
+    result = evaluate_description(scene, desc, predictions)
     assert result.cvma_exact == computed
     agg = aggregate([result])
     assert agg.cvrma == 0.0  # clamped at aggregation
@@ -137,7 +137,7 @@ def test_criterion_03_cvidf1_oracle_equivalence():
             crossview_mismatch_count=crossview,
         )
         predictions, _ = perturb(scene, spec, seed=seed + 400)
-        measured = id_measures(scene.gt_tracks, predictions.tracks)
+        measured = id_measures(scene.gt_tracks, predictions)
         oracle = oracle_id_measures(scene, predictions)
         assert measured == oracle, (seed, spec)
         cases += 1
@@ -168,7 +168,7 @@ def test_criterion_04_lap_correctness():
                     for _c in range(cols_n)
                 ]
             )
-        matrix = CostMatrix.from_rows(rows)
+        matrix = CostMatrix(rows)
         fast = solve_lap(matrix)
         slow = brute_force_lap(matrix)
         assert fast.total_cost == slow.total_cost, rows

@@ -161,10 +161,10 @@ CELLS = st.sampled_from([FORBIDDEN, FORBIDDEN, FORBIDDEN, 0.0, 0.25, 0.5, 0.75])
     )
 )
 def test_component_optima_combine_to_global_lexicographic_optimum(rows):
-    expected = brute_force_lap(CostMatrix.from_rows(rows)).pairs
+    expected = brute_force_lap(CostMatrix(rows)).pairs
     combined = []
     for rs, cs in _components(rows):
-        sub = brute_force_lap(CostMatrix.from_rows([[rows[r][c] for c in cs] for r in rs]))
+        sub = brute_force_lap(CostMatrix([[rows[r][c] for c in cs] for r in rs]))
         combined.extend((rs[a], cs[b]) for a, b in sub.pairs)
     assert tuple(sorted(combined)) == expected
     cells = ((r, c, cost) for r, row in enumerate(rows) for c, cost in enumerate(row))
@@ -389,7 +389,7 @@ def test_direct_one_by_one_pairs_equal_the_component_path(drawn):
     dense = [[FORBIDDEN] * 12 for _ in range(12)]
     for r, c, overlap in edges:
         dense[r][c] = 1.0 - overlap
-    solved = sorted(cvrmot.solve_lap(CostMatrix.from_rows(dense)).pairs)
+    solved = sorted(cvrmot.solve_lap(CostMatrix(dense)).pairs)
     viewed = sorted(pair[1:] for pair in _view_pairs([(1, *edge) for edge in edges]))
     assert viewed == walked == solved == sorted(zip(rows, cols))
 
@@ -411,7 +411,7 @@ def test_view_pairs_equal_per_frame_component_pairs(drawn):
         dense = [[FORBIDDEN] * 5 for _ in range(5)]
         for _, g, p, iou in (e for e in edges if e[0] == frame):
             dense[g][p] = 1 - iou
-        per_frame += [(frame, g, p) for g, p in brute_force_lap(CostMatrix.from_rows(dense)).pairs]
+        per_frame += [(frame, g, p) for g, p in brute_force_lap(CostMatrix(dense)).pairs]
     assert sorted(_view_pairs(edges)) == per_frame
 
 
@@ -452,7 +452,9 @@ def test_view_of_one_by_one_frames_next_to_a_two_by_two_frame(monkeypatch):
     pred_tracks = tuple(Track(i, tuple(ds)) for i, ds in pred.items())
     sides = []
     original = metrics.solve_lap
-    monkeypatch.setattr(metrics, "solve_lap", lambda m: sides.append((m.rows, m.cols)) or original(m))
+    monkeypatch.setattr(
+        metrics, "solve_lap", lambda m: sides.append((len(m.costs), len(m.costs[0]))) or original(m)
+    )
     shared = _check_against_dense(gt_tracks, pred_tracks)
     # One slot call, view 0 at frame 6: the 1 x 1 pairs are matched directly,
     # and the bijection over the 4 positive pairs makes none.
@@ -526,7 +528,7 @@ def _noisy_scene():
     predictions, ledger = perturb(scene, ErrorSpec(60, 30, 6, 6), seed=4)
     rng = random.Random(5)
     noisy = []
-    for track in predictions.tracks:
+    for track in predictions:
         detections = []
         for view, frame, identity, (x, y, w, h) in track.detections:
             x += rng.gauss(0, 0.1 * w)

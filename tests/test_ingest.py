@@ -127,7 +127,7 @@ def test_predictions_group_rows_into_tracks(tmp_path):
     (tmp_path / "view_01.csv").write_text("")
     preds = parse_predictions(tmp_path, 2)
     assert len(preds.tracks) == 2
-    assert preds.detection_count() == 3
+    assert sum(len(t.detections) for t in preds.tracks) == 3
     assert preds.scores == {}
 
 
@@ -145,7 +145,7 @@ def test_predictions_with_scores(tmp_path):
 def test_predictions_empty_directory_is_empty_set(tmp_path):
     preds = parse_predictions(tmp_path, 2)
     assert preds.tracks == ()
-    assert preds.detection_count() == 0
+    assert sum(len(t.detections) for t in preds.tracks) == 0
 
 
 def test_predictions_score_out_of_range(tmp_path):

@@ -66,7 +66,7 @@ def cases(draw):
 
     referred = draw(st.sets(st.sampled_from(sorted(scene.identities()))))
     desc = LanguageDescription("d", "Someone.", AttributeSet(), frozenset(referred))
-    return scene, desc, _mapped(predictions.tracks, moved)
+    return scene, desc, _mapped(predictions, moved)
 
 
 def _scale(scene, desc, preds):

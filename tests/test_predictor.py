@@ -15,7 +15,7 @@ from cvrmot import (
 )
 from cvrmot.synth import generate_scene, score_tracks
 
-from helpers import lane_scene, predictions_from_gt, tracks_copy
+from helpers import lane_scene, tracks_copy
 
 CFG = PredictorConfig()
 
@@ -130,7 +130,7 @@ def test_filter_single_view_accumulation_emits_from_frame_11():
     assert fuse_scores(s_t, 0.0, 0.1) == pytest.approx(0.8, abs=1e-12)
     out = filter_tracks([single_view], scores)
     assert len(out) == 1
-    assert out[0].frames() == tuple(range(11, 15))
+    assert sorted({d.frame for d in out[0].detections}) == list(range(11, 15))
 
 
 def test_filter_whole_track_switch():
@@ -145,7 +145,7 @@ def test_filter_whole_track_switch():
     }
     out = filter_tracks([single_view], scores, PredictorConfig(whole_track=True))
     assert len(out) == 1
-    assert out[0].frames() == tuple(range(1, 15))
+    assert sorted({d.frame for d in out[0].detections}) == list(range(1, 15))
 
 
 def test_filter_missing_score_raises():
@@ -161,9 +161,9 @@ def test_filter_missing_score_raises():
 
 def test_filter_idempotent_on_average_branch_inputs():
     scene = generate_scene(3, 4, 8, seed=2)
-    base = predictions_from_gt(scene)
+    base = scene.gt_tracks
     scores = score_tracks(scene, base, {1, 3}, hi=0.95, lo=0.05, seed=4)
-    once = filter_tracks(base.tracks, scores)
+    once = filter_tracks(base, scores)
     twice = filter_tracks(once, scores)
     assert twice == once
 

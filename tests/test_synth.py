@@ -33,7 +33,7 @@ from cvrmot.datamodel import validate_scene
 from cvrmot.ingest import parse_descriptions, parse_scene, write_scene
 from cvrmot.synth import FrameErrors
 
-from helpers import box, desc_for, predictions_from_gt
+from helpers import box, desc_for
 from oracles import oracle_id_measures, oracle_synth_tracks
 
 
@@ -92,11 +92,11 @@ def test_generate_scene_rejects_degenerate_inputs():
 def test_perturb_zero_spec_is_identity():
     scene = generate_scene(2, 3, 5, seed=3)
     preds, ledger = perturb(scene, ErrorSpec(), seed=1)
-    assert preds.tracks == scene.gt_tracks
+    assert preds == scene.gt_tracks
     assert ledger.totals.misses == 0 and ledger.totals.false_positives == 0
     assert ledger.totals.mismatches == 0
     assert ledger.expected_cvma == 1
-    counts = count_events(scene.gt_tracks, preds.tracks)
+    counts = count_events(scene.gt_tracks, preds)
     assert cvma_exact(counts) == 1
 
 
@@ -110,7 +110,7 @@ def test_perturb_worked_example_four_two_one():
     assert ledger.totals.temporal == 0
     assert ledger.totals.crossview == 1
     assert ledger.expected_cvma == Fraction(4, 5)
-    counts = count_events(scene.gt_tracks, preds.tracks)
+    counts = count_events(scene.gt_tracks, preds)
     assert (counts.miss_total, counts.fp_total, counts.mismatch_total, counts.gt_total) == (4, 2, 1, 40)
     assert cvma_exact(counts) == Fraction(4, 5)
 
@@ -122,7 +122,7 @@ def test_perturb_temporal_switch_on_single_view_track():
     assert ledger.totals.temporal == 1
     assert ledger.totals.crossview == 0
     assert ledger.totals.mismatches == 1
-    counts = count_events(scene.gt_tracks, preds.tracks)
+    counts = count_events(scene.gt_tracks, preds)
     assert counts.mismatch_total == 1
     assert cvma_exact(counts) == ledger.expected_cvma
 
@@ -132,7 +132,7 @@ def test_perturb_temporal_switch_multi_view_counts_each_view():
     preds, ledger = perturb(scene, ErrorSpec(temporal_switch_count=1), seed=4)
     assert ledger.totals.temporal == 3  # one switch per view
     assert ledger.totals.crossview == 0
-    counts = count_events(scene.gt_tracks, preds.tracks)
+    counts = count_events(scene.gt_tracks, preds)
     assert ledger_matches_counts(ledger, counts)
     assert cvma_exact(counts) == ledger.expected_cvma
 
@@ -144,7 +144,7 @@ def test_perturb_without_ground_truth_expects_one_minus_its_false_positives():
     assert ledger.gt_total == 0 and ledger.totals.false_positives == 2
     assert ledger.expected_cvma == -1
     nobody = LanguageDescription("d", "Nobody.", AttributeSet(), frozenset())
-    assert evaluate_description(empty, nobody, preds.tracks).cvma_exact == -1
+    assert evaluate_description(empty, nobody, preds).cvma_exact == -1
 
 
 def test_perturb_false_positives_never_overlap_gt():
@@ -157,7 +157,7 @@ def test_perturb_false_positives_never_overlap_gt():
     gt_ids = scene.identities()
     fp_dets = [
         d
-        for t in preds.tracks
+        for t in preds
         if t.identity not in gt_ids
         for d in t.detections
     ]
@@ -194,14 +194,14 @@ def test_perturb_ledger_equivalence_small_batch():
             crossview_mismatch_count=rng.randint(0, min(2, frames)),
         )
         preds, ledger = perturb(scene, spec, seed=seed + 100)
-        counts = count_events(scene.gt_tracks, preds.tracks)
+        counts = count_events(scene.gt_tracks, preds)
         assert ledger_matches_counts(ledger, counts), (seed, spec)
         assert cvma_exact(counts) == ledger.expected_cvma
 
 
 def test_oracle_trivial_cases():
     scene = generate_scene(2, 3, 4, seed=21)
-    perfect = oracle_id_measures(scene, predictions_from_gt(scene))
+    perfect = oracle_id_measures(scene, scene.gt_tracks)
     assert perfect.idtp == scene.detection_count()
     assert perfect.cvidp == 1.0 and perfect.cvidr == 1.0
     empty = oracle_id_measures(scene, ())
@@ -218,21 +218,21 @@ def test_oracle_matches_id_measures_and_ledger():
             temporal_switch_count=rng.randint(0, 1) if scene.frames_per_view >= 2 else 0,
         )
         preds, ledger = perturb(scene, spec, seed=seed + 50)
-        measured = id_measures(scene.gt_tracks, preds.tracks)
+        measured = id_measures(scene.gt_tracks, preds)
         oracle = oracle_id_measures(scene, preds)
         assert measured == oracle
-        assert ledger_matches_counts(ledger, count_events(scene.gt_tracks, preds.tracks))
+        assert ledger_matches_counts(ledger, count_events(scene.gt_tracks, preds))
 
 
 def test_oracle_rejects_large_instances():
     scene = generate_scene(2, 7, 2, seed=1)
     with pytest.raises(ValueError):
-        oracle_id_measures(scene, predictions_from_gt(scene))
+        oracle_id_measures(scene, scene.gt_tracks)
 
 
 def test_score_tracks_exact_without_jitter():
     scene = generate_scene(2, 3, 4, seed=15)
-    base = predictions_from_gt(scene)
+    base = scene.gt_tracks
     scores = score_tracks(scene, base, {1}, hi=0.95, lo=0.05, seed=3)
     for track in scene.gt_tracks:
         expected = 0.95 if track.identity == 1 else 0.05
@@ -243,16 +243,16 @@ def test_score_tracks_exact_without_jitter():
 
 def test_score_tracks_hi_equals_lo_ignores_referral():
     scene = generate_scene(2, 3, 4, seed=15)
-    base = predictions_from_gt(scene)
+    base = scene.gt_tracks
     a = score_tracks(scene, base, {1}, hi=0.4, lo=0.4, seed=3)
     b = score_tracks(scene, base, {2, 3}, hi=0.4, lo=0.4, seed=3)
     assert a == b
-    assert filter_tracks(base.tracks, a) == filter_tracks(base.tracks, b)
+    assert filter_tracks(base, a) == filter_tracks(base, b)
 
 
 def test_score_tracks_validation():
     scene = generate_scene(2, 2, 3, seed=1)
-    base = predictions_from_gt(scene)
+    base = scene.gt_tracks
     with pytest.raises(ValueError):
         score_tracks(scene, base, {1}, hi=0.2, lo=0.5)
     with pytest.raises(ValueError):
@@ -264,10 +264,10 @@ def test_score_tracks_validation():
 
 def test_generate_score_filter_evaluate_pipeline():
     scene = generate_scene(3, 5, 12, seed=31)
-    base = predictions_from_gt(scene)
+    base = scene.gt_tracks
     referred = frozenset({2, 5})
     scores = score_tracks(scene, base, referred, hi=0.95, lo=0.05, seed=8)
-    kept = filter_tracks(base.tracks, scores)
+    kept = filter_tracks(base, scores)
     assert sorted(t.identity for t in kept) == sorted(referred)
     desc = LanguageDescription("d", "A person.", AttributeSet(), referred)
     result = evaluate_description(scene, desc, kept)

@@ -1,4 +1,4 @@
-"""Byte-identity guard for ``cvrmot synth``: each shape's whole output tree is pinned.
+"""Byte-identity guard for ``cvrmot synth`` and ``filter``: each run's whole output tree is pinned.
 
 The digests were computed before synth drew each score level once and
 picked every description's rows from shared lines; any change to a file's
@@ -8,7 +8,8 @@ was added when synth began printing each box and score record once; its
 digest was computed on the code before that change, with no source edited.
 The two shapes that write a ``ledger.json`` were re-pinned when the ledger
 dropped its ``expected_id`` key; a ``diff -r`` against the earlier trees
-showed that key as the only change.
+showed that key as the only change. The filtered trees were pinned before
+``filter`` dropped a membership test that could never be false.
 """
 
 import hashlib
@@ -87,3 +88,48 @@ def test_synth_tree_is_byte_identical(tmp_path, capsys, name):
     assert main([str(a) for a in argv]) == 0
     capsys.readouterr()
     assert tree_sha256(out) == want
+
+
+def split_scores(tracks_dir: Path, scores_dir: Path) -> None:
+    """Copy the two score columns of each ``view_NN.csv`` into a score file of its own."""
+    scores_dir.mkdir()
+    for path in sorted(tracks_dir.glob("view_*.csv")):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        (scores_dir / path.name).write_text("".join(f"{r[0]},{r[1]},{r[6]},{r[7]}\n" for r in rows))
+
+
+# name -> (filter flags, descriptions filtered, tree SHA-256 of <out>/<description>/...)
+# Every run filters the "many-queries" synth tree. With the default thresholds a
+# description keeps its referred tracks whole, so the --whole-track run raises
+# t_as and t_hs until per-frame filtering drops frames (267 of d01's 300 boxes)
+# and --whole-track keeps them. The --scores run reads d01's scores from their own
+# files. Both pins equal d01's tree in the first run, as they should.
+FILTERED = {
+    "all-descriptions": ([], [f"d{d:02d}" for d in range(8)],
+                         "1b6cf2413a88c18787692a711957390e1b3ad5f3851b4d288a48b8637e0f969d"),
+    "whole-track": (["--whole-track", "--t-as", 5, "--t-hs", 100], ["d01"],
+                    "f68fda236476f7543e5f03d24828852d2e416d07f7f361530f1a75e0606fe9b9"),
+    "separate-scores": ([], ["d01"],
+                        "f68fda236476f7543e5f03d24828852d2e416d07f7f361530f1a75e0606fe9b9"),
+}
+
+
+@pytest.fixture(scope="module")
+def many_queries(tmp_path_factory):
+    out = tmp_path_factory.mktemp("many-queries") / "scene"
+    assert main([str(a) for a in ["synth", *SHAPES["many-queries"][0], "--out", out]]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", FILTERED)
+def test_filter_tree_is_byte_identical(many_queries, tmp_path, capsys, name):
+    flags, descriptions, want = FILTERED[name]
+    for desc in descriptions:
+        tracks = many_queries / "tracks" / desc
+        argv = ["filter", "--tracks", tracks, *flags, "--out", tmp_path / "filtered" / desc]
+        if name == "separate-scores":
+            split_scores(tracks, tmp_path / desc)
+            argv += ["--scores", tmp_path / desc]
+        assert main([str(a) for a in argv]) == 0
+    capsys.readouterr()
+    assert tree_sha256(tmp_path / "filtered") == want
